@@ -263,7 +263,7 @@ def _dispatch(args):
             )
             return {"command": "decompose", "single_step": True, **report.to_json()}, None
         result = energy_partition(
-            a, b, Fraction(args.target_ratio),
+            a, b, args.target_ratio,
             mode=args.finder, dim_constant=args.dim_constant,
         )
         return {"command": "decompose", "single_step": False, **result.to_json()}, None
@@ -272,7 +272,7 @@ def _dispatch(args):
         g = parse_group(_require_group(args))
         x = parse_subset(g, args.set_x)
         y = parse_subset(g, args.set_y)
-        result = greedy_low_overlap_packing(x, y, Fraction(args.epsilon))
+        result = greedy_low_overlap_packing(x, y, args.epsilon)
         return {"command": "pack", "group": args.group, **result.to_json()}, None
 
     if cmd == "scan":

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .deviation import to_fraction
 from .dissociation import EXACT_DIMENSION_GUARD, additive_dimension
 from .errors import GuardError, PropertyError, StructuralError, check
 from .subsets import GroupSubset, additive_energy
@@ -68,14 +69,6 @@ class StructuredSubsetReport:
         }
 
 
-def _as_fraction(value, name: str) -> Fraction:
-    try:
-        f = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{name} must be a rational number, got {value!r}") from exc
-    return f
-
-
 def _dimension_info(subset: GroupSubset) -> tuple[int, bool]:
     g = subset.group
     if g.is_exponent_two or subset.size <= EXACT_DIMENSION_GUARD:
@@ -83,12 +76,6 @@ def _dimension_info(subset: GroupSubset) -> tuple[int, bool]:
     else:
         res = additive_dimension(subset, mode="greedy")
     return res.value, res.exact
-
-
-def _translate_lists(a: GroupSubset, b: GroupSubset) -> list[np.ndarray]:
-    g = a.group
-    ai = a.indices
-    return [g.translate_array(ai, int(y)) for y in b.indices]
 
 
 def find_structured_subset(
@@ -111,7 +98,7 @@ def find_structured_subset(
         raise StructuralError("B must be nonempty")
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    K = _as_fraction(energy_ratio, "energy_ratio")
+    K = to_fraction(energy_ratio, "energy_ratio")
     if K <= 0:
         raise StructuralError("energy_ratio must be positive")
 
@@ -125,7 +112,7 @@ def find_structured_subset(
     g = a.group
     n_a = a.size
     b_idx = [int(y) for y in b.indices]
-    translates = _translate_lists(a, b)
+    translates = g.pairsum_matrix(b.indices, a.indices)  # row j is A + b_j
 
     if mode == "exhaustive":
         if b.size > EXHAUSTIVE_SUBSET_GUARD:
@@ -287,7 +274,7 @@ def energy_partition(
         raise StructuralError(f"need |B| >= 2, got {b.size}")
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    M = _as_fraction(target_ratio, "target_ratio")
+    M = to_fraction(target_ratio, "target_ratio")
     if M <= 0:
         raise StructuralError("target_ratio must be positive")
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import rng
 from .errors import PropertyError, StructuralError, check
 from .groups import Element, GroupSpec
-from .subsets import GroupSubset, additive_energy
+from .subsets import GroupSubset, _pair_sum_blocks, additive_energy
 
 __all__ = [
     "CayleySample",
@@ -53,14 +53,15 @@ def to_fraction(value, name: str = "value") -> Fraction:
     """Exact rational from int, float, str, or Fraction input."""
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise StructuralError(f"{name} must be rational, got {value!r}") from exc
 
 
-def _epsilon_in(value, lo_open: Fraction, hi: Fraction) -> Fraction:
+def epsilon_in(value, hi: Fraction = Fraction(1, 2)) -> Fraction:
+    """The rational epsilon in (0, hi], or StructuralError."""
     eps = to_fraction(value, "epsilon")
-    if not (lo_open < eps <= hi):
-        raise StructuralError(f"epsilon must lie in ({lo_open}, {hi}], got {eps}")
+    if not 0 < eps <= hi:
+        raise StructuralError(f"epsilon must lie in (0, {hi}], got {eps}")
     return eps
 
 
@@ -95,18 +96,7 @@ def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:
     """Number of pairs (x, y) in X x Y with x + y in A."""
     if a.group != x.group or a.group != y.group:
         raise StructuralError("A, X, Y must share one group")
-    if x.size == 0 or y.size == 0:
-        return 0
-    g = a.group
-    abits = a.bits
-    xi, yi = x.indices, y.indices
-    if x.size * y.size <= 1 << 22:
-        return int(abits[g.pairsum_matrix(xi, yi)].sum())
-    total = 0
-    small, large = (xi, yi) if len(xi) <= len(yi) else (yi, xi)
-    for e in small:
-        total += int(abits[g.translate_array(large, int(e))].sum())
-    return total
+    return sum(int(a.bits[ps].sum()) for ps in _pair_sum_blocks(x, y))
 
 
 @dataclass
@@ -139,12 +129,9 @@ def edge_density_deviation(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> De
 
 def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarray:
     """For each y in Y (ascending index order), |A ∩ (X + y)|."""
-    g = a.group
-    abits = a.bits
     counts = np.zeros(y.size, dtype=np.int64)
-    yi = y.indices
-    for e in x.indices:
-        counts += abits[g.translate_array(yi, int(e))]
+    for ps in _pair_sum_blocks(x, y):
+        counts += a.bits[ps].sum(axis=0)
     return counts
 
 
@@ -156,14 +143,14 @@ def high_deviation_elements(
     When the whole pair deviates (|sigma_A(X, Y)| >= eps), at least an eps
     fraction of Y survives; that lower bound is asserted.
     """
-    eps = _epsilon_in(epsilon, Fraction(0), Fraction(1, 2))
+    eps = epsilon_in(epsilon)
     if x.size == 0 or y.size == 0:
         raise StructuralError("X and Y must be nonempty")
     n = x.size
     counts = row_edge_counts(a, x, y)
-    # |c/n - 1/2| >= eps/2  <=>  |2c - n| * den >= num * n  with eps = num/den
-    lhs = np.abs(2 * counts - n) * eps.denominator
-    keep = lhs >= eps.numerator * n
+    # |c/n - 1/2| >= eps/2  <=>  |2c - n| >= ceil(num * n / den) with eps = num/den;
+    # the integer threshold keeps a bignum denominator out of int64 arithmetic
+    keep = np.abs(2 * counts - n) >= -(-eps.numerator * n // eps.denominator)
     chosen = y.indices[keep]
     result = GroupSubset.from_indices(y.group, chosen)
     whole = edge_density_deviation(a, x, y).sigma
@@ -216,7 +203,7 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
     than eps |X| points.  Its size beats eps^2 |Y| K / |X| where
     K = |X|^2 |Y| / E(X, Y); that floor is asserted.
     """
-    eps = _epsilon_in(epsilon, Fraction(0), Fraction(1, 2))
+    eps = epsilon_in(epsilon)
     if x.size == 0:
         raise StructuralError("X must be nonempty")
     g = x.group
@@ -296,7 +283,7 @@ def deviation_packing_pipeline(
     a: GroupSubset, x: GroupSubset, y: GroupSubset, epsilon
 ) -> PipelineResult:
     """Extract deviating rows, then pack their translates at eps/2."""
-    eps = _epsilon_in(epsilon, Fraction(0), Fraction(1, 2))
+    eps = epsilon_in(epsilon)
     sigma = edge_density_deviation(a, x, y).sigma
     if abs(sigma) < eps:
         return PipelineResult(
@@ -426,7 +413,7 @@ def restriction_sample(
     s = ceil(2000 log N / eps^4) and t = ceil(K |Y| eps^2 / (10 log N)),
     clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).
     """
-    eps = _epsilon_in(epsilon, Fraction(0), Fraction(1))
+    eps = epsilon_in(epsilon, Fraction(1))
     if x.size == 0 or y.size == 0:
         raise StructuralError("X and Y must be nonempty")
     g = x.group

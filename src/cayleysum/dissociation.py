@@ -25,6 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .bounds import low_dimension_count_bound
 from .errors import GuardError, StructuralError
 from .groups import GroupSpec
 from .subsets import GroupSubset
@@ -206,17 +207,7 @@ def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:
     if len(indices) <= d:
         return True
     if g.is_exponent_two:
-        basis: list[int] = []
-        for v in indices:
-            cur = v
-            for b in basis:
-                cur = min(cur, cur ^ b)
-            if cur:
-                basis.append(cur)
-                basis.sort(reverse=True)
-                if len(basis) > d:
-                    return False
-        return True
+        return _gf2_basis_scan(indices)[0] <= d
     found = _exact_search(GroupSubset.from_indices(g, indices), stop_at=d + 1)
     return len(found) <= d
 
@@ -252,28 +243,12 @@ class LowDimensionSetCount:
         }
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def count_low_dimension_sets(
     g: GroupSpec, n: int, d: int, max_enumeration: int = _COUNT_SUBSET_LIMIT
 ) -> LowDimensionSetCount:
     """Count (when feasible) and bound the nonempty X with |X| <= n, dim(X) <= d."""
-    if n < 1 or d < 0:
-        raise StructuralError("need n >= 1 and d >= 0")
     N = g.order
-    log_n_group = math.log(N)
-    threshold_ok = n >= 2 * log_n_group
-    log_bound = 2.0 * n * d
-    log_intermediate = d * log_n_group + n * d * math.log(3.0)
-    mid = (log_n_group + 1.1 * n) * d
-    # strict chain only makes sense for d >= 1; at d = 0 everything is 1
-    chain_ok = (log_intermediate < mid <= log_bound) if d >= 1 else True
-
+    chain = low_dimension_count_bound(N, n, d)
     exact: int | None = None
     enumerated = False
     top = min(n, N)
@@ -292,11 +267,11 @@ def count_low_dimension_sets(
 
     return LowDimensionSetCount(
         exact=exact,
-        bound=_exp_or_inf(log_bound),
-        intermediate=_exp_or_inf(log_intermediate),
-        log_bound=log_bound,
-        log_intermediate=log_intermediate,
-        chain_ok=chain_ok,
-        threshold_ok=threshold_ok,
+        bound=chain.bound,
+        intermediate=chain.intermediate,
+        log_bound=chain.log_bound,
+        log_intermediate=chain.log_intermediate,
+        chain_ok=chain.chain_ok,
+        threshold_ok=chain.threshold_ok,
         enumerated=enumerated,
     )

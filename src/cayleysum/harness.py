@@ -28,6 +28,7 @@ from . import bounds, rng
 from .deviation import (
     deviation_packing_pipeline,
     edge_density_deviation,
+    epsilon_in,
     greedy_low_overlap_packing,
     high_deviation_elements,
     random_subset,
@@ -119,13 +120,6 @@ def _finish(kind: str, config: dict, results: dict, started: float) -> Experimen
     return ExperimentReport(kind=kind, config=config, results=results, timing=timing)
 
 
-def _parse_epsilon(value) -> Fraction:
-    eps = Fraction(value)
-    if not 0 < eps <= Fraction(1, 2):
-        raise StructuralError(f"epsilon must lie in (0, 1/2], got {eps}")
-    return eps
-
-
 def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
     # first n indices; in an exponent-2 group with n a power of two this is
     # a subgroup, so its translates by coset representatives are disjoint
@@ -151,7 +145,7 @@ def run_joint_deviation_mc(
     """
     started = time.monotonic()
     g = parse_group(group)
-    eps = _parse_epsilon(epsilon)
+    eps = epsilon_in(epsilon)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     ks = tuple(sorted(set(int(k) for k in ks)))
@@ -164,26 +158,27 @@ def run_joint_deviation_mc(
             f"packing yields only {packing.k} rows, need {ks[-1]}"
         )
     row_targets = np.array(packing.ys[: ks[-1]], dtype=np.int64)
-    gather = np.vstack([g.translate_array(x.indices, int(y)) for y in row_targets])
+    gather = g.pairsum_matrix(row_targets, x.indices)
 
+    # |c/n - 1/2| >= eps  <=>  |2c - n| >= ceil(2 n num / den): integer
+    # thresholds keep a bignum denominator out of int64 arithmetic
     num, den = eps.numerator, eps.denominator
+    row_threshold = -(-2 * n * num // den)
+    pair_threshold = -(-4 * num // den)
     successes = {k: 0 for k in ks}
     indep_hits = 0
-    indep_rows = np.vstack(
-        [g.translate_array(np.arange(2), 2), g.translate_array(np.arange(2), 4)]
-    )
+    indep_rows = g.pairsum_matrix(np.array([2, 4]), np.arange(2))
     done = 0
     while done < trials:
         count = min(_MC_CHUNK, trials - done)
         seeds = rng.derive_seed_array(seed, np.arange(done, done + count))
         bits = rng.bit_matrix(seeds, g.order)
         counts = bits[:, gather].sum(axis=2, dtype=np.int64)
-        # |c/n - 1/2| >= eps  <=>  |2c - n| den >= 2 n num
-        events = np.abs(2 * counts - n) * den >= 2 * n * num
+        events = np.abs(2 * counts - n) >= row_threshold
         for k in ks:
             successes[k] += int(events[:, :k].all(axis=1).sum())
         pair = bits[:, indep_rows].sum(axis=2, dtype=np.int64)
-        pair_events = np.abs(2 * pair - 2) * den >= 2 * 2 * num
+        pair_events = np.abs(2 * pair - 2) >= pair_threshold
         indep_hits += int(pair_events.all(axis=1).sum())
         done += count
 
@@ -208,7 +203,7 @@ def run_joint_deviation_mc(
     # with A = G every row count equals n, so the event holds whenever
     # eps <= 1/2: the bound constrains random A only
     full_counts = np.full(ks[-1], n, dtype=np.int64)
-    forced = bool((np.abs(2 * full_counts - n) * den >= 2 * n * num).all())
+    forced = bool((np.abs(2 * full_counts - n) >= row_threshold).all())
 
     single = Fraction(1, 2)
     product_ref = float(single * single)
@@ -313,7 +308,7 @@ def run_restriction_mc(
     """
     started = time.monotonic()
     g = parse_group(group)
-    eps = _parse_epsilon(epsilon)
+    eps = epsilon_in(epsilon)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     pool = range(g.order)
@@ -463,7 +458,7 @@ def run_deviation_scan(
     """Sample A, then report sigma, extraction, and the packing pipeline."""
     started = time.monotonic()
     g = parse_group(group)
-    eps = _parse_epsilon(epsilon)
+    eps = epsilon_in(epsilon)
     sample = random_subset(g, seed)
     pool = range(g.order)
     if x_indices is not None:

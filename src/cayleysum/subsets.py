@@ -5,12 +5,17 @@ additive energy of (X, Y) counts quadruples (x1, y1, x2, y2) with
 x1 + y1 = x2 + y2.  The production path computes the representation counts
 r(z) = #{(x, y) : x + y = z} and sums r(z)^2; the quartic literal count is
 kept as an independent oracle and never shares that code path.
+
+Every set-level count (representation counts, sumsets, edge and row counts)
+is one reduction over _pair_sum_blocks, which streams the |X| x |Y| matrix
+of index sums in row blocks of at most _PAIR_BLOCK entries, so the
+temporary memory stays bounded however large X and Y are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,8 +36,9 @@ __all__ = [
 # additive_energy_oracle refuses above this many quadruples
 ORACLE_QUADRUPLE_GUARD = 10**8
 
-# rep_function uses one flat pairwise bincount below this many pairs
-_PAIRWISE_LIMIT = 1 << 22
+# entries per block of index sums: bounds the temporary memory of every
+# set-level count (a block is never narrower than one row of Y)
+_PAIR_BLOCK = 1 << 18
 
 
 class GroupSubset:
@@ -196,18 +202,20 @@ def parse_subset(group: GroupSpec, text: str) -> GroupSubset:
     )
 
 
+def _pair_sum_blocks(x: GroupSubset, y: GroupSubset) -> Iterator[np.ndarray]:
+    """Row blocks, in X order, of the |X| x |Y| matrix of index sums x + y."""
+    x._require_same_group(y)
+    xi, yi = x.indices, y.indices
+    if len(yi) == 0:
+        return
+    step = max(1, _PAIR_BLOCK // len(yi))
+    for lo in range(0, len(xi), step):
+        yield x.group.pairsum_matrix(xi[lo : lo + step], yi)
+
+
 def sumset(x: GroupSubset, y: GroupSubset) -> GroupSubset:
     """The set {a + b : a in X, b in Y}."""
-    x._require_same_group(y)
-    g = x.group
-    if x.size == 0 or y.size == 0:
-        return GroupSubset.empty(g)
-    small, large = (x, y) if x.size <= y.size else (y, x)
-    bits = np.zeros(g.order, dtype=bool)
-    large_idx = large.indices
-    for e in small.indices:
-        bits[g.translate_array(large_idx, int(e))] = True
-    return GroupSubset(g, bits)
+    return GroupSubset(x.group, rep_function(x, y).values > 0)
 
 
 @dataclass
@@ -223,20 +231,9 @@ class RepFunction:
 
 
 def rep_function(x: GroupSubset, y: GroupSubset) -> RepFunction:
-    x._require_same_group(y)
-    g = x.group
-    counts = np.zeros(g.order, dtype=np.int64)
-    if x.size and y.size:
-        if x.size * y.size <= _PAIRWISE_LIMIT:
-            ps = g.pairsum_matrix(x.indices, y.indices)
-            counts = np.bincount(ps.ravel(), minlength=g.order).astype(np.int64)
-        else:
-            small, large = (x, y) if x.size <= y.size else (y, x)
-            large_idx = large.indices
-            for e in small.indices:
-                counts += np.bincount(
-                    g.translate_array(large_idx, int(e)), minlength=g.order
-                )
+    counts = np.zeros(x.group.order, dtype=np.int64)
+    for ps in _pair_sum_blocks(x, y):
+        counts += np.bincount(ps.ravel(), minlength=x.group.order)
     return RepFunction(values=counts, x_size=x.size, y_size=y.size)
 
 

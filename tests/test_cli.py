@@ -184,3 +184,33 @@ def test_out_writes_json(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["order"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--group", "z12", "--set-a", "[0,1,2,3,4,5]",
+         "--set-b", "[0,2,4,6]", "-M", "1/0"),
+        ("pack", "--group", "z12", "--set-x", "[0,1]", "--set-y", "[0,1,2]",
+         "--epsilon", "1/0"),
+        ("mc", "--kind", "restriction", "--trials", "2", "--epsilon", "1/0"),
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--group", "z64"),
+        ("mc", "--kind", "joint-deviation", "--trials", "10"),
+    ],
+)
+def test_bignum_epsilon_runs(capsys, argv):
+    eps = "1/1180591620717411303424"  # 1/2^70: the denominator exceeds int64
+    code, out, _ = run_cli(capsys, *argv, "--epsilon", eps)
+    assert code == 0
+    assert json.loads(out)["config"]["epsilon"] == eps

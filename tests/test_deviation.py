@@ -149,6 +149,23 @@ def test_high_deviation_rows_exact(small_group, rnd):
             assert rows.contains(yi) == big
 
 
+def test_high_deviation_bignum_epsilon(small_group, rnd):
+    # a denominator above 2^63 must not reach int64 arithmetic
+    g = small_group
+    eps = Fraction(1, 2**70)
+    for _ in range(20):
+        a = random_nonempty(rnd, g, g.order)
+        x = random_nonempty(rnd, g, g.order)
+        y = random_nonempty(rnd, g, g.order)
+        a_idx, x_idx = a.to_index_list(), x.to_index_list()
+        expected = []
+        for yi in y.to_index_list():
+            edges, n = oracle_sigma_parts(g.moduli, a_idx, x_idx, [yi])
+            if abs(2 * edges - n) * eps.denominator >= eps.numerator * n:
+                expected.append(yi)
+        assert high_deviation_elements(a, x, y, eps).to_index_list() == expected
+
+
 def test_high_deviation_size_guarantee(small_group, rnd):
     g = small_group
     eps = Fraction(1, 4)
