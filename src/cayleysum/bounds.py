@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._record import Record
 from .errors import StructuralError, check
 
 __all__ = [
@@ -66,7 +67,7 @@ def hoeffding_tail(deviation: float, count: int) -> float:
     """P(|sum of count fair +-1/2 coins| >= deviation) <= exp(-2 deviation^2 / count)."""
     if count < 1:
         raise StructuralError(f"count must be >= 1, got {count}")
-    if deviation < 0:
+    if not deviation >= 0:
         raise StructuralError(f"deviation must be >= 0, got {deviation}")
     return tail_probability(-2.0 * float(deviation) ** 2 / count)
 
@@ -84,7 +85,7 @@ def joint_deviation_bound(epsilon: float, k: int, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExistentialBounds:
+class ExistentialBounds(Record):
     """Union bound and its clean refinement for existential deviation events.
 
     union_bound = (N exp(-eps^2 n / 2))^k counts all placements directly;
@@ -96,14 +97,6 @@ class ExistentialBounds:
     refined_bound: float
     threshold_ok: bool
     threshold: float
-
-    def to_json(self) -> dict:
-        return {
-            "union_bound": self.union_bound,
-            "refined_bound": self.refined_bound,
-            "threshold_ok": self.threshold_ok,
-            "threshold": self.threshold,
-        }
 
 
 def existential_deviation_bounds(
@@ -147,9 +140,9 @@ def low_energy_deviation_bound(
     2000 eps^-4 log N, |Y| >= r and energy ratio at least K deviates by eps.
     Values above 1 are vacuous but returned as computed.
     """
-    if r < 1 or big_k < 1:
+    if not (r >= 1 and big_k >= 1):
         raise StructuralError(f"need r, K >= 1, got r={r}, K={big_k}")
-    if constant <= 0:
+    if not constant > 0:
         raise StructuralError(f"constant must be positive, got {constant}")
     exponent = low_energy_exponent(order, epsilon, r, big_k) + math.log(constant)
     if exponent > _EXP_CEIL:
@@ -160,7 +153,7 @@ def low_energy_deviation_bound(
 
 
 @dataclass(frozen=True)
-class ThresholdBound:
+class ThresholdBound(Record):
     """Low-energy bound specialized to the root-log energy-ratio floor.
 
     ratio_floor M = (loglog N)^-1 sqrt(log N); row_threshold is the |Y| floor
@@ -173,14 +166,6 @@ class ThresholdBound:
     ratio_floor: float
     row_threshold: float
     epsilon_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "ratio_floor": self.ratio_floor,
-            "row_threshold": self.row_threshold,
-            "epsilon_ok": self.epsilon_ok,
-        }
 
 
 def threshold_deviation_bound(
@@ -212,13 +197,13 @@ def threshold_deviation_bound(
 def packed_deviation_bound(epsilon: float, m: float, big_k: float) -> float:
     """exp(-eps^6 m K / 64): deviation by eps on some Y with |Y| >= m, ratio >= K."""
     eps = _epsilon(epsilon, 0.5)
-    if m < 1 or big_k < 1:
+    if not (m >= 1 and big_k >= 1):
         raise StructuralError(f"need m, K >= 1, got m={m}, K={big_k}")
     return tail_probability(-(eps**6) * float(m) * float(big_k) / 64.0)
 
 
 @dataclass(frozen=True)
-class LowDimCountBound:
+class LowDimCountBound(Record):
     """Counting bound e^(2nd) for sets of size <= n and dimension <= d."""
 
     log_bound: float
@@ -227,16 +212,6 @@ class LowDimCountBound:
     intermediate: float
     threshold_ok: bool
     chain_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "log_bound": self.log_bound,
-            "log_intermediate": self.log_intermediate,
-            "bound": self.bound,
-            "intermediate": self.intermediate,
-            "threshold_ok": self.threshold_ok,
-            "chain_ok": self.chain_ok,
-        }
 
 
 def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBound:
@@ -247,7 +222,7 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
     asserted whenever both hold.
     """
     order = _positive(order, "order")
-    if n < 1 or d < 0:
+    if not (n >= 1 and d >= 0):
         raise StructuralError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     log_order = math.log(order)
     log_bound = 2.0 * float(n) * float(d)
@@ -270,14 +245,11 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
 
 
 @dataclass(frozen=True)
-class SizeThresholds:
+class SizeThresholds(Record):
     """Minimum |X| and |Y| for which a density guarantee kicks in."""
 
     x_min: float
     y_min: float
-
-    def to_json(self) -> dict:
-        return {"x_min": self.x_min, "y_min": self.y_min}
 
 
 _THRESHOLD_KINDS = ("baseline", "refined", "exponent-two")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
+from ._record import Record
 from .errors import GuardError, StructuralError
 
 __all__ = [
@@ -77,7 +78,7 @@ def _loglog_shifted(log_order: mpf) -> mpf:
 
 
 @dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(Record):
     name: str
     anchor: str
     lhs: str
@@ -87,21 +88,9 @@ class LedgerRow:
     constant_dependent: bool
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "passed": self.passed,
-            "constant_dependent": self.constant_dependent,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
-class CascadeLedger:
+class CascadeLedger(Record):
     mode: str
     dps: int
     inputs: dict
@@ -115,17 +104,6 @@ class CascadeLedger:
             if r.name == name:
                 return r
         raise StructuralError(f"no ledger row named {name!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dps": self.dps,
-            "inputs": dict(self.inputs),
-            "constants": dict(self.constants),
-            "derived": dict(self.derived),
-            "rows": [r.to_json() for r in self.rows],
-            "all_pass": self.all_pass,
-        }
 
 
 def _merge_constants(mode: str, constants: dict | None) -> dict:
@@ -397,7 +375,7 @@ def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
 
 
 @dataclass(frozen=True)
-class ThresholdSearch:
+class ThresholdSearch(Record):
     """Bisection record for the least all-pass size along logN = exp(w)."""
 
     mode: str
@@ -408,20 +386,7 @@ class ThresholdSearch:
     probes: tuple = field(default=())
     passing_u: float = 0.0
     passing_w: str = ""
-    passing_log_order: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "constants": dict(self.constants),
-            "dps": self.dps,
-            "bracket": list(self.bracket),
-            "tolerance": self.tolerance,
-            "probes": [dict(p) for p in self.probes],
-            "passing_u": self.passing_u,
-            "passing_w": self.passing_w,
-            "passing_logN": self.passing_log_order,
-        }
+    passing_log_order: str = field(default="", metadata={"json": "passing_logN"})
 
 
 _DEFAULT_BRACKETS = {"general": (0.7, 520.0), "exponent2": (0.2, 12.0)}

@@ -256,8 +256,10 @@ def _dispatch(args):
         a = parse_subset(g, args.set_a)
         b = parse_subset(g, args.set_b)
         if args.single_step:
-            # the actual ratio makes the energy hypothesis hold with equality
-            ratio = Fraction(a.size * b.size**2, additive_energy(a, b))
+            # the actual ratio makes the energy hypothesis hold with equality;
+            # only an empty A or B has zero energy, and the finder rejects both
+            energy = additive_energy(a, b)
+            ratio = Fraction(a.size * b.size**2, energy) if energy else 0
             report = find_structured_subset(
                 a, b, ratio, mode=args.finder, dim_constant=args.dim_constant
             )

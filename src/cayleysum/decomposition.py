@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record
 from .deviation import to_fraction
 from .dissociation import EXACT_DIMENSION_GUARD, additive_dimension
 from .errors import GuardError, PropertyError, StructuralError, check
@@ -46,7 +47,7 @@ DEFAULT_DIMENSION_CONSTANT = 16.0
 
 
 @dataclass
-class StructuredSubsetReport:
+class StructuredSubsetReport(Record):
     """Finder output: the subset, its energy, and dimension bookkeeping."""
 
     subset: GroupSubset
@@ -56,17 +57,6 @@ class StructuredSubsetReport:
     dim_exact: bool
     dim_target: float
     dim_within_target: bool
-
-    def to_json(self) -> dict:
-        return {
-            "subset": self.subset.to_index_list(),
-            "energy": self.energy,
-            "input_energy": self.input_energy,
-            "dim_value": self.dim_value,
-            "dim_exact": self.dim_exact,
-            "dim_target": self.dim_target,
-            "dim_within_target": self.dim_within_target,
-        }
 
 
 def _dimension_info(subset: GroupSubset) -> tuple[int, bool]:
@@ -101,6 +91,8 @@ def find_structured_subset(
     K = to_fraction(energy_ratio, "energy_ratio")
     if K <= 0:
         raise StructuralError("energy_ratio must be positive")
+    if not 0 < dim_constant < math.inf:
+        raise StructuralError(f"dim_constant must be positive and finite, got {dim_constant}")
 
     e_ab = additive_energy(a, b)
     # hypothesis E(A,B) >= |A| |B|^2 / K, compared exactly
@@ -207,23 +199,15 @@ def find_structured_subset(
 
 
 @dataclass
-class DecompositionStep:
+class DecompositionStep(Record):
     extracted: GroupSubset
     residual_energy_before: int
     dim_value: int
     dim_exact: bool
 
-    def to_json(self) -> dict:
-        return {
-            "extracted": self.extracted.to_index_list(),
-            "residual_energy_before": self.residual_energy_before,
-            "dim_value": self.dim_value,
-            "dim_exact": self.dim_exact,
-        }
-
 
 @dataclass
-class DecompositionResult:
+class DecompositionResult(Record):
     """Partition of B into a structured union and a low-ratio residual."""
 
     structured: GroupSubset
@@ -241,18 +225,7 @@ class DecompositionResult:
         return len(self.steps)
 
     def to_json(self) -> dict:
-        return {
-            "structured": self.structured.to_index_list(),
-            "residual": self.residual.to_index_list(),
-            "steps": [s.to_json() for s in self.steps],
-            "energy_ratio": str(self.energy_ratio),
-            "target_ratio": str(self.target_ratio),
-            "initial_energy": self.initial_energy,
-            "structured_energy": self.structured_energy,
-            "residual_energy": self.residual_energy,
-            "step_count": self.step_count,
-            "step_bound": self.step_bound,
-        }
+        return {**super().to_json(), "step_count": self.step_count}
 
 
 def energy_partition(

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
+from ._record import Record
 from .errors import PropertyError, StructuralError, check
 from .groups import Element, GroupSpec
 from .subsets import GroupSubset, _pair_sum_blocks, additive_energy
@@ -100,7 +101,7 @@ def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:
 
 
 @dataclass
-class DeviationReport:
+class DeviationReport(Record):
     """Exact normalized deviation of the (X, Y) edge density from 1/2."""
 
     sigma: Fraction
@@ -109,13 +110,7 @@ class DeviationReport:
     edges: int
 
     def to_json(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "sigma_float": float(self.sigma),
-            "x_size": self.x_size,
-            "y_size": self.y_size,
-            "edges": self.edges,
-        }
+        return {**super().to_json(), "sigma_float": float(self.sigma)}
 
 
 def edge_density_deviation(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> DeviationReport:
@@ -163,7 +158,7 @@ def high_deviation_elements(
 
 
 @dataclass
-class PackingResult:
+class PackingResult(Record):
     """Greedy low-overlap packing of translates X + y inside Y.
 
     ys lists the admitted elements in scan order; z is the union of their
@@ -175,7 +170,7 @@ class PackingResult:
     ys: list[int]
     k: int
     epsilon: Fraction
-    z: GroupSubset
+    z: GroupSubset = field(metadata={"json": None})
     x_size: int
     y_size: int
     energy: int
@@ -183,17 +178,7 @@ class PackingResult:
     lower_bound: Fraction | None
 
     def to_json(self) -> dict:
-        return {
-            "ys": self.ys,
-            "k": self.k,
-            "epsilon": str(self.epsilon),
-            "z_size": self.z.size,
-            "x_size": self.x_size,
-            "y_size": self.y_size,
-            "energy": self.energy,
-            "energy_ratio": None if self.energy_ratio is None else str(self.energy_ratio),
-            "lower_bound": None if self.lower_bound is None else str(self.lower_bound),
-        }
+        return {**super().to_json(), "z_size": self.z.size}
 
 
 def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> PackingResult:
@@ -243,7 +228,7 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
 
 
 @dataclass
-class PipelineResult:
+class PipelineResult(Record):
     """Extraction-then-packing pipeline outcome.
 
     When the deviation hypothesis |sigma_A(X, Y)| >= eps fails, ok is False
@@ -262,21 +247,6 @@ class PipelineResult:
     extracted_ratio: Fraction | None = None
     packing: PackingResult | None = None
     k_floor: Fraction | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "epsilon": str(self.epsilon),
-            "sigma": str(self.sigma),
-            "energy_ratio": None if self.energy_ratio is None else str(self.energy_ratio),
-            "extracted": None if self.extracted is None else self.extracted.to_index_list(),
-            "extracted_ratio": None
-            if self.extracted_ratio is None
-            else str(self.extracted_ratio),
-            "packing": None if self.packing is None else self.packing.to_json(),
-            "k_floor": None if self.k_floor is None else str(self.k_floor),
-        }
 
 
 def deviation_packing_pipeline(
@@ -356,7 +326,7 @@ def split_blocks(y: GroupSubset, lo: int, hi: int) -> list[GroupSubset]:
 
 
 @dataclass
-class RestrictionParams:
+class RestrictionParams(Record):
     """Subsample sizes for the energy-preserving restriction draw."""
 
     x_sample_size: int
@@ -365,18 +335,9 @@ class RestrictionParams:
     energy_ratio: Fraction
     log_order: float
 
-    def to_json(self) -> dict:
-        return {
-            "x_sample_size": self.x_sample_size,
-            "y_sample_size": self.y_sample_size,
-            "y_threshold": self.y_threshold,
-            "energy_ratio": str(self.energy_ratio),
-            "log_order": self.log_order,
-        }
-
 
 @dataclass
-class RestrictionDraw:
+class RestrictionDraw(Record):
     """One seeded restriction draw with its two inequality checks.
 
     energy_check: E(S,T) <= 2 s t + 2 s^2 t^2 E(X,Y) / (|X|^2 |Y|^2), exact.
@@ -385,20 +346,11 @@ class RestrictionDraw:
     design, not always; callers measure empirical frequencies.
     """
 
-    s_subset: GroupSubset
-    t_subset: GroupSubset
+    s_subset: GroupSubset = field(metadata={"json": "s"})
+    t_subset: GroupSubset = field(metadata={"json": "t"})
     params: RestrictionParams
     energy_check: bool
     deviation_check: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s_subset.to_index_list(),
-            "t": self.t_subset.to_index_list(),
-            "params": self.params.to_json(),
-            "energy_check": self.energy_check,
-            "deviation_check": self.deviation_check,
-        }
 
 
 def restriction_sample(

@@ -25,6 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._record import Record
 from .bounds import low_dimension_count_bound
 from .errors import GuardError, StructuralError
 from .groups import GroupSpec
@@ -114,15 +115,12 @@ def span(s: GroupSubset) -> GroupSubset:
 
 
 @dataclass
-class DimensionResult:
+class DimensionResult(Record):
     """Additive dimension value with a dissociated witness subset."""
 
     value: int
     witness: GroupSubset
     exact: bool
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "witness": self.witness.to_index_list(), "exact": self.exact}
 
 
 def _greedy_scan(a: GroupSubset) -> list[int]:
@@ -213,7 +211,7 @@ def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:
 
 
 @dataclass
-class LowDimensionSetCount:
+class LowDimensionSetCount(Record):
     """Count of nonempty sets X with |X| <= n and dim(X) <= d, plus bounds.
 
     The closed-form ceiling is exp(2nd); the intermediate quantity
@@ -229,18 +227,6 @@ class LowDimensionSetCount:
     chain_ok: bool
     threshold_ok: bool
     enumerated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "exact": self.exact,
-            "bound": self.bound,
-            "intermediate": self.intermediate,
-            "log_bound": self.log_bound,
-            "log_intermediate": self.log_intermediate,
-            "chain_ok": self.chain_ok,
-            "threshold_ok": self.threshold_ok,
-            "enumerated": self.enumerated,
-        }
 
 
 def count_low_dimension_sets(

@@ -54,9 +54,6 @@ class Element:
 
     coords: tuple[int, ...]
 
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
 
 class GroupSpec:
     """Product-of-cyclic-factors group with a dense row-major index codec."""

@@ -129,9 +129,6 @@ class GroupSubset:
     def to_index_list(self) -> list[int]:
         return [int(i) for i in self.indices]
 
-    def to_json(self) -> dict:
-        return {"indices": self.to_index_list(), "size": self.size}
-
     # ---- set algebra ----
 
     def _require_same_group(self, other: "GroupSubset") -> None:

@@ -1,10 +1,15 @@
 """CLI surface: parsing, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from cayleysum.cli import main
+from cayleysum.cli import _dispatch, build_parser, main
+from cayleysum.deviation import restriction_sample
+from cayleysum.dissociation import count_low_dimension_sets
+from cayleysum.groups import parse_group
+from cayleysum.subsets import GroupSubset
 
 
 def run_cli(capsys, *argv):
@@ -214,3 +219,97 @@ def test_bignum_epsilon_runs(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--epsilon", eps)
     assert code == 0
     assert json.loads(out)["config"]["epsilon"] == eps
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--group", "z12", "--set-a", "[0,1]", "--set-b", "[]",
+         "-M", "2", "--single-step"),
+        ("decompose", "--group", "z12", "--set-a", "[]", "--set-b", "[0]",
+         "-M", "2", "--single-step"),
+        ("bounds", "--name", "hoeffding", "--params", "deviation=nan", "count=3"),
+        ("bounds", "--name", "packed", "--params", "epsilon=0.5", "m=nan", "K=2"),
+        ("bounds", "--name", "low-energy", "--params", "order=100", "epsilon=0.5",
+         "r=1", "K=nan"),
+        ("bounds", "--name", "low-dim-count", "--params", "order=100", "n=nan", "d=1"),
+        ("decompose", "--group", "z12", "--set-a", "[0,1,2]", "--set-b", "[0,1]",
+         "-M", "2", "--single-step", "--dim-constant", "nan"),
+    ],
+)
+def test_empty_set_or_nan_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# sha256 of each command's stdout: any change to how a report is written
+# fails here; every report class the CLI can emit is reached at least once
+FROZEN_STDOUT = [
+    (("dim", "--group", "z12", "--set", "[1,2,3,5]", "--mode", "exact"),
+     "1cd4b8aa3ba8698d3a3a1d7affe3b9f671b8e064c6fc2eba2ab9973060252f46"),
+    (("pack", "--group", "f2^4", "--set-x", "[0,1,2,3]", "--set-y", "0xffff",
+      "--epsilon", "1/2"),
+     "89e04762990c1e6755243007f6a59e9414eb814e8050fd325b3f8108668d34b3"),
+    (("pack", "--group", "z12", "--set-x", "[0,1]", "--set-y", "[]"),
+     "039135c86ce60577b2a4a0b6c631a2a0edf87ae70731a926dd67065dc26be94b"),
+    (("decompose", "--group", "z12", "--set-a", "[0,1,2,3,4,5]",
+      "--set-b", "[0,2,4,6]", "-M", "8"),
+     "fa38f27f2e918156848d9bd0c20d7aa04a6d793c2d8efde9b81a6a1bc4764b47"),
+    (("decompose", "--group", "z12", "--set-a", "[0,1,2,3,4,5]",
+      "--set-b", "[0,2,4,6]", "-M", "8", "--single-step"),
+     "bea00ab94b72d0cee8bdb018a46fb03e07e38f95e86bb41d0158d367f070e984"),
+    (("bounds", "--name", "existential", "--params", "order=1048576",
+      "epsilon=0.25", "n=100", "k=2"),
+     "dcbfb5a0b2db161753f11b79795b59531146a5cd5c5450b59888d66147766771"),
+    (("bounds", "--name", "threshold", "--params", "order=1e30", "epsilon=0.5", "w=10"),
+     "90f63ee8b068b3a7c532e31009c80c94eac4fb2a9c3439fe0d1eaf27a1423520"),
+    (("bounds", "--name", "low-dim-count", "--params", "order=100", "n=10", "d=2"),
+     "7ba35d1e96ca4f7065cfac4469443ba4e9f18d9877bf46911eee4b62151fba27"),
+    (("bounds", "--name", "size-thresholds", "--params", "kind=refined",
+      "order=1048576", "w=2"),
+     "f4e3ba66835d47b187f0975baf1c1feb247989b408feaa596d9e4fc1a8754e2d"),
+    (("audit", "--mode", "general", "--logN", "230", "--w", "5.438"),
+     "e2c7dd9502a86450839432040ccc1297de3f36187f98d31e81af0b75f4b77f8d"),
+    (("audit", "--mode", "exponent2", "--find-threshold"),
+     "7c111f9b8f8163dd84b768889987842979bf2e23081dce818811e562784bd61b"),
+]
+
+# sha256 of canonical_bytes() (timing left out) for the timed reports;
+# scan seed 0 runs the whole pipeline (ok true), seed 1 stops at its hypothesis
+FROZEN_CANONICAL = [
+    (("scan", "--group", "f2^4", "--seed", "0"),
+     "ba7ef17dd28ae8ffdbb06c14fb6d05d34b0c120ecc9db62611ae6acef7942477"),
+    (("scan", "--group", "f2^4", "--seed", "1"),
+     "a6ca907cff21f78d35d9995bf601faad43ed84a0dfaa78865d2ca2dbe4b77c94"),
+    (("mc", "--kind", "restriction", "--trials", "3"),
+     "12302cca185530386bfb1a6d4fcfb65f2833f308e8d8ff9b800baf7e168b96d2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FROZEN_STDOUT + FROZEN_CANONICAL)
+def test_report_bytes_frozen(capsys, argv, digest):
+    if (argv, digest) in FROZEN_CANONICAL:
+        _, report = _dispatch(build_parser().parse_args(list(argv)))
+        data = report.canonical_bytes()
+    else:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_library_report_bytes_frozen():
+    # RestrictionDraw and LowDimensionSetCount reports are not CLI output
+    g = parse_group("z12")
+    x = GroupSubset.from_indices(g, [0, 1, 2, 3, 5, 8])
+    y = GroupSubset.from_indices(g, [1, 4, 6, 7, 9])
+    a = GroupSubset.from_indices(g, [0, 2, 3, 7, 11])
+    docs = [
+        restriction_sample(x, y, "1/2", seed=9, a=a).to_json(),
+        count_low_dimension_sets(g, n=3, d=1).to_json(),
+    ]
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "999348c7d93de0d48a269d5d50a863d48ca0048cac422f403714eac96cf1939f"
+    )
