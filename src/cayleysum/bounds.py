@@ -140,8 +140,8 @@ def low_energy_deviation_bound(
     2000 eps^-4 log N, |Y| >= r and energy ratio at least K deviates by eps.
     Values above 1 are vacuous but returned as computed.
     """
-    if not (r >= 1 and big_k >= 1):
-        raise StructuralError(f"need r, K >= 1, got r={r}, K={big_k}")
+    if not (1 <= r < math.inf and 1 <= big_k < math.inf):
+        raise StructuralError(f"need finite r, K >= 1, got r={r}, K={big_k}")
     if not constant > 0:
         raise StructuralError(f"constant must be positive, got {constant}")
     exponent = low_energy_exponent(order, epsilon, r, big_k) + math.log(constant)
@@ -222,8 +222,8 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
     asserted whenever both hold.
     """
     order = _positive(order, "order")
-    if not (n >= 1 and d >= 0):
-        raise StructuralError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    if not (1 <= n < math.inf and 0 <= d < math.inf):
+        raise StructuralError(f"need finite n >= 1 and d >= 0, got n={n}, d={d}")
     log_order = math.log(order)
     log_bound = 2.0 * float(n) * float(d)
     log_intermediate = float(d) * log_order + float(n) * float(d) * math.log(3.0)

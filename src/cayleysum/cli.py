@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,7 +150,11 @@ def _float_params(raw: dict, *names: str, optional: tuple = ()) -> dict:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise StructuralError(f"unknown params: {', '.join(unknown)}")
-    return {k: float(v) for k, v in raw.items() if k in known}
+    values = {k: float(v) for k, v in raw.items() if k in known}
+    non_finite = sorted(k for k, v in values.items() if not math.isfinite(v))
+    if non_finite:
+        raise StructuralError(f"params must be finite: {', '.join(non_finite)}")
+    return values
 
 
 def _bound_hoeffding(raw):

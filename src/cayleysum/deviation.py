@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rng
+from . import rng, subsets
 from ._record import Record
 from .errors import PropertyError, StructuralError, check
 from .groups import Element, GroupSpec
@@ -97,6 +97,11 @@ def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:
     """Number of pairs (x, y) in X x Y with x + y in A."""
     if a.group != x.group or a.group != y.group:
         raise StructuralError("A, X, Y must share one group")
+    if subsets._transform_cheaper(a.group, len(x.indices) * len(y.indices)):
+        # sum over z in A of r(z), r = 1_X * 1_Y
+        r = subsets._exact_convolution(a.group, x.bits, y.bits)
+        if r is not None:
+            return int(r[a.bits].sum())
     return sum(int(a.bits[ps].sum()) for ps in _pair_sum_blocks(x, y))
 
 
@@ -124,6 +129,16 @@ def edge_density_deviation(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> De
 
 def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarray:
     """For each y in Y (ascending index order), |A ∩ (X + y)|."""
+    if a.group != x.group or a.group != y.group:
+        raise StructuralError("A, X, Y must share one group")
+    g = a.group
+    if subsets._transform_cheaper(g, len(x.indices) * len(y.indices)):
+        # |A ∩ (X + y)| = (1_A * 1_{-X})(y)
+        neg_x = np.zeros(g.order, dtype=bool)
+        neg_x[g.neg_array(x.indices)] = True
+        conv = subsets._exact_convolution(g, a.bits, neg_x)
+        if conv is not None:
+            return conv[y.indices]
     counts = np.zeros(y.size, dtype=np.int64)
     for ps in _pair_sum_blocks(x, y):
         counts += a.bits[ps].sum(axis=0)

@@ -88,10 +88,16 @@ def derive_seed_array(master: int, indices) -> np.ndarray:
         return _splitmix64_np(np.uint64(master & _MASK) + inner)
 
 
-def sample_without_replacement(pool: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k distinct entries of pool, sorted ascending, chosen by a seeded partial shuffle."""
+def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
+    """k distinct entries of pool, sorted ascending, chosen by a seeded partial shuffle.
+
+    pool is an integer array or a range; a range is never materialized, its
+    chosen positions map straight to values.
+    """
     if k > len(pool):
         raise ValueError(f"cannot sample {k} items from a pool of {len(pool)}")
     rnd = random.Random(seed)
-    chosen = rnd.sample(range(len(pool)), k)
+    chosen = np.array(rnd.sample(range(len(pool)), k), dtype=np.int64)
+    if isinstance(pool, range):
+        return np.sort(pool.start + pool.step * chosen)
     return np.sort(np.asarray(pool)[chosen])

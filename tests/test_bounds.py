@@ -218,3 +218,17 @@ def test_bad_inputs_rejected():
         bounds.packed_deviation_bound(0.5, 0.5, 1.0)
     with pytest.raises(StructuralError):
         bounds.size_thresholds("baseline", 8, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bounds.low_dimension_count_bound(100, math.inf, 1),
+        lambda: bounds.low_dimension_count_bound(100, 8, math.inf),
+        lambda: bounds.low_energy_deviation_bound(100, 0.5, math.inf, 2),
+        lambda: bounds.low_energy_deviation_bound(100, 0.5, 2, math.inf),
+    ],
+)
+def test_infinite_bound_argument_is_structural_error(call):
+    with pytest.raises(StructuralError):
+        call()

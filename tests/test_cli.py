@@ -313,3 +313,23 @@ def test_library_report_bytes_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "999348c7d93de0d48a269d5d50a863d48ca0048cac422f403714eac96cf1939f"
     )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("hoeffding", "deviation=1", "count=inf"),
+        ("existential", "order=100", "epsilon=0.3", "n=inf", "k=2"),
+        ("existential", "order=100", "epsilon=0.3", "n=8", "k=inf"),
+        ("joint-deviation", "epsilon=0.3", "k=inf", "n=8"),
+        ("joint-deviation", "epsilon=0.3", "k=2", "n=-inf"),
+        ("low-dim-count", "order=100", "n=inf", "d=1"),
+        ("low-energy", "order=100", "epsilon=0.5", "r=inf", "K=2"),
+        ("low-energy", "order=100", "epsilon=0.5", "r=2", "K=inf"),
+    ],
+)
+def test_infinite_bound_param_is_usage_error(capsys, params):
+    name, *pairs = params
+    code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
