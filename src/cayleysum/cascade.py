@@ -19,6 +19,7 @@ re-auditing at a ledger's stored inputs reproduces every field bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -114,6 +115,8 @@ def _merge_constants(mode: str, constants: dict | None) -> dict:
                 f"unknown constant {key!r} for mode {mode!r}; known: {sorted(merged)}"
             )
         merged[key] = float(value)
+        if not 0 < merged[key] < math.inf:
+            raise StructuralError(f"constant {key!r} must be positive and finite, got {value!r}")
     return merged
 
 
@@ -139,6 +142,8 @@ def cascade_audit(
             raise StructuralError(f"need log N > e, got {log_order_str}")
         if not wv > 1:
             raise StructuralError(f"need w > 1, got {w_str}")
+        if mp.isinf(logn) or mp.isinf(wv):
+            raise StructuralError(f"need finite log N and w, got {log_order_str}, {w_str}")
         if mode == "general":
             derived, rows = _general_rows(logn, wv, consts)
         else:

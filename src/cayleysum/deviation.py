@@ -14,6 +14,10 @@ The constructive side mirrors the probabilistic argument it supports:
 extract the rows of large deviation (|sigma_A(X,{y})| >= eps/2), greedily
 pack translates X + y with pairwise-small overlap, and chain the two.  Each
 step asserts the counting inequality it is meant to witness.
+
+A enters only through row_edge_counts, the vector c(y) = |A ∩ (X + y)| over
+y in Y.  Edges are its sum, so one pass fixes sigma, the deviating rows and
+every per-row check of the pipeline.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import rng, subsets
 from ._record import Record
-from .errors import PropertyError, StructuralError, check
+from .errors import StructuralError, check
 from .groups import Element, GroupSpec
 from .subsets import GroupSubset, _pair_sum_blocks, additive_energy
 
@@ -95,14 +99,7 @@ def edge_query(sample: CayleySample, x: Element, y: Element) -> bool:
 
 def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:
     """Number of pairs (x, y) in X x Y with x + y in A."""
-    if a.group != x.group or a.group != y.group:
-        raise StructuralError("A, X, Y must share one group")
-    if subsets._transform_cheaper(a.group, len(x.indices) * len(y.indices)):
-        # sum over z in A of r(z), r = 1_X * 1_Y
-        r = subsets._exact_convolution(a.group, x.bits, y.bits)
-        if r is not None:
-            return int(r[a.bits].sum())
-    return sum(int(a.bits[ps].sum()) for ps in _pair_sum_blocks(x, y))
+    return int(row_edge_counts(a, x, y).sum())
 
 
 @dataclass
@@ -118,13 +115,17 @@ class DeviationReport(Record):
         return {**super().to_json(), "sigma_float": float(self.sigma)}
 
 
-def edge_density_deviation(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> DeviationReport:
+def _deviation_report(counts: np.ndarray, x: GroupSubset, y: GroupSubset) -> DeviationReport:
     if x.size == 0 or y.size == 0:
         raise StructuralError("X and Y must be nonempty")
-    edges = edge_count(a, x, y)
+    edges = int(counts.sum())
     sigma = Fraction(edges, x.size * y.size) - Fraction(1, 2)
     check(abs(sigma) <= Fraction(1, 2), "sigma must lie in [-1/2, 1/2]")
     return DeviationReport(sigma=sigma, x_size=x.size, y_size=y.size, edges=edges)
+
+
+def edge_density_deviation(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> DeviationReport:
+    return _deviation_report(row_edge_counts(a, x, y), x, y)
 
 
 def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarray:
@@ -139,7 +140,7 @@ def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarra
         conv = subsets._exact_convolution(g, a.bits, neg_x)
         if conv is not None:
             return conv[y.indices]
-    counts = np.zeros(y.size, dtype=np.int64)
+    counts = np.zeros(len(y.indices), dtype=np.int64)
     for ps in _pair_sum_blocks(x, y):
         counts += a.bits[ps].sum(axis=0)
     return counts
@@ -154,17 +155,18 @@ def high_deviation_elements(
     fraction of Y survives; that lower bound is asserted.
     """
     eps = epsilon_in(epsilon)
-    if x.size == 0 or y.size == 0:
-        raise StructuralError("X and Y must be nonempty")
-    n = x.size
-    counts = row_edge_counts(a, x, y)
+    return _deviating_rows(row_edge_counts(a, x, y), x, y, eps)
+
+
+def _row_deviates(counts: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
     # |c/n - 1/2| >= eps/2  <=>  |2c - n| >= ceil(num * n / den) with eps = num/den;
     # the integer threshold keeps a bignum denominator out of int64 arithmetic
-    keep = np.abs(2 * counts - n) >= -(-eps.numerator * n // eps.denominator)
-    chosen = y.indices[keep]
-    result = GroupSubset.from_indices(y.group, chosen)
-    whole = edge_density_deviation(a, x, y).sigma
-    if abs(whole) >= eps:
+    return np.abs(2 * counts - n) >= -(-eps.numerator * n // eps.denominator)
+
+
+def _deviating_rows(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction):
+    result = GroupSubset.from_indices(y.group, y.indices[_row_deviates(counts, x.size, eps)])
+    if abs(_deviation_report(counts, x, y).sigma) >= eps:
         check(
             result.size >= eps * y.size,
             "high-deviation rows must cover an eps fraction of Y when the pair deviates",
@@ -269,7 +271,11 @@ def deviation_packing_pipeline(
 ) -> PipelineResult:
     """Extract deviating rows, then pack their translates at eps/2."""
     eps = epsilon_in(epsilon)
-    sigma = edge_density_deviation(a, x, y).sigma
+    return _packing_pipeline(row_edge_counts(a, x, y), x, y, eps)
+
+
+def _packing_pipeline(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction):
+    sigma = _deviation_report(counts, x, y).sigma
     if abs(sigma) < eps:
         return PipelineResult(
             ok=False,
@@ -278,23 +284,20 @@ def deviation_packing_pipeline(
             sigma=sigma,
         )
     n = x.size
-    energy = additive_energy(x, y)
-    ratio = Fraction(n**2 * y.size, energy)
+    ratio = Fraction(n**2 * y.size, additive_energy(x, y))
 
-    rows = high_deviation_elements(a, x, y, eps)
+    rows = _deviating_rows(counts, x, y, eps)
     check(rows.size > 0, "a deviating pair must produce at least one deviating row")
-    row_energy = additive_energy(x, rows)
-    row_ratio = Fraction(n**2 * rows.size, row_energy)
+    packing = greedy_low_overlap_packing(x, rows, eps / 2)
+    row_ratio = packing.energy_ratio  # |X|^2 |rows| / E(X, rows)
     check(row_ratio >= eps * ratio, "extracted rows must keep an eps fraction of the energy ratio")
 
-    packing = greedy_low_overlap_packing(x, rows, eps / 2)
-
-    # every packed row deviates by >= eps/2 (they came from the extraction)
-    counts = row_edge_counts(a, x, GroupSubset.from_indices(x.group, packing.ys))
-    half = eps / 2
-    for c in counts:
-        dev = abs(Fraction(int(c), n) - Fraction(1, 2))
-        check(dev >= half, "packed rows must individually deviate by eps/2")
+    # every packed row is a row of Y that deviates by >= eps/2 (it was extracted)
+    at = np.searchsorted(y.indices, packing.ys).clip(max=len(y.indices) - 1)
+    check(
+        np.array_equal(y.indices[at], packing.ys) and _row_deviates(counts[at], n, eps).all(),
+        "packed rows must be rows of Y that individually deviate by eps/2",
+    )
 
     k_floor = eps**4 * y.size * ratio / (4 * n)
     check(Fraction(packing.k) > k_floor, "pipeline packing must beat the composed floor")

@@ -102,9 +102,6 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.moduli)
 
-    def zero(self) -> Element:
-        return Element((0,) * self.rank)
-
     def describe(self) -> dict:
         return {
             "moduli": list(self.moduli),

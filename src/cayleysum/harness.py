@@ -24,13 +24,11 @@ from statistics import median
 
 import numpy as np
 
-from . import bounds, rng
+from . import bounds, deviation, rng
 from .deviation import (
-    deviation_packing_pipeline,
     edge_density_deviation,
     epsilon_in,
     greedy_low_overlap_packing,
-    high_deviation_elements,
     random_subset,
     restriction_sample,
 )
@@ -475,14 +473,13 @@ def run_deviation_scan(
         y = GroupSubset.from_indices(
             g, rng.sample_without_replacement(pool, size, rng.derive_seed(seed, 2))
         )
-    report = edge_density_deviation(sample.a, x, y)
-    rows = high_deviation_elements(sample.a, x, y, eps)
-    pipeline = deviation_packing_pipeline(sample.a, x, y, eps)
+    # one row-count pass feeds sigma, the extracted rows and the pipeline
+    counts = deviation.row_edge_counts(sample.a, x, y)
     results = {
         "a_size": sample.a.size,
-        "sigma": report.to_json(),
-        "high_deviation_rows": rows.to_index_list(),
-        "pipeline": pipeline.to_json(),
+        "sigma": deviation._deviation_report(counts, x, y).to_json(),
+        "high_deviation_rows": deviation._deviating_rows(counts, x, y, eps).to_index_list(),
+        "pipeline": deviation._packing_pipeline(counts, x, y, eps).to_json(),
     }
     config = {
         "group": group,

@@ -147,7 +147,7 @@ class GroupSubset:
 
     @property
     def size(self) -> int:
-        return int(self._bits.sum())
+        return int(np.count_nonzero(self._bits))
 
     @property
     def mask(self) -> int:

@@ -235,6 +235,15 @@ def test_bignum_epsilon_runs(capsys, argv):
         ("bounds", "--name", "low-dim-count", "--params", "order=100", "n=nan", "d=1"),
         ("decompose", "--group", "z12", "--set-a", "[0,1,2]", "--set-b", "[0,1]",
          "-M", "2", "--single-step", "--dim-constant", "nan"),
+        ("audit", "--mode", "general", "--logN", "1e3", "--w", "inf"),
+        ("audit", "--mode", "exponent2", "--logN", "1e3", "--w", "inf"),
+        ("audit", "--mode", "exponent2", "--logN", "inf", "--w", "2"),
+        ("audit", "--mode", "general", "--logN", "230", "--w", "5.438",
+         "--constant", "count_rate=nan"),
+        ("audit", "--mode", "general", "--logN", "230", "--w", "5.438",
+         "--constant", "count_rate=inf"),
+        ("audit", "--mode", "exponent2", "--logN", "230", "--w", "5.438",
+         "--constant", "dim_rate=nan"),
     ],
 )
 def test_empty_set_or_nan_is_usage_error(capsys, argv):
@@ -284,6 +293,10 @@ FROZEN_CANONICAL = [
      "a6ca907cff21f78d35d9995bf601faad43ed84a0dfaa78865d2ca2dbe4b77c94"),
     (("mc", "--kind", "restriction", "--trials", "3"),
      "12302cca185530386bfb1a6d4fcfb65f2833f308e8d8ff9b800baf7e168b96d2"),
+    (("scan", "--group", "4,4", "--seed", "3"),
+     "232c3a2bc87ebf727f203cdac61cb5eeb1ad3f6b91a0647b5cf88c1b4f46d521"),
+    (("scan", "--group", "16,16,16", "--seed", "3", "--x-size", "160", "--y-size", "160"),
+     "5b1dedd55d7a9001c57976a71ea4d8a199bdfcce01c4938bdc58bf1fd8e1bd84"),
 ]
 
 

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cayleysum import deviation, subsets
 from cayleysum.errors import StructuralError
 from cayleysum.deviation import edge_density_deviation, random_subset
 from cayleysum.groups import parse_group
@@ -193,3 +196,48 @@ def test_deviation_scan_explicit_sets():
     )
     assert rep.config["x"] == [0, 1, 2]
     assert rep.config["y"] == [3, 4]
+
+
+def _count_calls(monkeypatch, *functions):
+    """Wrap every module attribute bound to each function; return the tally."""
+    calls = Counter()
+
+    def wrap(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for fn in functions:
+        counted = wrap(fn)
+        for name, module in list(sys.modules.items()):
+            if name == "cayleysum" or name.startswith("cayleysum."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "group,seed,sizes,ok,convolutions",
+    [
+        ("f2^4", 0, {}, True, 0),
+        ("f2^4", 1, {}, False, 0),
+        ("16,16,16", 3, {"x_size": 160, "y_size": 160}, False, 1),
+    ],
+)
+def test_deviation_scan_counts_rows_once(monkeypatch, group, seed, sizes, ok, convolutions):
+    calls = _count_calls(
+        monkeypatch,
+        deviation.edge_count,
+        deviation.row_edge_counts,
+        subsets._exact_convolution,
+        subsets.additive_energy,
+    )
+    rep = run_deviation_scan(group, seed=seed, **sizes)
+    assert rep.results["pipeline"]["ok"] is ok
+    assert calls["row_edge_counts"] == 1 and calls["edge_count"] == 0
+    assert calls["_exact_convolution"] == convolutions
+    if ok:
+        assert calls["additive_energy"] <= 2
