@@ -20,6 +20,7 @@ re-auditing at a ledger's stored inputs reproduces every field bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -28,6 +29,7 @@ from ._record import Record
 from .errors import GuardError, StructuralError
 
 __all__ = [
+    "MAX_DPS",
     "LedgerRow",
     "CascadeLedger",
     "ThresholdSearch",
@@ -38,6 +40,9 @@ __all__ = [
 
 MODES = ("general", "exponent2")
 DEFAULT_DPS = 30
+# precision cap: a general-mode threshold search at this dps takes seconds,
+# while 10^8 digits did not finish in a minute
+MAX_DPS = 1000
 _NSTR_DIGITS = 20
 # beyond this magnitude the result's own exponent becomes an astronomically
 # long integer; saturate instead of materializing it
@@ -90,6 +95,23 @@ class LedgerRow(Record):
     note: str = ""
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _row(name, anchor, lhs, relation, rhs, constant_dependent, note="") -> LedgerRow:
+    """Ledger row for lhs <relation> rhs, both sides formatted and compared once."""
+    return LedgerRow(
+        name=name,
+        anchor=anchor,
+        lhs=_fmt(lhs),
+        rhs=_fmt(rhs),
+        relation=relation,
+        passed=bool(_RELATIONS[relation](lhs, rhs)),
+        constant_dependent=constant_dependent,
+        note=note,
+    )
+
+
 @dataclass(frozen=True)
 class CascadeLedger(Record):
     mode: str
@@ -120,6 +142,13 @@ def _merge_constants(mode: str, constants: dict | None) -> dict:
     return merged
 
 
+def _check_dps(dps: int) -> None:
+    if dps < 15:
+        raise StructuralError(f"dps must be >= 15, got {dps}")
+    if dps > MAX_DPS:
+        raise GuardError(f"dps {dps} exceeds the cap MAX_DPS = {MAX_DPS}")
+
+
 def cascade_audit(
     mode: str,
     log_order,
@@ -130,8 +159,7 @@ def cascade_audit(
     """Evaluate one cascade at (log N, w) and return the inequality ledger."""
     if mode not in MODES:
         raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
-    if dps < 15:
-        raise StructuralError(f"dps must be >= 15, got {dps}")
+    _check_dps(dps)
     consts = _merge_constants(mode, constants)
     log_order_str = _canonical_input(log_order)
     w_str = _canonical_input(w)
@@ -177,31 +205,16 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
 
     rows: list[LedgerRow] = []
 
-    rows.append(
-        LedgerRow(
-            name="growth_cap",
-            anchor="w <= loglog(N + 3)",
-            lhs=_fmt(wv),
-            rhs=_fmt(ll_shifted),
-            relation="<=",
-            passed=bool(wv <= ll_shifted),
-            constant_dependent=False,
-        )
-    )
+    rows.append(_row(
+        "growth_cap", "w <= loglog(N + 3)", wv, "<=", ll_shifted, constant_dependent=False
+    ))
 
     applicability = eps_t**2 * w1 / 32
-    rows.append(
-        LedgerRow(
-            name="packed_bound_applicability",
-            anchor="(eps/4)^2 sqrt(w) / 32 > 1",
-            lhs=_fmt(applicability),
-            rhs="1.0",
-            relation=">",
-            passed=bool(applicability > 1),
-            constant_dependent=False,
-            note="smallest block size must clear the packed-bound size floor",
-        )
-    )
+    rows.append(_row(
+        "packed_bound_applicability", "(eps/4)^2 sqrt(w) / 32 > 1",
+        applicability, ">", mpf(1), constant_dependent=False,
+        note="smallest block size must clear the packed-bound size floor",
+    ))
 
     form_a = (n0 / (2 * w1 * logn * ll**2)) ** 2
     form_b = ratio_floor0
@@ -221,65 +234,38 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
     )
 
     ladder_top = mp.power(10, j0)
-    rows.append(
-        LedgerRow(
-            name="ratio_ladder_exhaustion",
-            anchor="10^ceil(llN/2) > 2 ceil(sqrt(w) logN llN^2)",
-            lhs=_fmt(ladder_top),
-            rhs=_fmt(nt1),
-            relation=">",
-            passed=bool(ladder_top > nt1),
-            constant_dependent=False,
-            note="top of the energy-ratio ladder exceeds any admissible |X|",
-        )
-    )
+    rows.append(_row(
+        "ratio_ladder_exhaustion", "10^ceil(llN/2) > 2 ceil(sqrt(w) logN llN^2)",
+        ladder_top, ">", nt1, constant_dependent=False,
+        note="top of the energy-ratio ladder exceeds any admissible |X|",
+    ))
 
     count_exp = 2 * rate * w1 * logn * ll**4
     decay_exp = eps**6 * mp.power(ll, -6) * m / mp.power(2, 26)
-    rows.append(
-        LedgerRow(
-            name="count_vs_decay_margin",
-            anchor="2 C sqrt(w) logN llN^4 < eps^6 llN^-6 m / 2^26",
-            lhs=_fmt(count_exp),
-            rhs=_fmt(decay_exp),
-            relation="<",
-            passed=bool(count_exp < decay_exp),
-            constant_dependent=True,
-            note="level 0; both sides scale by the same 10^j at higher levels",
-        )
-    )
+    rows.append(_row(
+        "count_vs_decay_margin", "2 C sqrt(w) logN llN^4 < eps^6 llN^-6 m / 2^26",
+        count_exp, "<", decay_exp, constant_dependent=True,
+        note="level 0; both sides scale by the same 10^j at higher levels",
+    ))
 
     per_level = mp.log(nu0 + 1) + count_exp - decay_exp
-    rows.append(
-        LedgerRow(
-            name="per_level_sum",
-            anchor="log(nu0 + 1) + (count - decay) <= -sqrt(w) logN llN^4 / 2",
-            lhs=_fmt(per_level),
-            rhs=_fmt(-budget / 2),
-            relation="<=",
-            passed=bool(per_level <= -budget / 2),
-            constant_dependent=True,
-            note="log scale; summing the doubling sizes within one level",
-        )
-    )
+    rows.append(_row(
+        "per_level_sum", "log(nu0 + 1) + (count - decay) <= -sqrt(w) logN llN^4 / 2",
+        per_level, "<=", -budget / 2, constant_dependent=True,
+        note="log scale; summing the doubling sizes within one level",
+    ))
 
     level_cap = int(j0) if j0 < 64 else 64
     correction = mp.zero
     for j in range(1, level_cap):
         correction += safe_exp(-(mp.power(10, j) - 1) * budget / 2)
     total_log = -budget / 2 + mp.log1p(correction)
-    rows.append(
-        LedgerRow(
-            name="level_total",
-            anchor="sum_j exp(-10^j sqrt(w) logN llN^4 / 2) <= exp(-sqrt(w) logN llN^4 / 3)",
-            lhs=_fmt(total_log),
-            rhs=_fmt(-budget / 3),
-            relation="<=",
-            passed=bool(total_log <= -budget / 3),
-            constant_dependent=False,
-            note="log scale; geometric-in-the-exponent sum over levels",
-        )
-    )
+    rows.append(_row(
+        "level_total",
+        "sum_j exp(-10^j sqrt(w) logN llN^4 / 2) <= exp(-sqrt(w) logN llN^4 / 3)",
+        total_log, "<=", -budget / 3, constant_dependent=False,
+        note="log scale; geometric-in-the-exponent sum over levels",
+    ))
 
     derived = {
         "loglogN": _fmt(ll),
@@ -310,63 +296,35 @@ def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
     rows: list[LedgerRow] = []
 
     floor_cond = eps**7 * wv * ll * mp.sqrt(logn)
-    rows.append(
-        LedgerRow(
-            name="deviation_floor_condition",
-            anchor="eps^7 w llN sqrt(logN) >= 2^25",
-            lhs=_fmt(floor_cond),
-            rhs=_fmt(mp.power(2, 25)),
-            relation=">=",
-            passed=bool(floor_cond >= mp.power(2, 25)),
-            constant_dependent=False,
-        )
-    )
+    rows.append(_row(
+        "deviation_floor_condition", "eps^7 w llN sqrt(logN) >= 2^25",
+        floor_cond, ">=", mp.power(2, 25), constant_dependent=False,
+    ))
 
     size_lhs = min(eps * n_prime / 8, n_prime)
     size_rhs = 2000 * mp.power(eps / 4, -4) * span_log
-    rows.append(
-        LedgerRow(
-            name="restricted_size_hypothesis",
-            anchor="min(eps n'/8, n') >= 2000 (eps/4)^-4 d log 3",
-            lhs=_fmt(size_lhs),
-            rhs=_fmt(size_rhs),
-            relation=">=",
-            passed=bool(size_lhs >= size_rhs),
-            constant_dependent=True,
-            note="surviving row/column sizes clear the low-energy bound's floor "
-            "inside the spanned subgroup",
-        )
-    )
+    rows.append(_row(
+        "restricted_size_hypothesis", "min(eps n'/8, n') >= 2000 (eps/4)^-4 d log 3",
+        size_lhs, ">=", size_rhs, constant_dependent=True,
+        note="surviving row/column sizes clear the low-energy bound's floor "
+        "inside the spanned subgroup",
+    ))
 
     margin_lhs = eps**2 * n_prime / 160
     margin_rhs = mp.power(2, 19) * dim_cap**2 / eps**4 + dim_cap * logn
-    rows.append(
-        LedgerRow(
-            name="count_vs_decay_margin",
-            anchor="eps^2 n'/160 > 2^19 d^2/eps^4 + d logN",
-            lhs=_fmt(margin_lhs),
-            rhs=_fmt(margin_rhs),
-            relation=">",
-            passed=bool(margin_lhs > margin_rhs),
-            constant_dependent=True,
-            note="decay beats the subgroup entropy cost N^d",
-        )
-    )
+    rows.append(_row(
+        "count_vs_decay_margin", "eps^2 n'/160 > 2^19 d^2/eps^4 + d logN",
+        margin_lhs, ">", margin_rhs, constant_dependent=True,
+        note="decay beats the subgroup entropy cost N^d",
+    ))
 
     clean_lhs = eps**2 * n_prime
     clean_rhs = dim_cap**2 / eps**4 + dim_cap * logn
-    rows.append(
-        LedgerRow(
-            name="clean_growth_margin",
-            anchor="eps^2 n' >= d^2/eps^4 + d logN",
-            lhs=_fmt(clean_lhs),
-            rhs=_fmt(clean_rhs),
-            relation=">=",
-            passed=bool(clean_lhs >= clean_rhs),
-            constant_dependent=True,
-            note="unit-constant form of the growth requirement",
-        )
-    )
+    rows.append(_row(
+        "clean_growth_margin", "eps^2 n' >= d^2/eps^4 + d logN",
+        clean_lhs, ">=", clean_rhs, constant_dependent=True,
+        note="unit-constant form of the growth requirement",
+    ))
 
     derived = {
         "loglogN": _fmt(ll),
@@ -417,6 +375,7 @@ def find_threshold(
     lo, hi = bracket if bracket is not None else _DEFAULT_BRACKETS[mode]
     if not (0 < lo < hi):
         raise StructuralError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    _check_dps(dps)
     consts = _merge_constants(mode, constants)
     probes: list[dict] = []
 

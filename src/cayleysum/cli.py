@@ -94,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("joint-deviation", "sigma-tail", "restriction"),
         required=True,
     )
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--n", type=int, default=32, help="|X| for joint-deviation")
-    p.add_argument("--ks", default="1,2,4", help="comma list of k values")
-    p.add_argument("--tiers", default="4x4,8x8,16x16,32x32,64x64",
-                   help="sigma-tail size tiers, e.g. 4x4,8x8")
-    p.add_argument("--x-size", type=int, default=64)
-    p.add_argument("--y-size", type=int, default=64)
+    # defaults left unset here come from the run_*_mc signatures in harness
+    p.add_argument("--trials", type=int)
+    p.add_argument("--epsilon")
+    p.add_argument("--n", type=int, help="|X| for joint-deviation")
+    p.add_argument("--ks", help="comma list of k values")
+    p.add_argument("--tiers", help="sigma-tail size tiers, e.g. 4x4,8x8")
+    p.add_argument("--x-size", type=int)
+    p.add_argument("--y-size", type=int)
 
     p = subs.add_parser("bounds", help="evaluate a named bound")
     _add_common(p)
@@ -330,42 +330,33 @@ def _dispatch(args):
     raise StructuralError(f"unknown command {cmd!r}")
 
 
+_MC_RUNNERS = {
+    "joint-deviation": (run_joint_deviation_mc, ("group", "n", "epsilon", "ks", "trials")),
+    "sigma-tail": (run_sigma_tail_mc, ("group", "tiers", "trials")),
+    "restriction": (run_restriction_mc, ("group", "x_size", "y_size", "epsilon", "trials")),
+}
+
+
+def _parse_tiers(text: str) -> tuple:
+    tiers = []
+    for token in text.split(","):
+        if not token:
+            continue
+        sx, _, sy = token.partition("x")
+        if not sy:
+            raise StructuralError(f"tier must look like 8x8, got {token!r}")
+        tiers.append((int(sx), int(sy)))
+    return tuple(tiers)
+
+
 def _dispatch_mc(args):
-    kind = args.kind
-    group = args.group
-    if kind == "joint-deviation":
-        report = run_joint_deviation_mc(
-            group=group or "f2^8",
-            n=args.n,
-            epsilon=args.epsilon,
-            ks=tuple(int(k) for k in args.ks.split(",") if k),
-            trials=args.trials if args.trials is not None else 100_000,
-            seed=args.seed,
-        )
-    elif kind == "sigma-tail":
-        tiers = []
-        for token in args.tiers.split(","):
-            if not token:
-                continue
-            sx, _, sy = token.partition("x")
-            if not sy:
-                raise StructuralError(f"tier must look like 8x8, got {token!r}")
-            tiers.append((int(sx), int(sy)))
-        report = run_sigma_tail_mc(
-            group=group or "f2^10",
-            tiers=tuple(tiers),
-            trials=args.trials if args.trials is not None else 2000,
-            seed=args.seed,
-        )
-    else:
-        report = run_restriction_mc(
-            group=group or "f2^8",
-            x_size=args.x_size,
-            y_size=args.y_size,
-            epsilon=args.epsilon,
-            trials=args.trials if args.trials is not None else 1000,
-            seed=args.seed,
-        )
+    runner, options = _MC_RUNNERS[args.kind]
+    given = {name: getattr(args, name) for name in options if getattr(args, name) is not None}
+    if "ks" in given:
+        given["ks"] = tuple(int(k) for k in given["ks"].split(",") if k)
+    if "tiers" in given:
+        given["tiers"] = _parse_tiers(given["tiers"])
+    report = runner(seed=args.seed, **given)
     return report.to_json(), report
 
 

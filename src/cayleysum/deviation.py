@@ -94,7 +94,7 @@ def random_subset(group: GroupSpec, seed: int) -> CayleySample:
 def edge_query(sample: CayleySample, x: Element, y: Element) -> bool:
     """Whether (x, y) is an edge: x + y lands in A."""
     g = sample.group
-    return sample.a.contains(g.encode(g.add(x, y)))
+    return sample.a.contains(g.add_indices(g.encode(x), g.encode(y)))
 
 
 def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:

@@ -7,9 +7,11 @@ elements double as dense array indices in [0, N).  Dense representations are
 capped at N <= 2^20 by default; the CAYLEY_DENSE_CAP environment variable
 overrides the cap.
 
-Groups of exponent 2 (all moduli equal to 2) get fast paths throughout: an
-element's index is its coordinate vector read as a bitmask, addition is XOR,
-and negation is the identity.
+All index arithmetic goes through one method, `GroupSpec._combine`, with
+the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
+equal to 2) an element's index is its coordinate vector read as a bitmask,
+addition is XOR, and negation is the identity; in a cyclic group addition is
+integer addition mod N.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class GroupSpec:
             "exponent_two": self.is_exponent_two,
         }
 
-    # ---- element-level arithmetic ----
+    # ---- index codec ----
 
     def _validate(self, a: Element) -> None:
         if len(a.coords) != self.rank:
@@ -118,17 +120,6 @@ class GroupSpec:
             if not 0 <= c < m:
                 raise StructuralError(f"coordinate {c} out of range for modulus {m}")
 
-    def add(self, a: Element, b: Element) -> Element:
-        self._validate(a)
-        self._validate(b)
-        return Element(tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, self.moduli)))
-
-    def neg(self, a: Element) -> Element:
-        self._validate(a)
-        return Element(tuple((-x) % m for x, m in zip(a.coords, self.moduli)))
-
-    # ---- index codec ----
-
     def encode(self, a: Element) -> int:
         self._validate(a)
         return sum(c * s for c, s in zip(a.coords, self.strides))
@@ -136,73 +127,52 @@ class GroupSpec:
     def decode(self, index: int) -> Element:
         if not 0 <= index < self.order:
             raise StructuralError(f"index {index} out of range for order {self.order}")
-        coords = []
-        for m, s in zip(self.moduli, self.strides):
-            coords.append((index // s) % m)
-        return Element(tuple(coords))
+        return Element(tuple(self._coord(index, c) for c in range(self.rank)))
+
+    # ---- index arithmetic ----
+
+    def _coord(self, v, c: int):
+        """Coordinate c of index v: a cached table lookup for arrays, int math otherwise."""
+        if not isinstance(v, np.ndarray):
+            return (v // self.strides[c]) % self.moduli[c]
+        table = self._coord_cache.get(c)
+        if table is None:
+            table = (np.arange(self.order, dtype=np.int64) // self.strides[c]) % self.moduli[c]
+            self._coord_cache[c] = table
+        return table[v]
+
+    def _combine(self, a, b, sign: int = 1):
+        """Index of coords(a) + sign * coords(b); broadcasts over index arrays."""
+        if self.is_exponent_two:  # index is a bitmask, and -x = x
+            return a ^ b
+        if self.rank == 1:
+            return (a + b if sign == 1 else a - b) % self.order
+        out = 0
+        for c, (m, s) in enumerate(zip(self.moduli, self.strides)):
+            ca, cb = self._coord(a, c), self._coord(b, c)
+            t = ca + cb if sign == 1 else ca - cb  # a fresh array or an int, so in place is safe
+            t %= m
+            t *= s
+            out += t
+        return out
 
     def add_indices(self, i: int, j: int) -> int:
-        if self.is_exponent_two:
-            return i ^ j
-        if self.rank == 1:
-            return (i + j) % self.order
-        return self.encode(self.add(self.decode(i), self.decode(j)))
+        return self._combine(i, j)
 
     def neg_index(self, i: int) -> int:
-        if self.is_exponent_two:
-            return i
-        if self.rank == 1:
-            return (-i) % self.order
-        return self.encode(self.neg(self.decode(i)))
-
-    # ---- vectorized index arithmetic ----
-
-    def _coord_array(self, c: int) -> np.ndarray:
-        cache = self._coord_cache
-        arr = cache.get(c)
-        if arr is None:
-            idx = np.arange(self.order, dtype=np.int64)
-            arr = (idx // self.strides[c]) % self.moduli[c]
-            cache[c] = arr
-        return arr
+        return self._combine(0, i, -1)
 
     def translate_array(self, idx: np.ndarray, by: int) -> np.ndarray:
         """Index array of {i + by : i in idx}."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.is_exponent_two:
-            return idx ^ np.int64(by)
-        if self.rank == 1:
-            return (idx + by) % self.order
-        by_coords = self.decode(by).coords
-        out = np.zeros(len(idx), dtype=np.int64)
-        for c, (m, s, bc) in enumerate(zip(self.moduli, self.strides, by_coords)):
-            out += ((self._coord_array(c)[idx] + bc) % m) * s
-        return out
+        return self._combine(np.asarray(idx, dtype=np.int64), by)
 
     def neg_array(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.is_exponent_two:
-            return idx.copy()
-        if self.rank == 1:
-            return (-idx) % self.order
-        out = np.zeros(len(idx), dtype=np.int64)
-        for c, (m, s) in enumerate(zip(self.moduli, self.strides)):
-            out += ((-self._coord_array(c)[idx]) % m) * s
-        return out
+        return self._combine(0, np.asarray(idx, dtype=np.int64), -1)
 
     def pairsum_matrix(self, xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
         """Matrix of index sums, shape (len(xi), len(yi))."""
-        xi = np.asarray(xi, dtype=np.int64)
-        yi = np.asarray(yi, dtype=np.int64)
-        if self.is_exponent_two:
-            return xi[:, None] ^ yi[None, :]
-        if self.rank == 1:
-            return (xi[:, None] + yi[None, :]) % self.order
-        out = np.zeros((len(xi), len(yi)), dtype=np.int64)
-        for c, (m, s) in enumerate(zip(self.moduli, self.strides)):
-            ca = self._coord_array(c)
-            out += ((ca[xi][:, None] + ca[yi][None, :]) % m) * s
-        return out
+        xi, yi = np.asarray(xi, dtype=np.int64), np.asarray(yi, dtype=np.int64)
+        return self._combine(xi[:, None], yi[None, :])
 
 
 _GROUP_CYCLIC = re.compile(r"^z(\d+)$")

@@ -189,6 +189,8 @@ class GroupSubset:
 
     def translate(self, by: int) -> "GroupSubset":
         """The shifted set {x + by : x in self}."""
+        if not 0 <= by < self.group.order:
+            raise StructuralError(f"shift {by} out of range for order {self.group.order}")
         bits = np.zeros(self.group.order, dtype=bool)
         bits[self.group.translate_array(self.indices, by)] = True
         return GroupSubset(self.group, bits)

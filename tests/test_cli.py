@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cayleysum import cascade
 from cayleysum.cli import _dispatch, build_parser, main
 from cayleysum.deviation import restriction_sample
 from cayleysum.dissociation import count_low_dimension_sets
@@ -96,6 +97,19 @@ def test_audit_missing_inputs(capsys):
     code, _, err = run_cli(capsys, "audit", "--mode", "general")
     assert code == 2
     assert "logN" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--mode", "general", "--logN", "230", "--w", "5.438"),
+        ("audit", "--mode", "general", "--find-threshold"),
+    ],
+)
+def test_audit_dps_above_cap_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--dps", str(cascade.MAX_DPS + 1))
+    assert code == 2 and out == ""
+    assert "MAX_DPS" in err and "Traceback" not in err
 
 
 def test_bounds_registry(capsys):
@@ -297,10 +311,31 @@ FROZEN_CANONICAL = [
      "232c3a2bc87ebf727f203cdac61cb5eeb1ad3f6b91a0647b5cf88c1b4f46d521"),
     (("scan", "--group", "16,16,16", "--seed", "3", "--x-size", "160", "--y-size", "160"),
      "5b1dedd55d7a9001c57976a71ea4d8a199bdfcce01c4938bdc58bf1fd8e1bd84"),
+    (("worst-case", "--group", "2,4", "--seed", "1"),
+     "1bc132249e092739fbb39e0ee0401e19ab85545052909749e62bcd03b156269c"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", FROZEN_STDOUT + FROZEN_CANONICAL)
+# stdout digests for rank >= 2 groups not of exponent 2 (the coordinate path
+# of the index arithmetic); parametrized after FROZEN_CANONICAL so the ids of
+# the digests above keep their positions
+FROZEN_STDOUT_COORD = [
+    (("pack", "--group", "4,4", "--set-x", "[0,1,5,6]", "--set-y", "0xffff",
+      "--epsilon", "1/2"),
+     "89f3ef3e498d97937ff8cf6d4d5f194f19721aedde87d285aa4b5f49aa28af81"),
+    (("decompose", "--group", "3,4", "--set-a", "[0,1,2,3,4,5]",
+      "--set-b", "[0,2,4,7]", "-M", "8"),
+     "fec06eb424ca61020cb521315740700f1abecf833624cd02479166192138169a"),
+    (("dim", "--group", "3,5", "--set", "[1,2,4,7,11]", "--mode", "greedy"),
+     "22d071be2e7dae7fd708e6f5a262a7ada98c53597a0fd7eff31a78a7c19612d2"),
+    (("energy", "--group", "3,4", "--set-x", "[0,1,5]", "--set-y", "[2,7,11]"),
+     "402f0dcf1a1d60db31844fbe292c065417fafb7efdb9f449ae52bbbc37f61922"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD
+)
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL:
         _, report = _dispatch(build_parser().parse_args(list(argv)))

@@ -62,6 +62,12 @@ def test_vector_ops_match_scalar(small_group, rnd):
         g.add_indices(int(i), shift) for i in idx
     ]
     assert [int(v) for v in g.neg_array(idx)] == [g.neg_index(int(i)) for i in idx]
+    # the scalar and vector ops share one code path, so also check both
+    # against the independent oracle
+    assert [int(v) for v in g.translate_array(idx, shift)] == [
+        oracle_add(g.moduli, int(i), shift) for i in idx
+    ]
+    assert [int(v) for v in g.neg_array(idx)] == [oracle_neg(g.moduli, int(i)) for i in idx]
 
 
 def test_pairsum_matrix_matches_oracle(small_group, rnd):

@@ -208,3 +208,11 @@ def test_translate_matches_oracle(small_group, rnd):
     assert set(moved.to_index_list()) == {
         oracle_add(g.moduli, i, shift) for i in s.to_index_list()
     }
+
+
+def test_translate_rejects_out_of_range_shift(small_group):
+    g = small_group
+    s = GroupSubset.from_indices(g, [0, 1])
+    for by in (-1, g.order, g.order + 1):
+        with pytest.raises(StructuralError):
+            s.translate(by)
