@@ -1,10 +1,11 @@
 """The one JSON mapping shared by every report dataclass.
 
 Exact values stay exact: a Fraction is written as its exact string ("12/7"),
-a GroupSubset as its ascending index list, and mpmath values arrive already
-formatted as strings by cascade._fmt.  Nested records, lists, tuples and
-dicts are mapped value by value; everything else (None, bool, int, float,
-str) passes through unchanged.
+a GroupSubset as its ascending index list.  No record holds an mpmath
+value: cascade_audit formats each one as a string (cascade._fmt) at the
+ledger's working precision while it builds the ledger.  Nested records,
+lists, tuples and dicts are mapped value by value; everything else (None,
+bool, int, float, str) passes through unchanged.
 
 A field's JSON key is its name unless field(metadata={"json": key}) says
 otherwise; a key of None leaves the field out, for a record whose to_json

@@ -1,8 +1,9 @@
 """Command-line interface: seeded experiments and report emission.
 
 Exit codes: 0 success, 1 violated property assertion, 2 usage or structural
-error.  JSON goes to stdout or --out; CSV only for report kinds that declare
-a schema.
+error, 3 internal error (an unexpected exception, reported on one line).
+JSON goes to stdout or --out; CSV only for report kinds that declare a
+schema.
 """
 
 from __future__ import annotations
@@ -349,8 +350,18 @@ def _parse_tiers(text: str) -> tuple:
     return tuple(tiers)
 
 
+# every option some mc kind takes; one given to a kind that does not take it is an error
+_MC_OPTIONS = frozenset(name for _, options in _MC_RUNNERS.values() for name in options)
+
+
 def _dispatch_mc(args):
     runner, options = _MC_RUNNERS[args.kind]
+    stray = sorted(
+        name for name in _MC_OPTIONS.difference(options) if getattr(args, name) is not None
+    )
+    if stray:
+        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
+        raise StructuralError(f"mc --kind {args.kind} does not take {flags}")
     given = {name: getattr(args, name) for name in options if getattr(args, name) is not None}
     if "ks" in given:
         given["ks"] = tuple(int(k) for k in given["ks"].split(",") if k)
@@ -388,6 +399,16 @@ def main(argv=None) -> int:
     except (StructuralError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect: keep exit 1 for PropertyError alone
+        import traceback  # imported here: no run that succeeds pays for it
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"({Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

@@ -74,7 +74,7 @@ def bit_matrix(seeds: np.ndarray, n_bits: int) -> np.ndarray:
 
 def bernoulli_bits(seed: int, n_bits: int) -> np.ndarray:
     """n_bits independent fair coins as a bool vector."""
-    return bit_matrix(np.array([seed], dtype=np.uint64), n_bits)[0]
+    return bit_matrix(np.array([seed & _MASK], dtype=np.uint64), n_bits)[0]
 
 
 def derive_seed_array(master: int, indices) -> np.ndarray:

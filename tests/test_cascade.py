@@ -4,6 +4,7 @@ import json
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cayleysum import cascade
@@ -120,6 +121,36 @@ def test_find_threshold_general():
     assert 400 < u < 520
     doc = search.to_json()
     assert "passing_logN" in doc and "probes" in doc
+
+
+def test_find_threshold_formats_only_probe_inputs(monkeypatch):
+    # each probe records its w and logN strings; the ledger values it
+    # evaluates are never formatted
+    calls = []
+    nstr = cascade.mp.nstr
+
+    def counting_nstr(*args, **kwargs):
+        calls.append(args)
+        return nstr(*args, **kwargs)
+
+    monkeypatch.setattr(cascade.mp, "nstr", counting_nstr)
+    search = cascade.find_threshold("general")
+    assert len(calls) == 2 * len(search.probes)
+
+
+def test_mpf_input_keeps_ledger_precision():
+    with mp.workdps(50):
+        log_order = mp.mpf(1000) / 3
+    led = cascade.cascade_audit("general", log_order, "5.5", dps=50)
+    stored = led.inputs["logN"]
+    assert len(stored.replace(".", "")) >= 40
+    again = cascade.cascade_audit("general", stored, led.inputs["w"], dps=50)
+    assert again.to_json() == led.to_json()
+
+
+def test_numpy_float_input_matches_float():
+    a = cascade.cascade_audit("general", np.float64(230.0), np.float64(5.438))
+    assert a.to_json() == cascade.cascade_audit("general", 230.0, 5.438).to_json()
 
 
 def test_find_threshold_bad_bracket():

@@ -4,9 +4,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cayleysum import cascade
-from cayleysum.cli import _dispatch, build_parser, main
+from cayleysum.cli import _BOUND_ADAPTERS, _dispatch, build_parser, main
 from cayleysum.deviation import restriction_sample
 from cayleysum.dissociation import count_low_dimension_sets
 from cayleysum.groups import parse_group
@@ -175,6 +177,21 @@ def test_mc_restriction_kind(capsys):
     assert json.loads(out)["results"]["smoke_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv,stray",
+    [
+        (("mc", "--kind", "sigma-tail", "--trials", "2", "--tiers", "4x4",
+          "--epsilon", "1/3"), "--epsilon"),
+        (("mc", "--kind", "restriction", "--trials", "2", "--n", "5", "--ks", "9",
+          "--tiers", "3x3"), "--ks, --n, --tiers"),
+    ],
+)
+def test_mc_rejects_options_of_other_kinds(capsys, argv, stray):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and stray in err
+
+
 def test_scan_json_only(capsys):
     code, out, _ = run_cli(capsys, "scan", "--group", "f2^4", "--seed", "3")
     assert code == 0
@@ -193,6 +210,17 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "energy", "--set-x", "[0]", "--set-y", "[0]")[0] == 2
     assert run_cli(capsys, "mc", "--kind", "nope")[0] == 2
     assert run_cli(capsys, "mc", "--kind", "sigma-tail", "--tiers", "4by4")[0] == 2
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cayleysum.cli._dispatch", broken)
+    code, out, err = run_cli(capsys, "group", "--group", "z6")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: RuntimeError: boom")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_out_writes_json(capsys, tmp_path):
@@ -219,6 +247,20 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # a master seed is taken mod 2^64, as derive_seed already did
+        (("scan", "--group", "z5", "--seed", "-1"), 0),
+        (("worst-case", "--group", "f2^3", "--seed", "-1"), 0),
+        (("audit", "--mode", "exponent2", "--logN", "1e3", "--w", "1/0"), 2),
+    ],
+)
+def test_fuzz_found_inputs(capsys, argv, code):
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -332,9 +374,17 @@ FROZEN_STDOUT_COORD = [
      "402f0dcf1a1d60db31844fbe292c065417fafb7efdb9f449ae52bbbc37f61922"),
 ]
 
+# the general-mode threshold search, affordable once its probes stopped
+# formatting ledgers; last, so the ids of the digests above keep their positions
+FROZEN_STDOUT_THRESHOLD = [
+    (("audit", "--mode", "general", "--find-threshold"),
+     "9e3d5992140da45b12c99f6bb2bb82d4a3fb654108f3efc8fd4b706592c55b60"),
+]
+
 
 @pytest.mark.parametrize(
-    "argv,digest", FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD
+    "argv,digest",
+    FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL:
@@ -381,3 +431,97 @@ def test_infinite_bound_param_is_usage_error(capsys, params):
     code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# CLI fuzz: random argv over every subcommand on groups of order <= 64 (and a
+# few malformed literals); whatever the input, the exit code is one of the
+# documented three and a failure is one line, never a traceback
+_GROUPS = st.sampled_from(
+    ["z1", "z5", "z12", "z64", "f2^1", "f2^4", "f2^6", "2,4", "3,5", "4,4,4", "8,8",
+     "z0", "f2^0", "x"]
+)
+# worst-case enumerates every subset of G, so it draws only tiny orders
+_TINY_GROUPS = st.sampled_from(["z1", "z4", "z6", "f2^3", "2,4", "z0"])
+_NUMBERS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(["1/2", "1/3", "-1/2", "1/0", "2.5", "1e400", "nan", "inf", "abc", ""]),
+)
+_SETS = st.one_of(
+    st.lists(st.integers(-2, 70), max_size=8).map(lambda xs: f"[{','.join(map(str, xs))}]"),
+    st.sampled_from(["0xff", "0x0", "[", "[a]", ""]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    def optional(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(
+        ["group", "energy", "dim", "decompose", "pack", "scan", "mc", "bounds", "audit",
+         "worst-case"]
+    ))
+    argv = [cmd]
+    if cmd in ("group", "energy", "dim", "decompose", "pack", "scan", "mc"):
+        argv += ["--group", draw(_GROUPS)]
+    if cmd == "energy":
+        argv += ["--set-x", draw(_SETS), "--set-y", draw(_SETS)]
+    elif cmd == "dim":
+        argv += ["--set", draw(_SETS), "--mode", draw(st.sampled_from(["greedy", "exact"]))]
+    elif cmd == "decompose":
+        argv += ["--set-a", draw(_SETS), "--set-b", draw(_SETS), "-M", draw(_NUMBERS)]
+        argv += optional("--finder", st.sampled_from(["exhaustive", "greedy"]))
+        argv += optional("--dim-constant", _NUMBERS)
+        argv += ["--single-step"] if draw(st.booleans()) else []
+    elif cmd == "pack":
+        argv += ["--set-x", draw(_SETS), "--set-y", draw(_SETS)]
+        argv += optional("--epsilon", _NUMBERS)
+    elif cmd == "scan":
+        argv += optional("--epsilon", _NUMBERS) + optional("--set-x", _SETS)
+        argv += optional("--set-y", _SETS) + optional("--x-size", _NUMBERS)
+        argv += optional("--y-size", _NUMBERS)
+    elif cmd == "mc":
+        argv += ["--kind", draw(st.sampled_from(["joint-deviation", "sigma-tail", "restriction"]))]
+        argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "3"]))]
+        argv += optional("--epsilon", _NUMBERS) + optional("--n", _NUMBERS)
+        argv += optional("--ks", st.sampled_from(["1", "1,2", "0", "-1", "70", "a"]))
+        argv += optional("--tiers", st.sampled_from(["4x4", "2x3,8x8", "0x0", "99x99", "4by4"]))
+        argv += optional("--x-size", _NUMBERS) + optional("--y-size", _NUMBERS)
+    elif cmd == "bounds":
+        keys = ["deviation", "count", "epsilon", "k", "n", "order", "r", "K", "m", "d", "w",
+                "constant", "kind"]
+        params = draw(st.lists(st.tuples(st.sampled_from(keys), _NUMBERS), max_size=5))
+        argv += ["--name", draw(st.sampled_from(sorted(_BOUND_ADAPTERS)))]
+        argv += ["--params", *(f"{k}={v}" for k, v in params)]
+    elif cmd == "audit":
+        mode = draw(st.sampled_from(["general", "exponent2"]))
+        argv += ["--mode", mode]
+        # a general-mode threshold search takes most of a second, so only
+        # the exponent-two one is drawn
+        if mode == "exponent2" and draw(st.booleans()):
+            argv += ["--find-threshold"]
+        else:
+            argv += optional("--logN", _NUMBERS) + optional("--w", _NUMBERS)
+        argv += optional("--dps", st.sampled_from(["-1", "14", "15", "40", "1001", "x"]))
+        argv += optional("--constant", st.sampled_from(
+            ["count_rate=2", "dim_rate=0.5", "dim_rate=0", "bogus=1", "count_rate"]))
+    elif cmd == "worst-case":
+        argv += ["--group", draw(_TINY_GROUPS)]
+        argv += optional("--set-a", _SETS) + optional("--floor", _NUMBERS)
+    argv += optional("--seed", st.sampled_from(["0", "7", "-1", str(2**64), "x"]))
+    argv += optional("--format", st.sampled_from(["json", "csv"]))
+    return argv
+
+
+# capsys is read and cleared by every example, so sharing it is safe
+@settings(
+    max_examples=60, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_cli_argv())
+def test_cli_fuzz_exit_codes(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("property violation:")
