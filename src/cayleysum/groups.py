@@ -124,9 +124,13 @@ class GroupSpec:
         self._validate(a)
         return sum(c * s for c, s in zip(a.coords, self.strides))
 
-    def decode(self, index: int) -> Element:
+    def _check_index(self, index: int) -> int:
         if not 0 <= index < self.order:
             raise StructuralError(f"index {index} out of range for order {self.order}")
+        return index
+
+    def decode(self, index: int) -> Element:
+        self._check_index(index)
         return Element(tuple(self._coord(index, c) for c in range(self.rank)))
 
     # ---- index arithmetic ----
@@ -157,10 +161,10 @@ class GroupSpec:
         return out
 
     def add_indices(self, i: int, j: int) -> int:
-        return self._combine(i, j)
+        return self._combine(self._check_index(i), self._check_index(j))
 
     def neg_index(self, i: int) -> int:
-        return self._combine(0, i, -1)
+        return self._combine(0, self._check_index(i), -1)
 
     def translate_array(self, idx: np.ndarray, by: int) -> np.ndarray:
         """Index array of {i + by : i in idx}."""

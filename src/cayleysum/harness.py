@@ -49,6 +49,7 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 1
 _MC_CHUNK = 1 << 13
+_WORST_CASE_BLOCK = 1 << 9  # Gray-code subsets per bit-matrix product
 _WORST_CASE_ORDER_CAP = 16
 _Z95 = 1.959963984540054
 
@@ -357,10 +358,16 @@ def run_worst_case_scan(
 ) -> ExperimentReport:
     """Exact max of |sigma| over all X, Y with |X|, |Y| >= floor, tiny N only.
 
-    For each X (Gray-code enumeration with incremental row counts), the best
-    Y of each size is a prefix of the rows sorted by deviation, so the scan
-    is exact without enumerating Y.  The argmax is re-verified by direct
-    recomputation.
+    X runs over the subsets of G in Gray-code order, _WORST_CASE_BLOCK at a
+    time: the row counts c(y) = |A ∩ (X + y)| of a whole block are one
+    product of its member bit matrix with the hit matrix A(x + y).  For each
+    X and size m the extreme Y are the m rows of largest and of smallest
+    deviation 2c(y) - |X|, so row sorts and prefix sums make the scan exact
+    without enumerating Y.  Values compare as integers |sigma| * 2 lcm(1..N)^2.
+    The witness is the first X in Gray order that reaches the maximum and,
+    within it, the first of (largest rows, then smallest rows; each in
+    ascending m) that does; its Y is a prefix of the stable argsort of the
+    deviations.  The witness is re-verified by direct recomputation.
     """
     started = time.monotonic()
     g = parse_group(group)
@@ -380,50 +387,45 @@ def run_worst_case_scan(
     pair_matrix = g.pairsum_matrix(all_idx, all_idx)
     hits = a.bits[pair_matrix].astype(np.int64)  # hits[x, y] = A(x + y)
 
-    best_num, best_den = 0, 1  # best |sigma| as a fraction
-    best_x: list[int] = []
-    best_y: list[int] = []
-    counts = np.zeros(n_total, dtype=np.int64)
-    members: set[int] = set()
-    prev_gray = 0
-    for i in range(1, 1 << n_total):
+    # |sigma| = |S| / (2 n m) for the deviation sum S of m rows against an
+    # n-element X, and 2 n m divides scale, so key = |S| * weight[n - 1, col]
+    # is |sigma| * scale exactly; it is at most lcm(1..N)^2 < 2^40 under the cap.
+    # Columns are the top-side m = floor..N, then the bottom-side ones.
+    scale = 2 * math.lcm(*range(1, n_total + 1)) ** 2
+    ms = np.tile(np.arange(floor, n_total + 1, dtype=np.int64), 2)
+    weight = scale // (2 * np.arange(1, n_total + 1, dtype=np.int64)[:, None] * ms)
+    best_key, best_gray, best_col = 0, 0, 0
+    for start in range(0, 1 << n_total, _WORST_CASE_BLOCK):
+        i = np.arange(start, min(start + _WORST_CASE_BLOCK, 1 << n_total), dtype=np.int64)
         gray = i ^ (i >> 1)
-        j = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        if gray & (1 << j):
-            counts += hits[j]
-            members.add(j)
-        else:
-            counts -= hits[j]
-            members.discard(j)
-        n = len(members)
-        if n < floor:
+        bits = (gray[:, None] >> all_idx) & 1
+        n = bits.sum(axis=1)
+        feasible = n >= floor
+        if not feasible.any():
             continue
-        dev = 2 * counts - n
-        order_desc = np.argsort(-dev, kind="stable")
-        top = np.cumsum(dev[order_desc])
-        order_asc = np.argsort(dev, kind="stable")
-        bottom = np.cumsum(dev[order_asc])
-        for sums, order in ((top, order_desc), (bottom, order_asc)):
-            vals = np.abs(sums[floor - 1 :])
-            ms = np.arange(floor, n_total + 1)
-            # |sum| / (2 n m) > best_num / best_den, cross-multiplied
-            better = vals * best_den > best_num * 2 * n * ms
-            if better.any():
-                for offset in np.flatnonzero(better):
-                    m = floor + int(offset)
-                    val = int(vals[offset])
-                    if val * best_den > best_num * 2 * n * m:
-                        frac = Fraction(val, 2 * n * m)
-                        best_num, best_den = frac.numerator, frac.denominator
-                        best_x = sorted(members)
-                        best_y = sorted(int(v) for v in order[:m])
+        gray, bits, n = gray[feasible], bits[feasible], n[feasible]
+        dev = np.sort(2 * (bits @ hits) - n[:, None], axis=1)
+        sums = np.concatenate(
+            (np.cumsum(dev[:, ::-1], axis=1)[:, floor - 1 :],
+             np.cumsum(dev, axis=1)[:, floor - 1 :]),
+            axis=1,
+        )
+        keys = np.abs(sums) * weight[n - 1]
+        row, col = divmod(int(np.argmax(keys)), keys.shape[1])  # first maximum
+        if int(keys[row, col]) > best_key:
+            best_key, best_col = int(keys[row, col]), col
+            best_gray = int(gray[row])
 
-    check(best_x and best_y, "scan must find a witness at any feasible floor")
+    check(best_key > 0, "scan must find a witness at any feasible floor")
+    best_x = [j for j in range(n_total) if best_gray >> j & 1]
+    dev = 2 * hits[best_x].sum(axis=0) - len(best_x)
+    side, offset = divmod(best_col, n_total - floor + 1)
+    order = np.argsort(dev if side else -dev, kind="stable")
+    best_y = sorted(int(v) for v in order[: floor + offset])
     x_w = GroupSubset.from_indices(g, best_x)
     y_w = GroupSubset.from_indices(g, best_y)
     recomputed = abs(edge_density_deviation(a, x_w, y_w).sigma)
-    claimed = Fraction(best_num, best_den)
+    claimed = Fraction(best_key, scale)
     check(recomputed == claimed, "witness recomputation must match the scan maximum")
 
     results = {

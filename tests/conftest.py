@@ -8,8 +8,10 @@ the implementations they judge.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +120,45 @@ def oracle_sigma_parts(moduli, a_idx, x_idx, y_idx) -> tuple:
         1 for x in x_idx for y in y_idx if oracle_add(moduli, x, y) in a
     )
     return edges, len(x_idx) * len(y_idx)
+
+
+def oracle_worst_case(moduli, a_idx, floor: int) -> tuple:
+    """(max |sigma|, x_witness, y_witness) over |X|, |Y| >= floor, by a Gray loop.
+
+    The witness is the first X in Gray order reaching the maximum and, within
+    it, the first of (largest rows, then smallest rows; each in ascending m)
+    that does; Y is a prefix of a stable sort of the rows by deviation.  The
+    maximum is 0 with empty witnesses when no position beats 0.
+    """
+    order = math.prod(moduli)
+    a = set(a_idx)
+    hits = [[int(oracle_add(moduli, x, y) in a) for y in range(order)] for x in range(order)]
+    best, best_x, best_y = Fraction(0), [], []
+    counts = [0] * order
+    members: set = set()
+    prev = 0
+    for i in range(1, 1 << order):
+        gray = i ^ (i >> 1)
+        j = (gray ^ prev).bit_length() - 1
+        prev = gray
+        step = 1 if gray >> j & 1 else -1
+        counts = [c + step * h for c, h in zip(counts, hits[j])]
+        (members.add if step == 1 else members.discard)(j)
+        n = len(members)
+        if n < floor:
+            continue
+        dev = [2 * c - n for c in counts]
+        for rows in (
+            sorted(range(order), key=lambda y: -dev[y]),
+            sorted(range(order), key=lambda y: dev[y]),
+        ):
+            total = 0
+            for m, y in enumerate(rows, start=1):
+                total += dev[y]
+                value = Fraction(abs(total), 2 * n * m)
+                if m >= floor and value > best:
+                    best, best_x, best_y = value, sorted(members), sorted(rows[:m])
+    return best, best_x, best_y
 
 
 # ------------------------------------------------------------------ sampling

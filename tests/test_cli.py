@@ -382,12 +382,25 @@ FROZEN_STDOUT_THRESHOLD = [
 ]
 
 
+# canonical digests of exhaustive worst-case scans at order 16 (exponent 2,
+# rank 2 and cyclic; floors 1, 3 and 9); last, so the ids above keep their positions
+FROZEN_CANONICAL_ORDER16 = [
+    (("worst-case", "--group", "f2^4", "--seed", "3"),
+     "bc1a1bc554cb0178b41ac4f9b68bb2621f355e3b6cab35fac6dcd3d16b9689d9"),
+    (("worst-case", "--group", "4,4", "--seed", "5", "--floor", "3"),
+     "77905118f5102b481c92a95a6466fd2d7973980856615283ba70598f6a80346b"),
+    (("worst-case", "--group", "z16", "--seed", "2", "--floor", "9"),
+     "40b81db8a48b5d82eac76fb5636fe8b00fab99c2128d66e1a23204a818fec64d"),
+]
+
+
 @pytest.mark.parametrize(
     "argv,digest",
-    FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD,
+    FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
+    + FROZEN_CANONICAL_ORDER16,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
-    if (argv, digest) in FROZEN_CANONICAL:
+    if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16:
         _, report = _dispatch(build_parser().parse_args(list(argv)))
         data = report.canonical_bytes()
     else:
@@ -440,8 +453,11 @@ _GROUPS = st.sampled_from(
     ["z1", "z5", "z12", "z64", "f2^1", "f2^4", "f2^6", "2,4", "3,5", "4,4,4", "8,8",
      "z0", "f2^0", "x"]
 )
-# worst-case enumerates every subset of G, so it draws only tiny orders
-_TINY_GROUPS = st.sampled_from(["z1", "z4", "z6", "f2^3", "2,4", "z0"])
+# worst-case enumerates every subset of G, so it draws orders up to its cap
+# of 16 (and z17, one above it)
+_TINY_GROUPS = st.sampled_from(
+    ["z1", "z4", "z6", "f2^3", "2,4", "z0", "f2^4", "z16", "4,4", "z17"]
+)
 _NUMBERS = st.one_of(
     st.integers(-3, 70).map(str),
     st.sampled_from(["1/2", "1/3", "-1/2", "1/0", "2.5", "1e400", "nan", "inf", "abc", ""]),

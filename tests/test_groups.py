@@ -70,6 +70,19 @@ def test_vector_ops_match_scalar(small_group, rnd):
     assert [int(v) for v in g.neg_array(idx)] == [oracle_neg(g.moduli, int(i)) for i in idx]
 
 
+@pytest.mark.parametrize("literal", ["f2^4", "z12", "3,4"])
+def test_scalar_ops_reject_indices_out_of_range(literal):
+    g = parse_group(literal)
+    for bad in (-1, g.order, g.order + 5):
+        with pytest.raises(StructuralError):
+            g.add_indices(bad, 0)
+        with pytest.raises(StructuralError):
+            g.add_indices(0, bad)
+        with pytest.raises(StructuralError):
+            g.neg_index(bad)
+    assert g.add_indices(np.int64(g.order - 1), 0) == g.order - 1
+
+
 def test_pairsum_matrix_matches_oracle(small_group, rnd):
     g = small_group
     x = np.array(sorted(rnd.sample(range(g.order), 5)))

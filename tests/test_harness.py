@@ -7,9 +7,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleysum import deviation, subsets
-from cayleysum.errors import StructuralError
+from cayleysum import deviation, harness, subsets
+from cayleysum.errors import PropertyError, StructuralError
 from cayleysum.deviation import edge_density_deviation, random_subset
 from cayleysum.groups import parse_group
 from cayleysum.harness import (
@@ -22,6 +24,8 @@ from cayleysum.harness import (
     wilson_interval,
 )
 from cayleysum.subsets import GroupSubset
+
+from conftest import oracle_worst_case
 
 
 def test_wilson_interval_basics():
@@ -116,6 +120,34 @@ def test_worst_case_witness_recomputes():
     val = abs(edge_density_deviation(a, x, y).sigma)
     assert Fraction(rep.results["max_abs_sigma"]) == val
     assert x.size >= 2 and y.size >= 2
+
+
+@st.composite
+def _worst_case_inputs(draw):
+    g = parse_group(draw(st.sampled_from(["z4", "z6", "f2^3", "2,4", "z8", "z10", "2,5"])))
+    a = draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=g.order))
+    return g, sorted(a), draw(st.integers(1, g.order))
+
+
+# blocks of 1, 3 and 7 subsets cross block boundaries at every order and give
+# blocks with no X of size >= floor
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=_worst_case_inputs())
+def test_worst_case_matches_gray_oracle_across_blocks(case):
+    g, a, floor = case
+    best, x_want, y_want = oracle_worst_case(g.moduli, a, floor)
+    group = ",".join(map(str, g.moduli))
+    for block in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_WORST_CASE_BLOCK", block)
+            if best == 0:  # no position beats 0 (floor N, |A| = N/2): no witness
+                with pytest.raises(PropertyError):
+                    run_worst_case_scan(group, a_indices=a, floor=floor)
+                continue
+            res = run_worst_case_scan(group, a_indices=a, floor=floor).results
+        assert (Fraction(res["max_abs_sigma"]), res["x_witness"], res["y_witness"]) == (
+            best, x_want, y_want
+        )
 
 
 def test_worst_case_order_cap():
