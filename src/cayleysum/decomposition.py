@@ -7,6 +7,12 @@ E(A, B_*) >= E(A,B) / 32 (hard postcondition) and reports whether the
 witness dimension stays below dim_constant * K * log|A| (soft check, the
 guarantee's shape, with a configurable constant).
 
+Every subset energy in the finder is one quadratic form: with b_1..b_m the
+elements of B and overlap[j, k] = |(A + b_j) ∩ (A + b_k)| (diagonal |A|),
+E(A, S) = sum_{j,k in S} |(A + b_j) ∩ (A + b_k)| = 1_S' overlap 1_S.
+Exhaustive mode evaluates it for all 2^m - 1 subsets in one product; greedy
+mode reads every candidate's gain 2 (overlap 1_S)_j + |A| off one gather.
+
 energy_partition iterates the finder: while the residual part keeps energy
 ratio at most M, extract a structured piece and continue.  Each extraction
 drops the residual energy by a factor of at most 31/32, which bounds the
@@ -112,27 +118,21 @@ def find_structured_subset(
                 f"exhaustive mode over {b.size} elements exceeds the guard "
                 f"{EXHAUSTIVE_SUBSET_GUARD}; use mode='greedy'"
             )
+        # overlap[j, k] = |(A + b_j) ∩ (A + b_k)|, so E(A, S) = 1_S' overlap 1_S
         m = len(b_idx)
-        rep = np.zeros(g.order, dtype=np.int64)
-        energy = 0
-        qualifying: list[tuple[int, int]] = []  # (local mask, energy)
-        prev_gray = 0
-        for i in range(1, 1 << m):
-            gray = i ^ (i >> 1)
-            j = (gray ^ prev_gray).bit_length() - 1
-            tr = translates[j]
-            if gray & (1 << j):
-                energy += 2 * int(rep[tr].sum()) + n_a
-                rep[tr] += 1
-            else:
-                rep[tr] -= 1
-                energy -= 2 * int(rep[tr].sum()) + n_a
-            prev_gray = gray
-            if ENERGY_KEEP_DENOMINATOR * energy >= e_ab:
-                qualifying.append((gray, energy))
+        member = np.zeros((m, g.order), dtype=bool)
+        member[np.arange(m)[:, None], translates] = True
+        overlap = np.array([np.count_nonzero(member[:, t], axis=1) for t in translates])
+        i = np.arange(1, 1 << m, dtype=np.int64)
+        gray = i ^ (i >> 1)
+        bits = (gray[:, None] >> np.arange(m)) & 1
+        energies = ((bits @ overlap) * bits).sum(axis=1)
+        keep = ENERGY_KEEP_DENOMINATOR * energies >= e_ab
+        # (local mask, energy) in Gray order
+        qualifying = list(zip(gray[keep].tolist(), energies[keep].tolist()))
         check(bool(qualifying), "the full set B always qualifies; none found")
 
-        best = None  # (dim, size, global mask, local mask, energy, exact)
+        best = None  # (dim, size, global mask, members, energy, exact)
         for local_mask, sub_energy in qualifying:
             members = [b_idx[j] for j in range(m) if local_mask >> j & 1]
             candidate = GroupSubset.from_indices(g, members)
@@ -140,37 +140,28 @@ def find_structured_subset(
             if best is not None and greedy_dim > best[0]:
                 continue  # the exact dim is at least the greedy one: cannot win
             dim_value, dim_exact = _dimension_info(candidate)
-            global_mask = 0
-            for e in members:
-                global_mask |= 1 << e
-            key = (dim_value, len(members), global_mask)
-            if best is None or key < (best[0], best[1], best[2]):
-                best = (dim_value, len(members), global_mask, local_mask, sub_energy, dim_exact)
+            key = (dim_value, len(members), sum(1 << e for e in members))
+            if best is None or key < best[:3]:
+                best = (*key, members, sub_energy, dim_exact)
         assert best is not None
-        members = [b_idx[j] for j in range(m) if best[3] >> j & 1]
+        dim_value, _, _, members, chosen_energy, dim_exact = best
         subset = GroupSubset.from_indices(g, members)
-        chosen_energy = best[4]
-        dim_value, dim_exact = best[0], best[5]
     elif mode == "greedy":
         rep = np.zeros(g.order, dtype=np.int64)
+        taken = np.zeros(len(b_idx), dtype=bool)
         energy = 0
-        in_set = [False] * len(b_idx)
         chosen: list[int] = []
         while ENERGY_KEEP_DENOMINATOR * energy < e_ab:
-            best_gain = -1
-            best_j = -1
-            for j, tr in enumerate(translates):
-                if in_set[j]:
-                    continue
-                gain = 2 * int(rep[tr].sum()) + n_a
-                if gain > best_gain:
-                    best_gain = gain
-                    best_j = j
-            check(best_j >= 0, "greedy ran out of elements before reaching the threshold")
-            in_set[best_j] = True
-            chosen.append(b_idx[best_j])
-            rep[translates[best_j]] += 1
-            energy += best_gain
+            check(not taken.all(), "greedy ran out of elements before reaching the threshold")
+            # adding b_j adds 2 sum_{k in S} overlap[j, k] + |A| to E(A, S), and
+            # rep counts the chosen translates covering each point
+            gains = 2 * rep[translates].sum(axis=1) + n_a
+            gains[taken] = -1
+            j = int(np.argmax(gains))  # the first j on ties
+            taken[j] = True
+            chosen.append(b_idx[j])
+            rep[translates[j]] += 1
+            energy += int(gains[j])
         subset = GroupSubset.from_indices(g, chosen)
         chosen_energy = energy
         dim_value, dim_exact = _dimension_info(subset)
@@ -183,7 +174,7 @@ def find_structured_subset(
     )
     check(
         chosen_energy == additive_energy(a, subset),
-        "incremental energy bookkeeping disagrees with recomputation",
+        "finder energy disagrees with recomputation",
     )
     log_a = math.log(a.size)
     dim_target = dim_constant * float(K) * log_a

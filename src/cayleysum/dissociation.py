@@ -10,7 +10,9 @@ Two facts drive the implementation:
 * Span(S) is symmetric and S + {e} stays dissociated exactly when S is
   dissociated and e lies outside Span(S).  So membership tests reduce to a
   dense span closure grown one element at a time, with no sign-vector
-  enumeration.
+  enumeration.  One ascending greedy scan does this: S is dissociated
+  exactly when the scan admits every element, so `is_dissociated` and the
+  greedy dimension share `_greedy_scan`.
 * In exponent-2 groups, dissociated means linearly independent over the
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
@@ -76,31 +78,18 @@ def _span_guard(g: GroupSpec, size: int, what: str) -> None:
 
 
 def _closure_insert(g: GroupSpec, span_bits: np.ndarray, e: int) -> None:
-    """Grow a span closure in place by one generator."""
-    old = np.flatnonzero(span_bits)
-    span_bits[g.translate_array(old, e)] = True
-    ne = g.neg_index(e)
-    if ne != e:
-        span_bits[g.translate_array(old, ne)] = True
+    """Grow a span closure in place by one generator: Span + {e, -e}, one scatter.
+
+    The old span stays set (the zero coefficient), and when e = -e the two
+    rows of the pair-sum matrix coincide, which the union absorbs.
+    """
+    span_bits[g.pairsum_matrix([e, g.neg_index(e)], np.flatnonzero(span_bits))] = True
 
 
 def is_dissociated(s: GroupSubset) -> bool:
     """Whether no nontrivial {-1,0,1} combination of s sums to zero."""
-    g = s.group
-    if s.size == 0:
-        return True
-    if g.is_exponent_two:
-        rank, _ = _gf2_basis_scan(s.indices)
-        return rank == s.size
-    _span_guard(g, s.size, "dissociation test")
-    span_bits = np.zeros(g.order, dtype=bool)
-    span_bits[0] = True
-    for e in s.indices:
-        e = int(e)
-        if span_bits[e]:
-            return False
-        _closure_insert(g, span_bits, e)
-    return True
+    _span_guard(s.group, s.size, "dissociation test")
+    return len(_greedy_scan(s)) == s.size
 
 
 def span(s: GroupSubset) -> GroupSubset:
@@ -184,21 +173,20 @@ def additive_dimension(a: GroupSubset, mode: str = "exact") -> DimensionResult:
     search elsewhere, refusing above EXACT_DIMENSION_GUARD elements.
     """
     g = a.group
-    if mode == "greedy":
-        chosen = _greedy_scan(a)
-        return DimensionResult(len(chosen), GroupSubset.from_indices(g, chosen), exact=False)
-    if mode != "exact":
+    if mode not in ("greedy", "exact"):
         raise StructuralError(f"unknown dimension mode {mode!r}")
-    if g.is_exponent_two:
-        chosen = _greedy_scan(a)  # matroid: greedy is maximum
-        return DimensionResult(len(chosen), GroupSubset.from_indices(g, chosen), exact=True)
-    if a.size > EXACT_DIMENSION_GUARD:
+    if mode == "greedy" or g.is_exponent_two:  # exponent 2: a matroid, greedy is maximum
+        chosen = _greedy_scan(a)
+    elif a.size > EXACT_DIMENSION_GUARD:
         raise GuardError(
             f"exact dimension over {a.size} elements exceeds the guard "
             f"{EXACT_DIMENSION_GUARD}; use mode='greedy'"
         )
-    chosen = _exact_search(a)
-    return DimensionResult(len(chosen), GroupSubset.from_indices(g, chosen), exact=True)
+    else:
+        chosen = _exact_search(a)
+    return DimensionResult(
+        len(chosen), GroupSubset.from_indices(g, chosen), exact=(mode == "exact")
+    )
 
 
 def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:

@@ -127,6 +127,11 @@ def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
     return GroupSubset.from_indices(g, np.arange(n))
 
 
+def _sampled_set(g: GroupSpec, size: int, seed: int) -> GroupSubset:
+    """Seeded uniform size-element subset of g (positions drawn without replacement)."""
+    return GroupSubset.from_indices(g, rng.sample_without_replacement(range(g.order), size, seed))
+
+
 def run_joint_deviation_mc(
     group: str = "f2^8",
     n: int = 32,
@@ -251,7 +256,6 @@ def run_sigma_tail_mc(
         if not (1 <= sx <= g.order and 1 <= sy <= g.order):
             raise StructuralError(f"tier ({sx}, {sy}) out of range for N={g.order}")
 
-    pool = range(g.order)
     tier_rows = []
     for i, (sx, sy) in enumerate(tiers):
         tier_seed = rng.derive_seed(seed, 1000 + i)
@@ -259,12 +263,8 @@ def run_sigma_tail_mc(
         for t in range(trials):
             base = rng.derive_seed(tier_seed, t)
             a = random_subset(g, rng.derive_seed(base, 0)).a
-            x = GroupSubset.from_indices(
-                g, rng.sample_without_replacement(pool, sx, rng.derive_seed(base, 1))
-            )
-            y = GroupSubset.from_indices(
-                g, rng.sample_without_replacement(pool, sy, rng.derive_seed(base, 2))
-            )
+            x = _sampled_set(g, sx, rng.derive_seed(base, 1))
+            y = _sampled_set(g, sy, rng.derive_seed(base, 2))
             values.append(abs(edge_density_deviation(a, x, y).sigma))
         med = median(values)
         peak = max(values)
@@ -310,13 +310,8 @@ def run_restriction_mc(
     eps = epsilon_in(epsilon)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
-    pool = range(g.order)
-    x = GroupSubset.from_indices(
-        g, rng.sample_without_replacement(pool, x_size, rng.derive_seed(seed, 1))
-    )
-    y = GroupSubset.from_indices(
-        g, rng.sample_without_replacement(pool, y_size, rng.derive_seed(seed, 2))
-    )
+    x = _sampled_set(g, x_size, rng.derive_seed(seed, 1))
+    y = _sampled_set(g, y_size, rng.derive_seed(seed, 2))
     energy_ok = 0
     deviation_ok = 0
     joint = 0
@@ -394,7 +389,7 @@ def run_worst_case_scan(
     scale = 2 * math.lcm(*range(1, n_total + 1)) ** 2
     ms = np.tile(np.arange(floor, n_total + 1, dtype=np.int64), 2)
     weight = scale // (2 * np.arange(1, n_total + 1, dtype=np.int64)[:, None] * ms)
-    best_key, best_gray, best_col = 0, 0, 0
+    best_key, best_gray, best_col = -1, 0, 0  # keys are >= 0: the first feasible X can win
     for start in range(0, 1 << n_total, _WORST_CASE_BLOCK):
         i = np.arange(start, min(start + _WORST_CASE_BLOCK, 1 << n_total), dtype=np.int64)
         gray = i ^ (i >> 1)
@@ -416,7 +411,7 @@ def run_worst_case_scan(
             best_key, best_col = int(keys[row, col]), col
             best_gray = int(gray[row])
 
-    check(best_key > 0, "scan must find a witness at any feasible floor")
+    check(best_key >= 0, "scan must find a witness at any feasible floor")
     best_x = [j for j in range(n_total) if best_gray >> j & 1]
     dev = 2 * hits[best_x].sum(axis=0) - len(best_x)
     side, offset = divmod(best_col, n_total - floor + 1)
@@ -460,21 +455,16 @@ def run_deviation_scan(
     g = parse_group(group)
     eps = epsilon_in(epsilon)
     sample = random_subset(g, seed)
-    pool = range(g.order)
     if x_indices is not None:
         x = GroupSubset.from_indices(g, x_indices)
     else:
         size = x_size if x_size is not None else max(1, g.order // 4)
-        x = GroupSubset.from_indices(
-            g, rng.sample_without_replacement(pool, size, rng.derive_seed(seed, 1))
-        )
+        x = _sampled_set(g, size, rng.derive_seed(seed, 1))
     if y_indices is not None:
         y = GroupSubset.from_indices(g, y_indices)
     else:
         size = y_size if y_size is not None else max(x.size, g.order // 4)
-        y = GroupSubset.from_indices(
-            g, rng.sample_without_replacement(pool, size, rng.derive_seed(seed, 2))
-        )
+        y = _sampled_set(g, size, rng.derive_seed(seed, 2))
     # one row-count pass feeds sigma, the extracted rows and the pipeline
     counts = deviation.row_edge_counts(sample.a, x, y)
     results = {

@@ -124,14 +124,8 @@ class GroupSubset:
             raise StructuralError("subset mask must be nonnegative")
         if mask >> group.order:
             raise StructuralError(f"mask 0x{mask:x} has bits beyond group order {group.order}")
-        bits = np.zeros(group.order, dtype=bool)
-        i = 0
-        while mask:
-            if mask & 1:
-                bits[i] = True
-            mask >>= 1
-            i += 1
-        return cls(group, bits)
+        raw = np.frombuffer(mask.to_bytes((group.order + 7) // 8, "little"), dtype=np.uint8)
+        return cls(group, np.unpackbits(raw, count=group.order, bitorder="little"))
 
     # ---- views ----
 
@@ -153,10 +147,8 @@ class GroupSubset:
     def mask(self) -> int:
         """The subset as a Python int bitmask (bit i = index i)."""
         if self._mask is None:
-            acc = 0
-            for i in self.indices:
-                acc |= 1 << int(i)
-            object.__setattr__(self, "_mask", acc)
+            packed = np.packbits(self._bits, bitorder="little")
+            object.__setattr__(self, "_mask", int.from_bytes(packed.tobytes(), "little"))
         return self._mask
 
     def contains(self, index: int) -> bool:

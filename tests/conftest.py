@@ -127,13 +127,13 @@ def oracle_worst_case(moduli, a_idx, floor: int) -> tuple:
 
     The witness is the first X in Gray order reaching the maximum and, within
     it, the first of (largest rows, then smallest rows; each in ascending m)
-    that does; Y is a prefix of a stable sort of the rows by deviation.  The
-    maximum is 0 with empty witnesses when no position beats 0.
+    that does; Y is a prefix of a stable sort of the rows by deviation.  When
+    the maximum is 0, the first feasible position is its witness.
     """
     order = math.prod(moduli)
     a = set(a_idx)
     hits = [[int(oracle_add(moduli, x, y) in a) for y in range(order)] for x in range(order)]
-    best, best_x, best_y = Fraction(0), [], []
+    best, best_x, best_y = Fraction(-1), [], []
     counts = [0] * order
     members: set = set()
     prev = 0
@@ -159,6 +159,22 @@ def oracle_worst_case(moduli, a_idx, floor: int) -> tuple:
                 if m >= floor and value > best:
                     best, best_x, best_y = value, sorted(members), sorted(rows[:m])
     return best, best_x, best_y
+
+
+# ---------------------------------------------------------- finder oracles
+
+def oracle_greedy_finder(moduli, a_idx, b_idx) -> list:
+    """Greedy structured-subset picks, in order, from energies alone.
+
+    Each round adds the first b of B (ascending) that maximizes E(A, S + {b}),
+    until 32 E(A, S) >= E(A, B).
+    """
+    target = oracle_energy(moduli, a_idx, b_idx)
+    picks: list = []
+    while 32 * oracle_energy(moduli, a_idx, picks) < target:
+        rest = [b for b in sorted(b_idx) if b not in picks]
+        picks.append(max(rest, key=lambda b: oracle_energy(moduli, a_idx, picks + [b])))
+    return picks
 
 
 # ------------------------------------------------------------------ sampling

@@ -75,6 +75,17 @@ def test_worst_case_frozen(capsys):
     assert doc["results"]["max_abs_sigma"] == "1/2"
 
 
+def test_worst_case_zero_maximum_has_witness(capsys):
+    # floor N leaves only X = Y = G, where sigma is 0 when |A| = N/2
+    code, out, _ = run_cli(
+        capsys, "worst-case", "--group", "z4", "--set-a", "[0,1]", "--floor", "4"
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["max_abs_sigma"] == "0"
+    assert res["x_witness"] == res["y_witness"] == [0, 1, 2, 3]
+
+
 def test_audit_reports_failures_with_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "--mode", "general", "--logN", "230", "--w", "5.438"
@@ -394,13 +405,38 @@ FROZEN_CANONICAL_ORDER16 = [
 ]
 
 
+# stdout digests of the structure layer: both finders on a rank-3 group and
+# the greedy dimension scan on 2,6, which has elements with e = -e; last, so
+# the ids above keep their positions
+FROZEN_STDOUT_STRUCTURE = [
+    (("decompose", "--group", "4,4,4",
+      "--set-a", "[0,4,8,12,16,20,24,28,32,36,40,44,1,7,19,50]",
+      "--set-b", "[0,4,8,12,20,36,1,2,33,51]", "-M", "4", "--finder", "exhaustive"),
+     "5454506fb8cdf8eb9ca29f3f79adde6d20d6be923e78ff7bd9bf4006b0959a21"),
+    (("decompose", "--group", "4,4,4",
+      "--set-a", "[0,4,8,12,16,20,24,28,32,36,40,44,1,7,19,50]",
+      "--set-b", "[0,4,8,12,20,36,1,2,33,51]", "-M", "4", "--finder", "greedy"),
+     "76888c35f82a6a2f7cb001eb31d6e4e9d978c6471e201f06688fec08f31a5a6f"),
+    (("dim", "--group", "2,6", "--set", "[1,3,6,7,9,10]", "--mode", "greedy"),
+     "cbb4d7a78b0d182312097acd9669d129d75785b1ae9cdb99e6911853c001346e"),
+]
+
+# canonical digest of a sigma-tail run, which draws its X and Y by seeded
+# sampling; last, so the ids above keep their positions
+FROZEN_CANONICAL_SAMPLED = [
+    (("mc", "--kind", "sigma-tail", "--group", "4,4,4", "--tiers", "4x4,8x8",
+      "--trials", "3"),
+     "fe1b6f34232bcb97ef76709081388660f8962636480f35642a6acd7677e70e91"),
+]
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
-    + FROZEN_CANONICAL_ORDER16,
+    + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
-    if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16:
+    if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16 + FROZEN_CANONICAL_SAMPLED:
         _, report = _dispatch(build_parser().parse_args(list(argv)))
         data = report.canonical_bytes()
     else:

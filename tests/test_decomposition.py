@@ -1,10 +1,13 @@
 """Structured-subset extraction and the iterative energy partition."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleysum.decomposition import (
     ENERGY_KEEP_DENOMINATOR,
@@ -17,7 +20,7 @@ from cayleysum.errors import GuardError, StructuralError
 from cayleysum.groups import parse_group
 from cayleysum.subsets import GroupSubset, additive_energy
 
-from conftest import random_nonempty
+from conftest import oracle_energy, oracle_greedy_finder, random_nonempty
 
 
 def _actual_ratio(a: GroupSubset, b: GroupSubset) -> Fraction:
@@ -152,3 +155,53 @@ def test_small_b_rejected():
     a = GroupSubset.full(g)
     with pytest.raises(StructuralError):
         energy_partition(a, GroupSubset.from_indices(g, [1]), 4)
+
+
+FINDER_GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "4,4,4")}
+
+
+@st.composite
+def finder_inputs(draw):
+    g = FINDER_GROUPS[draw(st.sampled_from(sorted(FINDER_GROUPS)))]
+    b_idx = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=8)))
+    size_a = draw(st.integers(len(b_idx), min(g.order, 20)))
+    a_idx = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=size_a, max_size=size_a)))
+    return g, a_idx, b_idx
+
+
+def _finder_case(g, a_idx, b_idx):
+    a, b = GroupSubset.from_indices(g, a_idx), GroupSubset.from_indices(g, b_idx)
+    return a, b, oracle_energy(g.moduli, a_idx, b_idx)
+
+
+# A a subgroup of order 16 and B two cosets' worth of it: E(A, B) = 32 |A|, so
+# every singleton keeps exactly 1/32 of the energy
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=finder_inputs())
+@example(case=(FINDER_GROUPS["4,4,4"], list(range(0, 64, 4)), [0, 1, 4, 5, 8, 9, 12, 13]))
+def test_exhaustive_finder_matches_brute_force(case):
+    g, a_idx, b_idx = case
+    a, b, e_ab = _finder_case(g, a_idx, b_idx)
+    best = None  # (dim, size, mask, energy) over the qualifying subsets
+    for size in range(1, len(b_idx) + 1):
+        for members in itertools.combinations(b_idx, size):
+            energy = oracle_energy(g.moduli, a_idx, members)
+            if ENERGY_KEEP_DENOMINATOR * energy < e_ab:
+                continue
+            sub = GroupSubset.from_indices(g, members)
+            key = (additive_dimension(sub, mode="exact").value, size, sub.mask, energy)
+            best = key if best is None else min(best, key)
+    report = find_structured_subset(a, b, _actual_ratio(a, b), mode="exhaustive")
+    assert report.input_energy == e_ab
+    assert (report.dim_value, report.subset.size, report.subset.mask, report.energy) == best
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=finder_inputs())
+def test_greedy_finder_matches_oracle(case):
+    g, a_idx, b_idx = case
+    a, b, _ = _finder_case(g, a_idx, b_idx)
+    picks = oracle_greedy_finder(g.moduli, a_idx, b_idx)
+    report = find_structured_subset(a, b, _actual_ratio(a, b), mode="greedy")
+    assert report.subset.to_index_list() == sorted(picks)
+    assert report.energy == oracle_energy(g.moduli, a_idx, picks)

@@ -39,6 +39,26 @@ def test_mask_roundtrip():
     assert s.mask == (1 << 0) | (1 << 2) | (1 << 7)
 
 
+def test_mask_roundtrip_random(small_group, rnd):
+    g = small_group
+    for mask in [0, (1 << g.order) - 1] + [rnd.getrandbits(g.order) for _ in range(50)]:
+        s = GroupSubset.from_mask(g, mask)
+        assert s.to_index_list() == [i for i in range(g.order) if mask >> i & 1]
+        assert s.mask == mask
+        assert GroupSubset.from_indices(g, s.indices).mask == mask
+    with pytest.raises(StructuralError):
+        GroupSubset.from_mask(g, 1 << g.order)
+    with pytest.raises(StructuralError):
+        GroupSubset.from_mask(g, -1)
+
+
+def test_full_mask_roundtrip_at_order_2_20():
+    g = parse_group("f2^20")
+    full = (1 << g.order) - 1
+    assert GroupSubset.from_mask(g, full).size == g.order
+    assert GroupSubset.full(g).mask == full
+
+
 def test_set_algebra_matches_python_sets(small_group, rnd):
     g = small_group
     for _ in range(50):
