@@ -15,9 +15,11 @@ extract the rows of large deviation (|sigma_A(X,{y})| >= eps/2), greedily
 pack translates X + y with pairwise-small overlap, and chain the two.  Each
 step asserts the counting inequality it is meant to witness.
 
-A enters only through row_edge_counts, the vector c(y) = |A ∩ (X + y)| over
-y in Y.  Edges are its sum, so one pass fixes sigma, the deviating rows and
-every per-row check of the pipeline.
+Apart from the restriction draws, A enters only through row_edge_counts, the
+vector c(y) = |A ∩ (X + y)| over y in Y.  Edges are its sum, so one pass
+fixes sigma, the deviating rows and every per-row check of the pipeline.
+The restriction draws, batched over many A, read edges as the inner product
+<1_A, r_{X+Y}> with the representation counts instead.
 """
 
 from __future__ import annotations
@@ -381,47 +383,81 @@ def restriction_sample(
     """Draw uniform S in X and T in Y at deviation-preserving sizes.
 
     s = ceil(2000 log N / eps^4) and t = ceil(K |Y| eps^2 / (10 log N)),
-    clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).
+    clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).  This is
+    the one-draw case of the batched draws run_restriction_mc makes.
     """
     eps = epsilon_in(epsilon, Fraction(1))
+    if a is not None and a.group != x.group:
+        raise StructuralError("A, X, Y must share one group")
+    plan = _restriction_plan(x, y, eps)
+    seeds = np.array([int(seed) & rng._MASK], dtype=np.uint64)
+    s_rows, t_rows, energy_ok, deviation_ok = _restriction_draws(
+        x, y, plan, seeds, None if a is None else a.bits[None]
+    )
+    return RestrictionDraw(
+        s_subset=GroupSubset.from_indices(x.group, s_rows[0]),
+        t_subset=GroupSubset.from_indices(x.group, t_rows[0]),
+        params=plan[0],
+        energy_check=energy_ok[0],
+        deviation_check=None if deviation_ok is None else deviation_ok[0],
+    )
+
+
+def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction):
+    """(params, r_{X+Y}, E(X, Y)): what every restriction draw from (X, Y) shares."""
     if x.size == 0 or y.size == 0:
         raise StructuralError("X and Y must be nonempty")
-    g = x.group
-    log_order = math.log(g.order)
-    energy = additive_energy(x, y)
+    log_order = math.log(x.group.order)
+    rep = subsets.rep_function(x, y)
+    energy = subsets._sum_of_squares(rep)
     ratio = Fraction(x.size**2 * y.size, energy)
     eps_f = float(eps)
     s_raw = math.ceil(2000.0 * log_order / eps_f**4)
     t_raw = math.ceil(float(ratio) * y.size * eps_f**2 / (10.0 * log_order))
-    s = max(1, min(s_raw, x.size))
-    t = max(1, min(t_raw, y.size))
     params = RestrictionParams(
-        x_sample_size=s,
-        y_sample_size=t,
+        x_sample_size=max(1, min(s_raw, x.size)),
+        y_sample_size=max(1, min(t_raw, y.size)),
         y_threshold=y.size,
         energy_ratio=ratio,
         log_order=log_order,
     )
-    s_idx = rng.sample_without_replacement(x.indices, s, rng.derive_seed(seed, 1))
-    t_idx = rng.sample_without_replacement(y.indices, t, rng.derive_seed(seed, 2))
-    s_sub = GroupSubset.from_indices(g, s_idx)
-    t_sub = GroupSubset.from_indices(g, t_idx)
+    return params, rep.values, energy
 
-    e_st = additive_energy(s_sub, t_sub)
+
+def _restriction_draws(x: GroupSubset, y: GroupSubset, plan, seeds: np.ndarray, a_bits=None):
+    """S and T index rows and both checks of the draws keyed by seeds.
+
+    Draw i samples S with derive_seed(seeds[i], 1) and T with
+    derive_seed(seeds[i], 2).  Its representation counts r_i = r_{S_i + T_i}
+    give E(S_i, T_i) = <r_i, r_i>; against the A row a_bits[i] they give
+    edges(S_i, T_i) = <A_i, r_i>, and edges(X, Y) = <A_i, r_{X+Y}>.
+    Returns (S rows, T rows, energy checks, deviation checks or None).
+    """
+    params, r_xy, energy = plan
+    s, t = params.x_sample_size, params.y_sample_size
+    xy = x.size * y.size
+    draw_seeds = rng.derive_seed_array(seeds[:, None], np.arange(1, 3))
+    s_rows = rng.sample_rows(x.indices, s, draw_seeds[:, 0])
+    t_rows = rng.sample_rows(y.indices, t, draw_seeds[:, 1])
+    r = subsets._rep_rows(x.group, s_rows, t_rows)
     # E(S,T) * |X|^2 |Y|^2 <= 2 s t |X|^2 |Y|^2 + 2 s^2 t^2 E(X,Y), in integers
-    lhs = e_st * x.size**2 * y.size**2
-    rhs = 2 * s * t * x.size**2 * y.size**2 + 2 * s**2 * t**2 * energy
-    energy_check = lhs <= rhs
-
-    deviation_check: bool | None = None
-    if a is not None:
-        big = edge_density_deviation(a, x, y).sigma
-        small = edge_density_deviation(a, s_sub, t_sub).sigma
-        deviation_check = (big - small) ** 2 <= Fraction(36 * y.size, s * t)
-    return RestrictionDraw(
-        s_subset=s_sub,
-        t_subset=t_sub,
-        params=params,
-        energy_check=energy_check,
-        deviation_check=deviation_check,
+    rhs = 2 * s * t * xy**2 + 2 * s**2 * t**2 * energy
+    energy_ok = [
+        subsets._sum_of_squares(subsets.RepFunction(row, s, t)) * xy**2 <= rhs for row in r
+    ]
+    if a_bits is None:
+        return s_rows, t_rows, energy_ok, None
+    big = a_bits @ r_xy
+    small = np.einsum("ij,ij->i", r, a_bits)
+    check(
+        0 <= big.min() and big.max() <= xy and 0 <= small.min() and small.max() <= s * t,
+        "sigma must lie in [-1/2, 1/2]",
     )
+    # |sigma_A(X,Y) - sigma_A(S,T)|^2 <= 36 |Y| / (s t): the difference is
+    # (e_XY s t - e_ST |X||Y|) / (|X||Y| s t), so square and clear denominators
+    bound = 36 * y.size * xy**2 * s * t
+    deviation_ok = [
+        (e_big * s * t - e_small * xy) ** 2 <= bound
+        for e_big, e_small in zip(big.tolist(), small.tolist())
+    ]
+    return s_rows, t_rows, energy_ok, deviation_ok

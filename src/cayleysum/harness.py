@@ -8,29 +8,37 @@ config reproduces it byte for byte.  Wall-clock data lives in a separate
 
 Tail-bound experiments take their theoretical reference values from the
 bounds module; nothing here re-derives a formula.
+
+The Monte Carlo runners process trials in chunks of max(1, _MC_BITS // N)
+trials.  A chunk derives all its trial seeds in array passes and draws all
+its A rows with one bit_matrix call.  The sampled-set runners then take one
+stacked count r_t = r_{X_t + Y_t} per trial and read every quantity off it
+as an inner product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The X,
+Y, S and T draws stay one seeded random.Random sample per set, as they were
+before trials were batched, so the random stream and every report byte are
+unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from statistics import median
 
 import numpy as np
 
-from . import bounds, deviation, rng
+from . import bounds, deviation, rng, subsets
 from .deviation import (
     edge_density_deviation,
     epsilon_in,
     greedy_low_overlap_packing,
     random_subset,
-    restriction_sample,
 )
 from .errors import StructuralError, check
 from .groups import GroupSpec, parse_group
@@ -48,7 +56,8 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
-_MC_CHUNK = 1 << 13
+# bits of A per Monte Carlo chunk: max(1, _MC_BITS // N) trials, so 8192 at N = 256
+_MC_BITS = 1 << 21
 _WORST_CASE_BLOCK = 1 << 9  # Gray-code subsets per bit-matrix product
 _WORST_CASE_ORDER_CAP = 16
 _Z95 = 1.959963984540054
@@ -127,6 +136,35 @@ def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
     return GroupSubset.from_indices(g, np.arange(n))
 
 
+def _chunks(trials: int, order: int):
+    """Trial ranges [lo, hi) of at most max(1, _MC_BITS // order) trials each."""
+    step = max(1, _MC_BITS // order)
+    for lo in range(0, trials, step):
+        yield lo, min(lo + step, trials)
+
+
+def _trial_seeds(master: int, lo: int, hi: int, streams: int) -> np.ndarray:
+    """derive_seed(derive_seed(master, t), j) at row t - lo and column j.
+
+    t runs over [lo, hi) and j over [0, streams).
+    """
+    bases = rng.derive_seed_array(master, np.arange(lo, hi))
+    return rng.derive_seed_array(bases[:, None], np.arange(streams))
+
+
+def _independence_rows(g: GroupSpec) -> np.ndarray:
+    """Index rows of two disjoint translates of {0, 1}: by 2 and 4 when N >= 5,
+    where they are always disjoint, else by the first disjoint pair."""
+    pairs = [(2, 4)] if g.order >= 5 else itertools.combinations(range(g.order), 2)
+    for pair in pairs:
+        rows = g.pairsum_matrix(np.array(pair), np.arange(2))
+        if len(set(rows.flat)) == 4:
+            return rows
+    raise StructuralError(
+        f"N={g.order} has no two disjoint translates of a 2-element set for the independence arm"
+    )
+
+
 def _sampled_set(g: GroupSpec, size: int, seed: int) -> GroupSubset:
     """Seeded uniform size-element subset of g (positions drawn without replacement)."""
     return GroupSubset.from_indices(g, rng.sample_without_replacement(range(g.order), size, seed))
@@ -171,11 +209,9 @@ def run_joint_deviation_mc(
     pair_threshold = -(-4 * num // den)
     successes = {k: 0 for k in ks}
     indep_hits = 0
-    indep_rows = g.pairsum_matrix(np.array([2, 4]), np.arange(2))
-    done = 0
-    while done < trials:
-        count = min(_MC_CHUNK, trials - done)
-        seeds = rng.derive_seed_array(seed, np.arange(done, done + count))
+    indep_rows = _independence_rows(g)
+    for lo, hi in _chunks(trials, g.order):
+        seeds = rng.derive_seed_array(seed, np.arange(lo, hi))
         bits = rng.bit_matrix(seeds, g.order)
         counts = bits[:, gather].sum(axis=2, dtype=np.int64)
         events = np.abs(2 * counts - n) >= row_threshold
@@ -184,7 +220,6 @@ def run_joint_deviation_mc(
         pair = bits[:, indep_rows].sum(axis=2, dtype=np.int64)
         pair_events = np.abs(2 * pair - 2) >= pair_threshold
         indep_hits += int(pair_events.all(axis=1).sum())
-        done += count
 
     per_k = []
     for k in ks:
@@ -244,7 +279,15 @@ def run_sigma_tail_mc(
     trials: int = 2000,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Distribution of |sigma| across random (A, X, Y) draws per size tier."""
+    """Distribution of |sigma| across random (A, X, Y) draws per size tier.
+
+    Trial t of tier i keys A, X and Y by derive_seed(base, 0), (base, 1) and
+    (base, 2) with base = derive_seed(derive_seed(seed, 1000 + i), t).  A
+    chunk of trials takes its A rows from one bit_matrix call and its
+    representation counts r_t = r_{X_t + Y_t} from one stacked count, so
+    edges_t = <A_t, r_t> and |sigma_t| = |2 edges_t - |X||Y|| / (2 |X||Y|),
+    kept as integer numerators until the median and maximum.
+    """
     started = time.monotonic()
     g = parse_group(group)
     if g.order > 1 << 16:
@@ -258,16 +301,21 @@ def run_sigma_tail_mc(
 
     tier_rows = []
     for i, (sx, sy) in enumerate(tiers):
-        tier_seed = rng.derive_seed(seed, 1000 + i)
-        values = []
-        for t in range(trials):
-            base = rng.derive_seed(tier_seed, t)
-            a = random_subset(g, rng.derive_seed(base, 0)).a
-            x = _sampled_set(g, sx, rng.derive_seed(base, 1))
-            y = _sampled_set(g, sy, rng.derive_seed(base, 2))
-            values.append(abs(edge_density_deviation(a, x, y).sigma))
-        med = median(values)
-        peak = max(values)
+        pairs = sx * sy
+        spread = np.empty(trials, dtype=np.int64)  # |2 edges - |X||Y||
+        for lo, hi in _chunks(trials, g.order):
+            seeds = _trial_seeds(rng.derive_seed(seed, 1000 + i), lo, hi, 3)
+            bits = rng.bit_matrix(seeds[:, 0], g.order)
+            xs = rng.sample_rows(range(g.order), sx, seeds[:, 1])
+            ys = rng.sample_rows(range(g.order), sy, seeds[:, 2])
+            edges = np.einsum("ij,ij->i", subsets._rep_rows(g, xs, ys), bits)
+            spread[lo:hi] = np.abs(2 * edges - pairs)
+        check(bool((spread <= pairs).all()), "sigma must lie in [-1/2, 1/2]")
+        spread.sort()
+        # statistics.median of the exact |sigma| values: the middle one, or
+        # the mean of the middle two
+        med = Fraction(int(spread[trials // 2]) + int(spread[(trials - 1) // 2]), 4 * pairs)
+        peak = Fraction(int(spread[-1]), 2 * pairs)
         tier_rows.append(
             {
                 "x_size": sx,
@@ -302,32 +350,42 @@ def run_restriction_mc(
 ) -> ExperimentReport:
     """Frequency with which the seeded restriction draw keeps energy and sigma.
 
-    The two per-draw checks hold with positive probability, not always; the
-    smoke threshold asks the joint frequency to reach 1/2.
+    X and Y are drawn once, with derive_seed(seed, 1) and (seed, 2), and
+    r_{X+Y} and E(X, Y) = <r, r> are computed once.  Trial t keys A by
+    derive_seed(base, 0) and the draw of S and T by derive_seed(base, 1),
+    with base = derive_seed(seed, 100 + t).  Chunks of trials run as
+    batched restriction draws: sigma_A(X, Y) for every A row of a chunk is
+    one product with r_{X+Y}.  The two per-draw checks hold with positive
+    probability, not always; the smoke threshold asks the joint frequency
+    to reach 1/2.
     """
     started = time.monotonic()
     g = parse_group(group)
     eps = epsilon_in(epsilon)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
+    for name, size in (("x_size", x_size), ("y_size", y_size)):
+        if not 1 <= size <= g.order:
+            raise StructuralError(f"{name} must lie in [1, {g.order}], got {size}")
     x = _sampled_set(g, x_size, rng.derive_seed(seed, 1))
     y = _sampled_set(g, y_size, rng.derive_seed(seed, 2))
+    plan = deviation._restriction_plan(x, y, eps)
     energy_ok = 0
     deviation_ok = 0
     joint = 0
-    params_echo = None
-    for t in range(trials):
-        base = rng.derive_seed(seed, 100 + t)
-        a = random_subset(g, rng.derive_seed(base, 0)).a
-        draw = restriction_sample(x, y, eps, rng.derive_seed(base, 1), a=a)
-        params_echo = draw.params.to_json()
-        energy_ok += draw.energy_check
-        deviation_ok += bool(draw.deviation_check)
-        joint += draw.energy_check and bool(draw.deviation_check)
+    for lo, hi in _chunks(trials, g.order):
+        seeds = _trial_seeds(seed, 100 + lo, 100 + hi, 2)
+        bits = rng.bit_matrix(seeds[:, 0], g.order)
+        _, _, energy_checks, deviation_checks = deviation._restriction_draws(
+            x, y, plan, seeds[:, 1], bits
+        )
+        energy_ok += sum(energy_checks)
+        deviation_ok += sum(deviation_checks)
+        joint += sum(e and d for e, d in zip(energy_checks, deviation_checks))
     freq = joint / trials
     lo, hi = wilson_interval(joint, trials)
     results = {
-        "params": params_echo,
+        "params": plan[0].to_json(),
         "energy_check_freq": energy_ok / trials,
         "deviation_check_freq": deviation_ok / trials,
         "joint_freq": freq,

@@ -31,6 +31,7 @@ __all__ = [
     "bernoulli_bits",
     "bit_matrix",
     "sample_without_replacement",
+    "sample_rows",
 ]
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -77,15 +78,23 @@ def bernoulli_bits(seed: int, n_bits: int) -> np.ndarray:
     return bit_matrix(np.array([seed & _MASK], dtype=np.uint64), n_bits)[0]
 
 
-def derive_seed_array(master: int, indices) -> np.ndarray:
-    """Vector of derive_seed(master, t); indices is a count or an index array."""
+def derive_seed_array(master, indices) -> np.ndarray:
+    """derive_seed(master, t), broadcast over masters and indices.
+
+    master is a seed or an array of seeds; indices is a count (meaning
+    0, 1, ..., count - 1) or an index array.
+    """
     if isinstance(indices, (int, np.integer)):
         idx = np.arange(1, int(indices) + 1, dtype=np.uint64)
     else:
         idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
+    if isinstance(master, (int, np.integer)):
+        master = np.uint64(int(master) & _MASK)
+    else:
+        master = np.asarray(master, dtype=np.uint64)
     with np.errstate(over="ignore"):
         inner = _splitmix64_np(idx * np.uint64(GAMMA))
-        return _splitmix64_np(np.uint64(master & _MASK) + inner)
+        return _splitmix64_np(master + inner)
 
 
 def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
@@ -101,3 +110,9 @@ def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> n
     if isinstance(pool, range):
         return np.sort(pool.start + pool.step * chosen)
     return np.sort(np.asarray(pool)[chosen])
+
+
+def sample_rows(pool: np.ndarray | range, k: int, seeds: np.ndarray) -> np.ndarray:
+    """sample_without_replacement(pool, k, seed), one row per seed; shape (len(seeds), k)."""
+    rows = [sample_without_replacement(pool, k, seed) for seed in np.asarray(seeds).tolist()]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)

@@ -15,6 +15,10 @@ is a functional of one group convolution, computed by one of two backends:
 * transform: numpy's rfftn/irfftn over the moduli shape, rounded to
   integers, in O(N log N) whatever the sizes of X and Y.
 
+_rep_rows counts a whole stack of pairs (X_i, Y_i) at once, one row of
+representation counts per pair, with the same two backends: the Monte Carlo
+runners take one stack per chunk of trials.
+
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
 it.  The transform result is kept only when it is certified exact: an a
@@ -300,22 +304,23 @@ def _transform_error_bound(order: int, norm_product: float) -> float:
 def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """(1_F * 1_H)(z) for every index z, from indicator vectors f and h, by rfftn.
 
-    Returns None when the float result cannot be certified exact; the caller
-    then computes pairwise.
+    f and h may also be equal-shape stacks of indicator rows, one convolution
+    per row.  Returns None when the float result cannot be certified exact;
+    the caller then computes pairwise.
     """
-    f_size, h_size = int(np.count_nonzero(f)), int(np.count_nonzero(h))
-    if _transform_error_bound(group.order, math.sqrt(f_size * h_size)) >= 0.25:
+    sizes = np.count_nonzero(f, axis=-1) * np.count_nonzero(h, axis=-1)
+    if _transform_error_bound(group.order, math.sqrt(int(np.max(sizes)))) >= 0.25:
         return None
-    shape = group.moduli
-    axes = tuple(range(len(shape)))
+    shape = f.shape[:-1] + group.moduli
+    axes = tuple(range(f.ndim - 1, len(shape)))
     spectrum = np.fft.rfftn(f.reshape(shape), axes=axes)
     spectrum *= np.fft.rfftn(h.reshape(shape), axes=axes)
-    values = np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
+    values = np.fft.irfftn(spectrum, s=group.moduli, axes=axes).reshape(f.shape)
     rounded = np.rint(values)
     if not np.abs(values - rounded).max() < 0.25:
         return None
     counts = rounded.astype(np.int64)
-    if int(counts.sum()) != f_size * h_size:
+    if not np.array_equal(counts.sum(axis=-1), sizes):
         return None
     return counts
 
@@ -334,15 +339,50 @@ def rep_function(x: GroupSubset, y: GroupSubset) -> RepFunction:
     return RepFunction(values=counts, x_size=x_size, y_size=y_size)
 
 
-def additive_energy(x: GroupSubset, y: GroupSubset) -> int:
-    """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly."""
-    rep = rep_function(x, y)
+def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """r_{X_i + Y_i} for each row i of the index matrices xs and ys; shape (len(xs), N).
+
+    The cost model picks one backend for the whole stack from one row's
+    |X_i||Y_i| pairs: a batched transform, or the pair sums of whole rows
+    (of X-row blocks when one row is wider) in blocks of at most _PAIR_BLOCK
+    sums and bins, each bincounted once at row offsets i N.
+    """
+    rows, n = len(xs), group.order
+    width = xs.shape[1] * ys.shape[1]
+    if _transform_cheaper(group, width):
+        f = np.zeros((rows, n), dtype=bool)
+        h = np.zeros((rows, n), dtype=bool)
+        f[np.arange(rows)[:, None], xs] = True
+        h[np.arange(rows)[:, None], ys] = True
+        counts = _exact_convolution(group, f, h)
+        if counts is not None:
+            return counts
+    counts = np.zeros((rows, n), dtype=np.int64)
+    row_step = max(1, _PAIR_BLOCK // max(width, n))
+    x_step = max(1, _PAIR_BLOCK // max(1, ys.shape[1]))
+    for lo in range(0, rows, row_step):
+        hi = min(lo + row_step, rows)
+        offsets = (np.arange(hi - lo, dtype=np.int64) * n)[:, None, None]
+        for x_lo in range(0, xs.shape[1], x_step):
+            sums = group._combine(xs[lo:hi, x_lo : x_lo + x_step, None], ys[lo:hi, None, :])
+            sums += offsets
+            counts[lo:hi] += np.bincount(sums.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
+    return counts
+
+
+def _sum_of_squares(rep: RepFunction) -> int:
+    """sum_z r(z)^2, exactly."""
     v = rep.values
     # sum r^2 <= max r * sum r <= min(|X|, |Y|) |X||Y|: below 2^63 int64 holds it
     if min(rep.x_size, rep.y_size) * rep.x_size * rep.y_size < 1 << 63:
         return int(np.dot(v, v))
     histogram = np.bincount(v)
     return sum(int(c) ** 2 * int(histogram[c]) for c in np.flatnonzero(histogram))
+
+
+def additive_energy(x: GroupSubset, y: GroupSubset) -> int:
+    """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly."""
+    return _sum_of_squares(rep_function(x, y))
 
 
 def additive_energy_oracle(x: GroupSubset, y: GroupSubset) -> int:

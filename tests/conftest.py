@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cayleysum.groups import parse_group
+from cayleysum.rng import GAMMA, derive_seed, splitmix64
 from cayleysum.subsets import GroupSubset
 
 
@@ -175,6 +177,73 @@ def oracle_greedy_finder(moduli, a_idx, b_idx) -> list:
         rest = [b for b in sorted(b_idx) if b not in picks]
         picks.append(max(rest, key=lambda b: oracle_energy(moduli, a_idx, picks + [b])))
     return picks
+
+
+# -------------------------------------------------------- Monte Carlo oracles
+# The seeded streams are redrawn from the documented contract in cayleysum.rng
+# (scalar derive_seed, splitmix64 words, random.Random(seed).sample), one
+# trial at a time, as the runners did before they batched their trials.
+
+def oracle_fair_coins(seed: int, order: int) -> list:
+    """Indices e with bit e mod 64 of splitmix64(seed + (e // 64 + 1) GAMMA) set."""
+    mask = (1 << 64) - 1
+    return [
+        e for e in range(order)
+        if splitmix64((seed + (e // 64 + 1) * GAMMA) & mask) >> (e % 64) & 1
+    ]
+
+
+def oracle_sample(pool, k: int, seed: int) -> list:
+    pool = list(pool)
+    return sorted(pool[i] for i in random.Random(seed).sample(range(len(pool)), k))
+
+
+def _oracle_sigma(moduli, a_idx, x_idx, y_idx) -> Fraction:
+    edges, pairs = oracle_sigma_parts(moduli, a_idx, x_idx, y_idx)
+    return Fraction(edges, pairs) - Fraction(1, 2)
+
+
+def oracle_sigma_tail(moduli, tiers, trials: int, seed: int) -> list:
+    """Per tier, (median, max) of |sigma_A(X, Y)| over the seeded trials."""
+    order = math.prod(moduli)
+    out = []
+    for i, (sx, sy) in enumerate(tiers):
+        tier_seed = derive_seed(seed, 1000 + i)
+        values = []
+        for t in range(trials):
+            base = derive_seed(tier_seed, t)
+            a = oracle_fair_coins(derive_seed(base, 0), order)
+            x = oracle_sample(range(order), sx, derive_seed(base, 1))
+            y = oracle_sample(range(order), sy, derive_seed(base, 2))
+            values.append(abs(_oracle_sigma(moduli, a, x, y)))
+        out.append((statistics.median(values), max(values)))
+    return out
+
+
+def oracle_restriction(moduli, x_size: int, y_size: int, eps: Fraction, trials: int, seed: int):
+    """((s, t, K), per-trial (A, S, T, energy check, deviation check))."""
+    order = math.prod(moduli)
+    x = oracle_sample(range(order), x_size, derive_seed(seed, 1))
+    y = oracle_sample(range(order), y_size, derive_seed(seed, 2))
+    energy = oracle_energy(moduli, x, y)
+    ratio = Fraction(x_size**2 * y_size, energy)
+    log_order = math.log(order)
+    s = max(1, min(math.ceil(2000.0 * log_order / float(eps) ** 4), x_size))
+    t = max(1, min(math.ceil(float(ratio) * y_size * float(eps) ** 2 / (10.0 * log_order)), y_size))
+    scale = x_size**2 * y_size**2
+    draws = []
+    for trial in range(trials):
+        base = derive_seed(seed, 100 + trial)
+        a = oracle_fair_coins(derive_seed(base, 0), order)
+        draw = derive_seed(base, 1)
+        s_idx = oracle_sample(x, s, derive_seed(draw, 1))
+        t_idx = oracle_sample(y, t, derive_seed(draw, 2))
+        energy_ok = oracle_energy(moduli, s_idx, t_idx) * scale <= (
+            2 * s * t * scale + 2 * s**2 * t**2 * energy
+        )
+        gap = _oracle_sigma(moduli, a, x, y) - _oracle_sigma(moduli, a, s_idx, t_idx)
+        draws.append((a, s_idx, t_idx, energy_ok, gap**2 <= Fraction(36 * y_size, s * t)))
+    return (s, t, ratio), draws
 
 
 # ------------------------------------------------------------------ sampling

@@ -275,6 +275,25 @@ def test_fuzz_found_inputs(capsys, argv, code):
 
 
 @pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # the independence arm needs two disjoint translates of {0, 1}: z2
+        # has none, f2^2 has rows 0 and 2 where index 4 does not exist
+        (("mc", "--kind", "joint-deviation", "--group", "z2", "--n", "2", "--ks", "1",
+          "--trials", "2"), 2, "independence arm"),
+        (("mc", "--kind", "joint-deviation", "--group", "f2^2", "--n", "2", "--ks", "1",
+          "--trials", "2"), 0, ""),
+        (("mc", "--kind", "restriction", "--y-size", "-3"), 2, "y_size must lie in [1, 256]"),
+        (("mc", "--kind", "restriction", "--x-size", "0"), 2, "x_size must lie in [1, 256]"),
+    ],
+)
+def test_mc_found_inputs(capsys, argv, code, message):
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("scan", "--group", "z64"),

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from cayleysum.harness import (
 )
 from cayleysum.subsets import GroupSubset
 
-from conftest import oracle_worst_case
+from conftest import oracle_restriction, oracle_sigma_tail, oracle_worst_case
 
 
 def test_wilson_interval_basics():
@@ -269,3 +270,93 @@ def test_deviation_scan_counts_rows_once(monkeypatch, group, seed, sizes, ok, co
     assert calls["_exact_convolution"] == convolutions
     if ok:
         assert calls["additive_energy"] <= 2
+
+
+@st.composite
+def _mc_inputs(draw):
+    group = draw(st.sampled_from(["z5", "z12", "f2^4", "2,4", "3,5", "4,4,4"]))
+    g = parse_group(group)
+    size = st.integers(1, min(g.order, 9))
+    return (
+        g,
+        group,
+        draw(st.lists(st.tuples(size, size), min_size=1, max_size=3)),
+        (draw(size), draw(size)),
+        draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 8)])),
+        draw(st.integers(1, 12)),
+        draw(st.integers(-3, 2**64)),
+    )
+
+
+# chunks of 1, 3 and 7 trials cross chunk boundaries at every trial count,
+# each count backend is forced in turn, and pair blocks of 5 sums split rows
+# of the stacked pairwise count.  At these sizes both restriction
+# checks almost always hold, so its draws are compared one by one.
+@settings(max_examples=25, deadline=None, database=None)
+@given(case=_mc_inputs())
+def test_batched_mc_matches_per_trial_oracles(case):
+    g, group, tiers, (x_size, y_size), eps, trials, seed = case
+    sigma_tail = oracle_sigma_tail(g.moduli, tiers, trials, seed)
+    (s, t, ratio), draws = oracle_restriction(g.moduli, x_size, y_size, eps, trials, seed)
+    restriction_draws = deviation._restriction_draws
+    seen = []
+
+    def spy(x, y, plan, seeds, a_bits=None):
+        out = restriction_draws(x, y, plan, seeds, a_bits)
+        for bits, *row in zip(a_bits, *out):
+            seen.append((np.flatnonzero(bits).tolist(), *(v.tolist() for v in row[:2]), *row[2:]))
+        return out
+
+    digests = Counter()
+    for rows, backend, block in itertools.product(
+        (1, 3, 7), ("pairwise", "transform"), (5, subsets._PAIR_BLOCK)
+    ):
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_MC_BITS", rows * g.order)
+            mp.setattr(subsets, "_PAIR_BLOCK", block)
+            mp.setattr(subsets, "_transform_cheaper", lambda group, pairs: backend == "transform")
+            mp.setattr(deviation, "_restriction_draws", spy)
+            tail = run_sigma_tail_mc(group, tiers=tiers, trials=trials, seed=seed)
+            restriction = run_restriction_mc(group, x_size, y_size, eps, trials=trials, seed=seed)
+            joint = run_joint_deviation_mc(
+                group, n=x_size, epsilon=eps, ks=(1,), trials=trials, seed=seed
+            )
+        assert [
+            (Fraction(row["median_abs_sigma_exact"]), Fraction(row["max_abs_sigma_exact"]))
+            for row in tail.results["tiers"]
+        ] == sigma_tail
+        assert seen == [tuple(d) for d in draws]
+        res = restriction.results
+        params = res["params"]
+        assert (params["x_sample_size"], params["y_sample_size"]) == (s, t)
+        assert Fraction(params["energy_ratio"]) == ratio
+        assert res["energy_check_freq"] == sum(d[3] for d in draws) / trials
+        assert res["deviation_check_freq"] == sum(d[4] for d in draws) / trials
+        assert res["joint_freq"] == sum(d[3] and d[4] for d in draws) / trials
+        digests.update(rep.canonical_bytes() for rep in (tail, restriction, joint))
+    assert sorted(digests.values()) == [12, 12, 12]
+
+
+def test_restriction_sizes_checked_up_front():
+    for sizes, name in (({"y_size": -3}, "y_size"), ({"x_size": 0}, "x_size"),
+                        ({"x_size": 257}, "x_size")):
+        with pytest.raises(StructuralError, match=name):
+            run_restriction_mc("f2^8", trials=2, **sizes)
+
+
+def test_mc_runners_skip_per_trial_set_work(monkeypatch):
+    calls = _count_calls(
+        monkeypatch,
+        subsets.rep_function,
+        subsets.additive_energy,
+        deviation.edge_density_deviation,
+        deviation.restriction_sample,
+    )
+    monkeypatch.setattr(harness, "_MC_BITS", 7 * 256)  # three chunks of 20 trials
+    run_restriction_mc("f2^8", trials=20, seed=1)
+    # one rep_function call, for the fixed pair (X, Y); no per-trial energies or sigmas
+    assert calls == Counter({"rep_function": 1})
+    calls.clear()
+    run_sigma_tail_mc("4,4,4,4", tiers=((4, 4), (8, 8)), trials=20, seed=1)
+    assert not calls

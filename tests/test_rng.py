@@ -31,6 +31,28 @@ def test_derive_seed_array_matches_scalar():
     assert [int(v) for v in offset] == [rng.derive_seed(7, i) for i in range(10, 20)]
 
 
+def test_derive_seed_array_broadcasts_masters():
+    masters = rng.derive_seed_array(11, 6)
+    grid = rng.derive_seed_array(masters[:, None], np.arange(3))
+    assert grid.shape == (6, 3)
+    assert [[int(v) for v in row] for row in grid] == [
+        [rng.derive_seed(int(m), j) for j in range(3)] for m in masters
+    ]
+    assert [int(v) for v in rng.derive_seed_array(masters, np.arange(6))] == [
+        rng.derive_seed(int(m), i) for i, m in enumerate(masters)
+    ]
+    # a negative master is taken mod 2^64, as derive_seed takes it
+    assert int(rng.derive_seed_array(-5, [4])[0]) == rng.derive_seed(-5, 4)
+
+
+def test_sample_rows_matches_scalar_draws():
+    seeds = rng.derive_seed_array(2, 4)
+    rows = rng.sample_rows(range(10, 40), 5, seeds)
+    assert rows.shape == (4, 5) and rows.dtype == np.int64
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, rng.sample_without_replacement(range(10, 40), 5, int(seed)))
+
+
 def test_bit_matrix_rows_match_bernoulli_bits():
     seeds = rng.derive_seed_array(3, 5)
     mat = rng.bit_matrix(seeds, 130)
