@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,19 +398,26 @@ def restriction_sample(
     return RestrictionDraw(
         s_subset=GroupSubset.from_indices(x.group, s_rows[0]),
         t_subset=GroupSubset.from_indices(x.group, t_rows[0]),
-        params=plan[0],
+        params=plan.params,
         energy_check=energy_ok[0],
         deviation_check=None if deviation_ok is None else deviation_ok[0],
     )
 
 
-def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction):
-    """(params, r_{X+Y}, E(X, Y)): what every restriction draw from (X, Y) shares."""
+class _RestrictionPlan(NamedTuple):
+    """What every restriction draw from (X, Y) shares."""
+
+    params: RestrictionParams
+    rep: np.ndarray  # r_{X+Y}
+    energy: int  # E(X, Y) = <r_{X+Y}, r_{X+Y}>
+
+
+def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction) -> _RestrictionPlan:
     if x.size == 0 or y.size == 0:
         raise StructuralError("X and Y must be nonempty")
     log_order = math.log(x.group.order)
-    rep = subsets.rep_function(x, y)
-    energy = subsets._sum_of_squares(rep)
+    rep = subsets.rep_function(x, y).values
+    (energy,) = subsets._squared_norms(rep[None], x.size, y.size)
     ratio = Fraction(x.size**2 * y.size, energy)
     eps_f = float(eps)
     s_raw = math.ceil(2000.0 * log_order / eps_f**4)
@@ -421,10 +429,12 @@ def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction):
         energy_ratio=ratio,
         log_order=log_order,
     )
-    return params, rep.values, energy
+    return _RestrictionPlan(params, rep, energy)
 
 
-def _restriction_draws(x: GroupSubset, y: GroupSubset, plan, seeds: np.ndarray, a_bits=None):
+def _restriction_draws(
+    x: GroupSubset, y: GroupSubset, plan: _RestrictionPlan, seeds: np.ndarray, a_bits=None
+):
     """S and T index rows and both checks of the draws keyed by seeds.
 
     Draw i samples S with derive_seed(seeds[i], 1) and T with
@@ -433,21 +443,18 @@ def _restriction_draws(x: GroupSubset, y: GroupSubset, plan, seeds: np.ndarray, 
     edges(S_i, T_i) = <A_i, r_i>, and edges(X, Y) = <A_i, r_{X+Y}>.
     Returns (S rows, T rows, energy checks, deviation checks or None).
     """
-    params, r_xy, energy = plan
-    s, t = params.x_sample_size, params.y_sample_size
+    s, t = plan.params.x_sample_size, plan.params.y_sample_size
     xy = x.size * y.size
     draw_seeds = rng.derive_seed_array(seeds[:, None], np.arange(1, 3))
     s_rows = rng.sample_rows(x.indices, s, draw_seeds[:, 0])
     t_rows = rng.sample_rows(y.indices, t, draw_seeds[:, 1])
     r = subsets._rep_rows(x.group, s_rows, t_rows)
     # E(S,T) * |X|^2 |Y|^2 <= 2 s t |X|^2 |Y|^2 + 2 s^2 t^2 E(X,Y), in integers
-    rhs = 2 * s * t * xy**2 + 2 * s**2 * t**2 * energy
-    energy_ok = [
-        subsets._sum_of_squares(subsets.RepFunction(row, s, t)) * xy**2 <= rhs for row in r
-    ]
+    rhs = 2 * s * t * xy**2 + 2 * s**2 * t**2 * plan.energy
+    energy_ok = [e * xy**2 <= rhs for e in subsets._squared_norms(r, s, t)]
     if a_bits is None:
         return s_rows, t_rows, energy_ok, None
-    big = a_bits @ r_xy
+    big = a_bits @ plan.rep
     small = np.einsum("ij,ij->i", r, a_bits)
     check(
         0 <= big.min() and big.max() <= xy and 0 <= small.min() and small.max() <= s * t,

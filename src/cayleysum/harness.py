@@ -9,8 +9,8 @@ config reproduces it byte for byte.  Wall-clock data lives in a separate
 Tail-bound experiments take their theoretical reference values from the
 bounds module; nothing here re-derives a formula.
 
-The Monte Carlo runners process trials in chunks of max(1, _MC_BITS // N)
-trials.  A chunk derives all its trial seeds in array passes and draws all
+The Monte Carlo runners process trials in chunks of about _MC_BITS bits of
+A, as bit_matrix unpacks them: 64 ceil(N / 64) bytes per trial.  A chunk derives all its trial seeds in array passes and draws all
 its A rows with one bit_matrix call.  The sampled-set runners then take one
 stacked count r_t = r_{X_t + Y_t} per trial and read every quantity off it
 as an inner product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The X,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import time
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
-# bits of A per Monte Carlo chunk: max(1, _MC_BITS // N) trials, so 8192 at N = 256
+# unpacked bits of A per Monte Carlo chunk: 8192 trials at N = 256
 _MC_BITS = 1 << 21
 _WORST_CASE_BLOCK = 1 << 9  # Gray-code subsets per bit-matrix product
 _WORST_CASE_ORDER_CAP = 16
@@ -137,8 +136,12 @@ def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
 
 
 def _chunks(trials: int, order: int):
-    """Trial ranges [lo, hi) of at most max(1, _MC_BITS // order) trials each."""
-    step = max(1, _MC_BITS // order)
+    """Trial ranges [lo, hi) whose A rows unpack to at most _MC_BITS bytes.
+
+    bit_matrix unpacks whole 64-bit words, one byte per bit, so a trial costs
+    64 ceil(order / 64) bytes; a range holds at least one trial.
+    """
+    step = max(1, _MC_BITS // (64 * -(-order // 64)))
     for lo in range(0, trials, step):
         yield lo, min(lo + step, trials)
 
@@ -154,10 +157,9 @@ def _trial_seeds(master: int, lo: int, hi: int, streams: int) -> np.ndarray:
 
 def _independence_rows(g: GroupSpec) -> np.ndarray:
     """Index rows of two disjoint translates of {0, 1}: by 2 and 4 when N >= 5,
-    where they are always disjoint, else by the first disjoint pair."""
-    pairs = [(2, 4)] if g.order >= 5 else itertools.combinations(range(g.order), 2)
-    for pair in pairs:
-        rows = g.pairsum_matrix(np.array(pair), np.arange(2))
+    else by 0 and 2, which are disjoint in z4 and 2,2, the only such N < 5."""
+    if g.order >= 4:
+        rows = g.pairsum_matrix(np.array((2, 4) if g.order >= 5 else (0, 2)), np.arange(2))
         if len(set(rows.flat)) == 4:
             return rows
     raise StructuralError(
@@ -385,7 +387,7 @@ def run_restriction_mc(
     freq = joint / trials
     lo, hi = wilson_interval(joint, trials)
     results = {
-        "params": plan[0].to_json(),
+        "params": plan.params.to_json(),
         "energy_check_freq": energy_ok / trials,
         "deviation_check_freq": deviation_ok / trials,
         "joint_freq": freq,

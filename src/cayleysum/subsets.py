@@ -9,15 +9,16 @@ kept as an independent oracle and never shares that code path.
 Every set-level count (representation counts, sumsets, edge and row counts)
 is a functional of one group convolution, computed by one of two backends:
 
-* pairwise: a reduction over _pair_sum_blocks, which streams the |X| x |Y|
-  matrix of index sums in row blocks of at most _PAIR_BLOCK entries, so the
-  temporary memory stays bounded however large X and Y are;
+* pairwise: a reduction over the |X| x |Y| matrix of index sums, streamed
+  in row blocks of at most _PAIR_BLOCK entries, so the temporary memory
+  stays bounded however large X and Y are;
 * transform: numpy's rfftn/irfftn over the moduli shape, rounded to
   integers, in O(N log N) whatever the sizes of X and Y.
 
-_rep_rows counts a whole stack of pairs (X_i, Y_i) at once, one row of
-representation counts per pair, with the same two backends: the Monte Carlo
-runners take one stack per chunk of trials.
+Representation counts come from one function, _rep_rows, which counts a
+whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
+its one-row case, and the Monte Carlo runners take one stack per chunk of
+trials.
 
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
@@ -327,16 +328,8 @@ def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.nda
 
 def rep_function(x: GroupSubset, y: GroupSubset) -> RepFunction:
     x._require_same_group(y)
-    g = x.group
-    x_size, y_size = x.size, y.size
-    counts = None
-    if _transform_cheaper(g, x_size * y_size):
-        counts = _exact_convolution(g, x.bits, y.bits)
-    if counts is None:
-        counts = np.zeros(g.order, dtype=np.int64)
-        for ps in _pair_sum_blocks(x, y):
-            counts += np.bincount(ps.ravel(), minlength=g.order)
-    return RepFunction(values=counts, x_size=x_size, y_size=y_size)
+    counts = _rep_rows(x.group, x.indices[None], y.indices[None])[0]
+    return RepFunction(values=counts, x_size=x.size, y_size=y.size)
 
 
 def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -370,19 +363,22 @@ def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _sum_of_squares(rep: RepFunction) -> int:
-    """sum_z r(z)^2, exactly."""
-    v = rep.values
+def _squared_norms(r: np.ndarray, x_size: int, y_size: int) -> list[int]:
+    """sum_z r_i(z)^2 for each row r_i of r, exactly; each row counts |X| x |Y| pairs."""
     # sum r^2 <= max r * sum r <= min(|X|, |Y|) |X||Y|: below 2^63 int64 holds it
-    if min(rep.x_size, rep.y_size) * rep.x_size * rep.y_size < 1 << 63:
-        return int(np.dot(v, v))
-    histogram = np.bincount(v)
-    return sum(int(c) ** 2 * int(histogram[c]) for c in np.flatnonzero(histogram))
+    if min(x_size, y_size) * x_size * y_size < 1 << 63:
+        return np.einsum("ij,ij->i", r, r).tolist()
+    norms = []
+    for row in r:
+        histogram = np.bincount(row)
+        norms.append(sum(int(c) ** 2 * int(histogram[c]) for c in np.flatnonzero(histogram)))
+    return norms
 
 
 def additive_energy(x: GroupSubset, y: GroupSubset) -> int:
     """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly."""
-    return _sum_of_squares(rep_function(x, y))
+    rep = rep_function(x, y)
+    return _squared_norms(rep.values[None], rep.x_size, rep.y_size)[0]
 
 
 def additive_energy_oracle(x: GroupSubset, y: GroupSubset) -> int:

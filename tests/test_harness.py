@@ -313,7 +313,7 @@ def test_batched_mc_matches_per_trial_oracles(case):
     ):
         seen.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_MC_BITS", rows * g.order)
+            mp.setattr(harness, "_MC_BITS", rows * 64 * -(-g.order // 64))
             mp.setattr(subsets, "_PAIR_BLOCK", block)
             mp.setattr(subsets, "_transform_cheaper", lambda group, pairs: backend == "transform")
             mp.setattr(deviation, "_restriction_draws", spy)
