@@ -358,7 +358,8 @@ def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         offsets = (np.arange(hi - lo, dtype=np.int64) * n)[:, None, None]
         for x_lo in range(0, xs.shape[1], x_step):
             sums = group._combine(xs[lo:hi, x_lo : x_lo + x_step, None], ys[lo:hi, None, :])
-            sums += offsets
+            if hi - lo > 1:  # one row needs no offset pass
+                sums += offsets
             counts[lo:hi] += np.bincount(sums.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
     return counts
 
