@@ -382,6 +382,7 @@ class ThresholdSearch(Record):
 
 
 _DEFAULT_BRACKETS = {"general": (0.7, 520.0), "exponent2": (0.2, 12.0)}
+_THRESHOLD_TOLERANCE = 1e-3  # bisection stops once the u bracket is this narrow
 
 
 def find_threshold(
@@ -389,7 +390,6 @@ def find_threshold(
     constants: dict | None = None,
     dps: int = DEFAULT_DPS,
     bracket: tuple | None = None,
-    tolerance: float = 1e-3,
 ) -> ThresholdSearch:
     """Bisect for the least u with an all-pass ledger at w = e^u, logN = e^w.
 
@@ -434,7 +434,7 @@ def find_threshold(
         raise GuardError(f"bracket high end u={hi} still fails; widen upward")
     lo_u, hi_u = lo, hi
     hi_entry = high
-    while hi_u - lo_u > tolerance:
+    while hi_u - lo_u > _THRESHOLD_TOLERANCE:
         mid = (lo_u + hi_u) / 2.0
         entry = probe(mid)
         if entry["all_pass"]:
@@ -446,7 +446,7 @@ def find_threshold(
         constants=consts,
         dps=dps,
         bracket=(lo, hi),
-        tolerance=tolerance,
+        tolerance=_THRESHOLD_TOLERANCE,
         probes=tuple(probes),
         passing_u=hi_u,
         passing_w=hi_entry["w"],

@@ -15,19 +15,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds, cascade
+from . import bounds, cascade, harness
 from .decomposition import energy_partition, find_structured_subset
 from .deviation import greedy_low_overlap_packing
 from .dissociation import additive_dimension, is_dissociated
 from .errors import GuardError, PropertyError, StructuralError
 from .groups import parse_group
-from .harness import (
-    run_deviation_scan,
-    run_joint_deviation_mc,
-    run_restriction_mc,
-    run_sigma_tail_mc,
-    run_worst_case_scan,
-)
+from .harness import run_deviation_scan, run_worst_case_scan
 from .subsets import GroupSubset, additive_energy, parse_subset
 
 __all__ = ["build_parser", "main"]
@@ -106,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bounds", help="evaluate a named bound")
     _add_common(p)
-    p.add_argument("--name", required=True, choices=sorted(_BOUND_ADAPTERS))
+    p.add_argument("--name", required=True, choices=sorted(_BOUNDS))
     p.add_argument("--params", nargs="*", default=[], help="key=val pairs")
 
     p = subs.add_parser("audit", help="proof-parameter cascade ledger")
@@ -143,83 +137,48 @@ def _kv_pairs(pairs: list[str]) -> dict:
     return out
 
 
-def _float_params(raw: dict, *names: str, optional: tuple = ()) -> dict:
-    missing = [n for n in names if n not in raw]
+# --name -> (bounds function, its parameters in call order, the optional ones,
+# the ones truncated to int); the function is looked up on the bounds module
+# at call time, and size-thresholds' kind is text
+_BOUNDS = {
+    "hoeffding": ("hoeffding_tail", ("deviation", "count"), (), ("count",)),
+    "joint-deviation": ("joint_deviation_bound", ("epsilon", "k", "n"), (), ("k", "n")),
+    "existential": ("existential_deviation_bounds", ("order", "epsilon", "n", "k"),
+                    (), ("n", "k")),
+    "low-energy": ("low_energy_deviation_bound", ("order", "epsilon", "r", "K", "constant"),
+                   ("constant",), ()),
+    "threshold": ("threshold_deviation_bound", ("order", "epsilon", "w", "constant"),
+                  ("constant",), ()),
+    "packed": ("packed_deviation_bound", ("epsilon", "m", "K"), (), ()),
+    "low-dim-count": ("low_dimension_count_bound", ("order", "n", "d"), (), ()),
+    "size-thresholds": ("size_thresholds", ("kind", "order", "w"), (), ()),
+}
+
+
+def _bound_doc(name: str, raw: dict) -> dict:
+    """Check raw key=val params against the _BOUNDS row, then evaluate the bound."""
+    func, params, optional, ints = _BOUNDS[name]
+    text = {}
+    if "kind" in params:  # checked before the numbers
+        if "kind" not in raw:
+            raise StructuralError("missing params: kind")
+        text["kind"] = raw.pop("kind")
+    missing = [n for n in params if n not in raw and n not in optional and n not in text]
     if missing:
         raise StructuralError(f"missing params: {', '.join(missing)}")
-    known = set(names) | set(optional)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(params))
     if unknown:
         raise StructuralError(f"unknown params: {', '.join(unknown)}")
-    values = {k: float(v) for k, v in raw.items() if k in known}
+    values = {k: float(v) for k, v in raw.items()}
     non_finite = sorted(k for k, v in values.items() if not math.isfinite(v))
     if non_finite:
         raise StructuralError(f"params must be finite: {', '.join(non_finite)}")
-    return values
-
-
-def _bound_hoeffding(raw):
-    p = _float_params(raw, "deviation", "count")
-    return {"value": bounds.hoeffding_tail(p["deviation"], int(p["count"]))}
-
-
-def _bound_joint(raw):
-    p = _float_params(raw, "epsilon", "k", "n")
-    return {"value": bounds.joint_deviation_bound(p["epsilon"], int(p["k"]), int(p["n"]))}
-
-
-def _bound_existential(raw):
-    p = _float_params(raw, "order", "epsilon", "n", "k")
-    return bounds.existential_deviation_bounds(
-        p["order"], p["epsilon"], int(p["n"]), int(p["k"])
-    ).to_json()
-
-
-def _bound_low_energy(raw):
-    p = _float_params(raw, "order", "epsilon", "r", "K", optional=("constant",))
-    return {
-        "value": bounds.low_energy_deviation_bound(
-            p["order"], p["epsilon"], p["r"], p["K"], p.get("constant", 1.0)
-        ),
-        "exponent": bounds.low_energy_exponent(p["order"], p["epsilon"], p["r"], p["K"]),
-    }
-
-
-def _bound_threshold(raw):
-    p = _float_params(raw, "order", "epsilon", "w", optional=("constant",))
-    return bounds.threshold_deviation_bound(
-        p["order"], p["epsilon"], p["w"], p.get("constant", 1.0)
-    ).to_json()
-
-
-def _bound_packed(raw):
-    p = _float_params(raw, "epsilon", "m", "K")
-    return {"value": bounds.packed_deviation_bound(p["epsilon"], p["m"], p["K"])}
-
-
-def _bound_low_dim_count(raw):
-    p = _float_params(raw, "order", "n", "d")
-    return bounds.low_dimension_count_bound(p["order"], p["n"], p["d"]).to_json()
-
-
-def _bound_size_thresholds(raw):
-    kind = raw.pop("kind", None)
-    if kind is None:
-        raise StructuralError("missing params: kind")
-    p = _float_params(raw, "order", "w")
-    return bounds.size_thresholds(kind, p["order"], p["w"]).to_json()
-
-
-_BOUND_ADAPTERS = {
-    "hoeffding": _bound_hoeffding,
-    "joint-deviation": _bound_joint,
-    "existential": _bound_existential,
-    "low-energy": _bound_low_energy,
-    "threshold": _bound_threshold,
-    "packed": _bound_packed,
-    "low-dim-count": _bound_low_dim_count,
-    "size-thresholds": _bound_size_thresholds,
-}
+    values.update({k: int(values[k]) for k in ints}, **text)
+    args = [values[n] for n in params if n in values]
+    result = getattr(bounds, func)(*args)
+    if name == "low-energy":
+        return {"value": result, "exponent": bounds.low_energy_exponent(*args[:4])}
+    return result.to_json() if hasattr(result, "to_json") else {"value": result}
 
 
 def _dispatch(args):
@@ -299,8 +258,7 @@ def _dispatch(args):
         return _dispatch_mc(args)
 
     if cmd == "bounds":
-        adapter = _BOUND_ADAPTERS[args.name]
-        doc = adapter(_kv_pairs(args.params))
+        doc = _bound_doc(args.name, _kv_pairs(args.params))
         return {"command": "bounds", "name": args.name, **doc}, None
 
     if cmd == "audit":
@@ -331,10 +289,12 @@ def _dispatch(args):
     raise StructuralError(f"unknown command {cmd!r}")
 
 
+# --kind -> (harness runner, the options it takes); the runner is looked up
+# on the harness module at call time
 _MC_RUNNERS = {
-    "joint-deviation": (run_joint_deviation_mc, ("group", "n", "epsilon", "ks", "trials")),
-    "sigma-tail": (run_sigma_tail_mc, ("group", "tiers", "trials")),
-    "restriction": (run_restriction_mc, ("group", "x_size", "y_size", "epsilon", "trials")),
+    "joint-deviation": ("run_joint_deviation_mc", ("group", "n", "epsilon", "ks", "trials")),
+    "sigma-tail": ("run_sigma_tail_mc", ("group", "tiers", "trials")),
+    "restriction": ("run_restriction_mc", ("group", "x_size", "y_size", "epsilon", "trials")),
 }
 
 
@@ -367,7 +327,7 @@ def _dispatch_mc(args):
         given["ks"] = tuple(int(k) for k in given["ks"].split(",") if k)
     if "tiers" in given:
         given["tiers"] = _parse_tiers(given["tiers"])
-    report = runner(seed=args.seed, **given)
+    report = getattr(harness, runner)(seed=args.seed, **given)
     return report.to_json(), report
 
 

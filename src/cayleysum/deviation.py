@@ -35,7 +35,7 @@ from . import rng, subsets
 from ._record import Record
 from .errors import StructuralError, check
 from .groups import Element, GroupSpec
-from .subsets import GroupSubset, _pair_sum_blocks, additive_energy
+from .subsets import GroupSubset, additive_energy
 
 __all__ = [
     "CayleySample",
@@ -143,9 +143,11 @@ def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarra
         conv = subsets._exact_convolution(g, a.bits, neg_x)
         if conv is not None:
             return conv[y.indices]
+    # pairwise: the x + y index matrix in row blocks of at most _PAIR_BLOCK sums
     counts = np.zeros(len(y.indices), dtype=np.int64)
-    for ps in _pair_sum_blocks(x, y):
-        counts += a.bits[ps].sum(axis=0)
+    step = max(1, subsets._PAIR_BLOCK // max(1, len(y.indices)))
+    for lo in range(0, len(x.indices), step):
+        counts += a.bits[g.pairsum_matrix(x.indices[lo : lo + step], y.indices)].sum(axis=0)
     return counts
 
 

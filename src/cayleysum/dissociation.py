@@ -50,11 +50,12 @@ SPAN_ENUMERATION_GUARD = 24
 EXACT_DIMENSION_GUARD = 20
 # count_low_dimension_sets enumerates exhaustively only up to this group order
 _COUNT_ORDER_LIMIT = 32
+# ... and only up to this many candidate sets
 _COUNT_SUBSET_LIMIT = 2_000_000
 
 
-def _gf2_basis_scan(indices) -> tuple[int, list[int]]:
-    """Rank and greedy witness of a family of F_2 vectors given as int bitmasks."""
+def _gf2_basis_scan(indices) -> list[int]:
+    """Greedy witness of a family of F_2 vectors given as int bitmasks; its length is the rank."""
     basis: list[int] = []  # kept in echelon form, distinct leading bits
     witness: list[int] = []
     for raw in indices:
@@ -66,7 +67,7 @@ def _gf2_basis_scan(indices) -> tuple[int, list[int]]:
             basis.append(cur)
             basis.sort(reverse=True)
             witness.append(v)
-    return len(basis), witness
+    return witness
 
 
 def _span_guard(g: GroupSpec, size: int, what: str) -> None:
@@ -116,8 +117,7 @@ def _greedy_scan(a: GroupSubset) -> list[int]:
     """Maximal-by-inclusion dissociated subset, scanning indices ascending."""
     g = a.group
     if g.is_exponent_two:
-        _, witness = _gf2_basis_scan(a.indices)
-        return witness
+        return _gf2_basis_scan(a.indices)
     span_bits = np.zeros(g.order, dtype=bool)
     span_bits[0] = True
     chosen: list[int] = []
@@ -193,7 +193,7 @@ def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:
     if len(indices) <= d:
         return True
     if g.is_exponent_two:
-        return _gf2_basis_scan(indices)[0] <= d
+        return len(_gf2_basis_scan(indices)) <= d
     found = _exact_search(GroupSubset.from_indices(g, indices), stop_at=d + 1)
     return len(found) <= d
 
@@ -217,9 +217,7 @@ class LowDimensionSetCount(Record):
     enumerated: bool
 
 
-def count_low_dimension_sets(
-    g: GroupSpec, n: int, d: int, max_enumeration: int = _COUNT_SUBSET_LIMIT
-) -> LowDimensionSetCount:
+def count_low_dimension_sets(g: GroupSpec, n: int, d: int) -> LowDimensionSetCount:
     """Count (when feasible) and bound the nonempty X with |X| <= n, dim(X) <= d."""
     N = g.order
     chain = low_dimension_count_bound(N, n, d)
@@ -227,7 +225,7 @@ def count_low_dimension_sets(
     enumerated = False
     top = min(n, N)
     total_subsets = sum(math.comb(N, i) for i in range(1, top + 1))
-    if N <= _COUNT_ORDER_LIMIT and total_subsets <= max_enumeration:
+    if N <= _COUNT_ORDER_LIMIT and total_subsets <= _COUNT_SUBSET_LIMIT:
         enumerated = True
         count = 0
         for size in range(1, top + 1):

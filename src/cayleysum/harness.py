@@ -10,13 +10,12 @@ Tail-bound experiments take their theoretical reference values from the
 bounds module; nothing here re-derives a formula.
 
 The Monte Carlo runners process trials in chunks of about _MC_BITS bits of
-A, as bit_matrix unpacks them: 64 ceil(N / 64) bytes per trial.  A chunk derives all its trial seeds in array passes and draws all
-its A rows with one bit_matrix call.  The sampled-set runners then take one
-stacked count r_t = r_{X_t + Y_t} per trial and read every quantity off it
-as an inner product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The X,
-Y, S and T draws stay one seeded random.Random sample per set, as they were
-before trials were batched, so the random stream and every report byte are
-unchanged.
+A, as bit_matrix unpacks them: 64 ceil(N / 64) bytes per trial.  A chunk
+derives all its trial seeds in array passes and draws all its A rows with
+one bit_matrix call.  The sampled-set runners then take one stacked count
+r_t = r_{X_t + Y_t} per trial and read every quantity off it as an inner
+product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The X, Y, S and T
+draws are one seeded random.Random sample per set.
 """
 
 from __future__ import annotations
@@ -107,15 +106,21 @@ class ExperimentReport:
         ).encode()
 
     def csv_text(self) -> str:
-        rows = _CSV_EXTRACTORS.get(self.kind)
-        if rows is None:
+        spec = _CSV_COLUMNS.get(self.kind)
+        if spec is None:
             raise StructuralError(f"kind {self.kind!r} has no CSV schema; use JSON")
-        header, data = rows(self)
+        rows_key, config_cols, row_cols = spec
+        cols = [c if isinstance(c, tuple) else (c, c, None) for c in row_cols]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["schema_version", CSV_SCHEMA_VERSION])
-        writer.writerow(header)
-        writer.writerows(data)
+        writer.writerow(["kind", *config_cols, *(header for header, _, _ in cols)])
+        for row in self.results[rows_key] if rows_key else [self.results]:
+            cells = [row[key] if i is None else row[key][i] for _, key, i in cols]
+            writer.writerow([
+                self.kind, *(self.config[c] for c in config_cols),
+                *(" ".join(map(str, v)) if isinstance(v, list) else v for v in cells),
+            ])
         return buf.getvalue()
 
 
@@ -241,13 +246,11 @@ def run_joint_deviation_mc(
             }
         )
 
-    # with A = G every row count equals n, so the event holds whenever
-    # eps <= 1/2: the bound constrains random A only
-    full_counts = np.full(ks[-1], n, dtype=np.int64)
-    forced = bool((np.abs(2 * full_counts - n) >= row_threshold).all())
+    # with A = G every row count equals n, so |2n - n| >= row_threshold holds
+    # whenever eps <= 1/2: the bound constrains random A only
+    forced = n >= row_threshold
 
-    single = Fraction(1, 2)
-    product_ref = float(single * single)
+    product_ref = 0.25  # P(both rows deviate) = (1/2)^2 for the disjoint pair
     indep_emp = indep_hits / trials
     indep_sigma = math.sqrt(product_ref * (1 - product_ref) / trials)
 
@@ -543,78 +546,27 @@ def run_deviation_scan(
     return _finish("scan", config, results, started)
 
 
-def _csv_joint(report: ExperimentReport):
-    header = [
-        "kind", "group", "n", "epsilon", "trials", "seed", "k",
-        "successes", "empirical", "wilson_lo", "wilson_hi", "bound",
-        "acceptance_threshold", "accepted",
-    ]
-    cfg = report.config
-    data = [
-        [
-            report.kind, cfg["group"], cfg["n"], cfg["epsilon"], cfg["trials"],
-            cfg["seed"], row["k"], row["successes"], row["empirical"],
-            row["wilson_95"][0], row["wilson_95"][1], row["bound"],
-            row["acceptance_threshold"], row["accepted"],
-        ]
-        for row in report.results["per_k"]
-    ]
-    return header, data
-
-
-def _csv_sigma_tail(report: ExperimentReport):
-    header = [
-        "kind", "group", "trials", "seed", "x_size", "y_size",
-        "median_abs_sigma", "max_abs_sigma",
-    ]
-    cfg = report.config
-    data = [
-        [
-            report.kind, cfg["group"], cfg["trials"], cfg["seed"],
-            row["x_size"], row["y_size"],
-            row["median_abs_sigma"], row["max_abs_sigma"],
-        ]
-        for row in report.results["tiers"]
-    ]
-    return header, data
-
-
-def _csv_restriction(report: ExperimentReport):
-    header = [
-        "kind", "group", "x_size", "y_size", "epsilon", "trials", "seed",
-        "energy_check_freq", "deviation_check_freq", "joint_freq",
-        "wilson_lo", "wilson_hi", "smoke_ok",
-    ]
-    cfg = report.config
-    res = report.results
-    data = [[
-        report.kind, cfg["group"], cfg["x_size"], cfg["y_size"], cfg["epsilon"],
-        cfg["trials"], cfg["seed"], res["energy_check_freq"],
-        res["deviation_check_freq"], res["joint_freq"],
-        res["joint_wilson_95"][0], res["joint_wilson_95"][1], res["smoke_ok"],
-    ]]
-    return header, data
-
-
-def _csv_worst_case(report: ExperimentReport):
-    header = [
-        "kind", "group", "floor", "seed", "max_abs_sigma", "max_abs_sigma_float",
-        "x_witness", "y_witness",
-    ]
-    cfg = report.config
-    res = report.results
-    data = [[
-        report.kind, cfg["group"], cfg["floor"], cfg["seed"],
-        res["max_abs_sigma"], res["max_abs_sigma_float"],
-        " ".join(map(str, res["x_witness"])),
-        " ".join(map(str, res["y_witness"])),
-    ]]
-    return header, data
-
-
-_CSV_EXTRACTORS = {
-    "joint-deviation": _csv_joint,
-    "sigma-tail": _csv_sigma_tail,
-    "restriction": _csv_restriction,
-    "worst-case": _csv_worst_case,
+# kind -> (the results list that supplies the rows, or None for one row read
+# from results itself; the config columns; the row columns).  A row column is
+# a key, or a (header, key, i) triple that takes entry i of a list; any other
+# list is written space-separated.  Every row starts with the kind.
+_CSV_COLUMNS = {
+    "joint-deviation": (
+        "per_k", ("group", "n", "epsilon", "trials", "seed"),
+        ("k", "successes", "empirical", ("wilson_lo", "wilson_95", 0),
+         ("wilson_hi", "wilson_95", 1), "bound", "acceptance_threshold", "accepted"),
+    ),
+    "sigma-tail": (
+        "tiers", ("group", "trials", "seed"),
+        ("x_size", "y_size", "median_abs_sigma", "max_abs_sigma"),
+    ),
+    "restriction": (
+        None, ("group", "x_size", "y_size", "epsilon", "trials", "seed"),
+        ("energy_check_freq", "deviation_check_freq", "joint_freq",
+         ("wilson_lo", "joint_wilson_95", 0), ("wilson_hi", "joint_wilson_95", 1), "smoke_ok"),
+    ),
+    "worst-case": (
+        None, ("group", "floor", "seed"),
+        ("max_abs_sigma", "max_abs_sigma_float", "x_witness", "y_witness"),
+    ),
 }

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -232,17 +232,6 @@ def parse_subset(group: GroupSpec, text: str) -> GroupSubset:
     raise StructuralError(
         f"unrecognized subset literal {text!r}; use an index list like [0,1,5] or a hex mask like 0x2f"
     )
-
-
-def _pair_sum_blocks(x: GroupSubset, y: GroupSubset) -> Iterator[np.ndarray]:
-    """Row blocks, in X order, of the |X| x |Y| matrix of index sums x + y."""
-    x._require_same_group(y)
-    xi, yi = x.indices, y.indices
-    if len(yi) == 0:
-        return
-    step = max(1, _PAIR_BLOCK // len(yi))
-    for lo in range(0, len(xi), step):
-        yield x.group.pairsum_matrix(xi[lo : lo + step], yi)
 
 
 def sumset(x: GroupSubset, y: GroupSubset) -> GroupSubset:

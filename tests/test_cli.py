@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cayleysum import cascade
-from cayleysum.cli import _BOUND_ADAPTERS, _dispatch, build_parser, main
+from cayleysum import bounds, cascade, harness
+from cayleysum.cli import _BOUNDS, _dispatch, build_parser, main
 from cayleysum.deviation import restriction_sample
 from cayleysum.dissociation import count_low_dimension_sets
 from cayleysum.groups import parse_group
@@ -449,10 +449,46 @@ FROZEN_CANONICAL_SAMPLED = [
 ]
 
 
+# stdout digests of the CSV writer for every kind that has a schema, and of
+# the bound table: an optional parameter given and left out, int truncation of
+# non-integer k, n and count (equal to the integer digests beside them), and
+# low-dim-count's n and d, which stay floats; last, so the ids above keep
+# their positions
+FROZEN_STDOUT_TABLES = [
+    (("mc", "--kind", "joint-deviation", "--trials", "200", "--ks", "1,2", "--format", "csv"),
+     "71a8a4db4ab43418cedaf16d88f55218d58be261a254e4dbe7490e7e5f6eb4ce"),
+    (("mc", "--kind", "sigma-tail", "--group", "z64", "--tiers", "4x4,8x8", "--trials", "20",
+      "--format", "csv"),
+     "2e686cd67c50eef1e36037abd2cff8c1ff8054102633e9b844859df562504a67"),
+    (("mc", "--kind", "restriction", "--trials", "5", "--format", "csv"),
+     "904ddeb59daeac145e98f3cedd1b369fd77a507b97cdb52241e4248d244dbff4"),
+    (("worst-case", "--group", "2,4", "--seed", "1", "--format", "csv"),
+     "51dff32b80c07dbe1ecf286c80e0c04a5ee71ef081f132c93312e7789098a272"),
+    (("bounds", "--name", "hoeffding", "--params", "deviation=0.1", "count=100"),
+     "9ec31356458dda8b6559d46384c34a84b4c848b62313e931149bfb1111ebe34c"),
+    (("bounds", "--name", "hoeffding", "--params", "deviation=0.1", "count=100.9"),
+     "9ec31356458dda8b6559d46384c34a84b4c848b62313e931149bfb1111ebe34c"),
+    (("bounds", "--name", "joint-deviation", "--params", "epsilon=0.25", "k=2", "n=32"),
+     "8e1c3e0465e4fd392d2bd737baf70a1dfc9f9e5fdf92ca20d0f434cc8b545da2"),
+    (("bounds", "--name", "joint-deviation", "--params", "epsilon=0.25", "k=2.7", "n=32.2"),
+     "8e1c3e0465e4fd392d2bd737baf70a1dfc9f9e5fdf92ca20d0f434cc8b545da2"),
+    (("bounds", "--name", "low-energy", "--params", "order=2", "epsilon=1", "r=200", "K=200"),
+     "655fa70707276077c3629702d67aab5cd8452adf8d760bfd44da1a22cf1c4c85"),
+    (("bounds", "--name", "low-energy", "--params", "order=2", "epsilon=1", "r=200", "K=200",
+      "constant=2.5"),
+     "f5dc5c6c8df2165dcf9adb0064c144c474d44d155041bf513acf9cc3696b05e1"),
+    (("bounds", "--name", "packed", "--params", "epsilon=0.25", "m=10", "K=4"),
+     "08ede2ebdc2c74d3b28260732b986f24de7719d7031d29c6379d0cc9b5543dc5"),
+    (("bounds", "--name", "low-dim-count", "--params", "order=100", "n=10.5", "d=2.5"),
+     "ab586fe581ac522dd8367e265920c6a0a42922cbe9db7d1f198314f0f61bdb76"),
+]
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
-    + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED,
+    + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED
+    + FROZEN_STDOUT_TABLES,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16 + FROZEN_CANONICAL_SAMPLED:
@@ -499,6 +535,49 @@ def test_infinite_bound_param_is_usage_error(capsys, params):
     code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params,line",
+    [
+        (("hoeffding", "deviation=0.1"), "missing params: count"),
+        (("existential", "order=1048576"), "missing params: epsilon, n, k"),
+        (("hoeffding", "deviation=0.1", "count=3", "bogus=1", "zed=2"),
+         "unknown params: bogus, zed"),
+        (("joint-deviation", "epsilon=0.25", "k=-inf", "n=nan"), "params must be finite: k, n"),
+        (("size-thresholds", "kind=baseline", "order=abc", "w=1"),
+         "could not convert string to float: 'abc'"),
+        # kind is text and is checked before the numeric parameters
+        (("size-thresholds", "w=1"), "missing params: kind"),
+        (("hoeffding", "kind=1", "deviation=0.1", "count=3"), "unknown params: kind"),
+    ],
+)
+def test_bound_param_error_lines(capsys, params, line):
+    name, *pairs = params
+    code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_dispatch_looks_up_runners_and_bounds_at_call_time(capsys, monkeypatch):
+    # a tracer or a test double replaces module attributes; the CLI must call
+    # through them rather than through function objects bound at import
+    seen = []
+
+    def recorder(module, name):
+        original = getattr(module, name)
+
+        def record(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    recorder(harness, "run_sigma_tail_mc")
+    recorder(bounds, "hoeffding_tail")
+    assert main(["mc", "--kind", "sigma-tail", "--trials", "2", "--tiers", "4x4"]) == 0
+    assert main(["bounds", "--name", "hoeffding", "--params", "deviation=0", "count=4"]) == 0
+    capsys.readouterr()
+    assert seen == ["run_sigma_tail_mc", "hoeffding_tail"]
 
 
 # CLI fuzz: random argv over every subcommand on groups of order <= 64 (and a
@@ -562,7 +641,7 @@ def _cli_argv(draw):
         keys = ["deviation", "count", "epsilon", "k", "n", "order", "r", "K", "m", "d", "w",
                 "constant", "kind"]
         params = draw(st.lists(st.tuples(st.sampled_from(keys), _NUMBERS), max_size=5))
-        argv += ["--name", draw(st.sampled_from(sorted(_BOUND_ADAPTERS)))]
+        argv += ["--name", draw(st.sampled_from(sorted(_BOUNDS)))]
         argv += ["--params", *(f"{k}={v}" for k, v in params)]
     elif cmd == "audit":
         mode = draw(st.sampled_from(["general", "exponent2"]))
