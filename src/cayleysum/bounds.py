@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._record import Record
-from .errors import StructuralError, check
+from .errors import StructuralError, check, epsilon_in, positive, to_float
 
 __all__ = [
     "tail_probability",
@@ -40,27 +40,18 @@ _EXP_FLOOR = -745.0
 _EXP_CEIL = 709.0
 
 
-def tail_probability(exponent: float) -> float:
-    """exp(exponent) clipped into [0, 1]."""
-    if exponent >= 0.0:
-        return 1.0
-    if exponent < _EXP_FLOOR:
+def _clipped_exp(exponent: float, floor: float = _EXP_FLOOR) -> float:
+    """exp(exponent), or inf above _EXP_CEIL and 0.0 below floor."""
+    if exponent > _EXP_CEIL:
+        return math.inf
+    if exponent < floor:
         return 0.0
     return math.exp(exponent)
 
 
-def _positive(value: float, name: str) -> float:
-    value = float(value)
-    if not value > 0.0 or math.isinf(value) or math.isnan(value):
-        raise StructuralError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _epsilon(value: float, hi: float) -> float:
-    value = float(value)
-    if not 0.0 < value <= hi:
-        raise StructuralError(f"epsilon must lie in (0, {hi}], got {value!r}")
-    return value
+def tail_probability(exponent: float) -> float:
+    """exp(exponent) clipped into [0, 1]."""
+    return 1.0 if exponent >= 0.0 else _clipped_exp(exponent)
 
 
 def hoeffding_tail(deviation: float, count: int) -> float:
@@ -78,7 +69,7 @@ def joint_deviation_bound(epsilon: float, k: int, n: int) -> float:
         raise StructuralError(f"k must be >= 0, got {k}")
     if k == 0:
         return 1.0
-    eps = _epsilon(epsilon, 0.5)
+    eps = epsilon_in(epsilon, parse=to_float)
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
     return tail_probability(-(eps**2) * k * n / 2.0)
@@ -102,21 +93,19 @@ class ExistentialBounds(Record):
 def existential_deviation_bounds(
     order: float, epsilon: float, n: int, k: int
 ) -> ExistentialBounds:
-    eps = _epsilon(epsilon, 0.5)
-    order = _positive(order, "order")
+    eps = epsilon_in(epsilon, parse=to_float)
+    order = positive(order, "order", to_float)
     if order < 2:
         raise StructuralError(f"group order must be >= 2, got {order}")
     if n < 1 or k < 1:
         raise StructuralError(f"need n, k >= 1, got n={n}, k={k}")
     log_order = math.log(order)
     union_exp = k * (log_order - eps**2 * n / 2.0)
-    union = math.exp(union_exp) if union_exp <= _EXP_CEIL else math.inf
-    if union_exp < _EXP_FLOOR:
-        union = 0.0
+    union = _clipped_exp(union_exp)
     refined = tail_probability(-(eps**2) * n * k / 4.0)
     threshold = 4.0 * log_order / eps**2
     return ExistentialBounds(
-        union_bound=min(union, math.inf),
+        union_bound=union,
         refined_bound=refined,
         threshold_ok=n >= threshold,
         threshold=threshold,
@@ -125,8 +114,8 @@ def existential_deviation_bounds(
 
 def low_energy_exponent(order: float, epsilon: float, r: float, big_k: float) -> float:
     """2000 log^2 N / eps^4 - eps^2 r K / 40, the raw exponent."""
-    eps = _epsilon(epsilon, 1.0)
-    order = _positive(order, "order")
+    eps = epsilon_in(epsilon, 1, to_float)
+    order = positive(order, "order", to_float)
     log_order = math.log(order)
     return 2000.0 * log_order**2 / eps**4 - eps**2 * float(r) * float(big_k) / 40.0
 
@@ -142,14 +131,8 @@ def low_energy_deviation_bound(
     """
     if not (1 <= r < math.inf and 1 <= big_k < math.inf):
         raise StructuralError(f"need finite r, K >= 1, got r={r}, K={big_k}")
-    if not constant > 0:
-        raise StructuralError(f"constant must be positive, got {constant}")
-    exponent = low_energy_exponent(order, epsilon, r, big_k) + math.log(constant)
-    if exponent > _EXP_CEIL:
-        return math.inf
-    if exponent < _EXP_FLOOR:
-        return 0.0
-    return math.exp(exponent)
+    constant = positive(constant, "constant", to_float)
+    return _clipped_exp(low_energy_exponent(order, epsilon, r, big_k) + math.log(constant))
 
 
 @dataclass(frozen=True)
@@ -171,9 +154,9 @@ class ThresholdBound(Record):
 def threshold_deviation_bound(
     order: float, epsilon: float, w: float, constant: float = 1.0
 ) -> ThresholdBound:
-    eps = _epsilon(epsilon, 1.0)
-    order = _positive(order, "order")
-    w = _positive(w, "w")
+    eps = epsilon_in(epsilon, 1, to_float)
+    order = positive(order, "order", to_float)
+    w = positive(w, "w", to_float)
     log_order = math.log(order)
     if log_order <= 1.0:
         raise StructuralError("order must satisfy log(order) > 1")
@@ -196,7 +179,7 @@ def threshold_deviation_bound(
 
 def packed_deviation_bound(epsilon: float, m: float, big_k: float) -> float:
     """exp(-eps^6 m K / 64): deviation by eps on some Y with |Y| >= m, ratio >= K."""
-    eps = _epsilon(epsilon, 0.5)
+    eps = epsilon_in(epsilon, parse=to_float)
     if not (m >= 1 and big_k >= 1):
         raise StructuralError(f"need m, K >= 1, got m={m}, K={big_k}")
     return tail_probability(-(eps**6) * float(m) * float(big_k) / 64.0)
@@ -221,7 +204,7 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
     and d >= 1; threshold_ok reports the first condition, and the chain is
     asserted whenever both hold.
     """
-    order = _positive(order, "order")
+    order = positive(order, "order", to_float)
     if not (1 <= n < math.inf and 0 <= d < math.inf):
         raise StructuralError(f"need finite n >= 1 and d >= 0, got n={n}, d={d}")
     log_order = math.log(order)
@@ -232,8 +215,9 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
     chain_ok = (log_intermediate < middle <= log_bound) if d >= 1 else True
     if threshold_ok and d >= 1:
         check(chain_ok, "counting chain must hold above the size threshold")
-    bound = math.exp(log_bound) if log_bound <= _EXP_CEIL else math.inf
-    inter = math.exp(log_intermediate) if log_intermediate <= _EXP_CEIL else math.inf
+    # log_bound >= 0 never meets the floor; log_intermediate keeps exp()'s own underflow
+    bound = _clipped_exp(log_bound)
+    inter = _clipped_exp(log_intermediate, -math.inf)
     return LowDimCountBound(
         log_bound=log_bound,
         log_intermediate=log_intermediate,
@@ -261,8 +245,8 @@ def size_thresholds(kind: str, order: float, w: float) -> SizeThresholds:
     w loglog N log^(3/2) N)."""
     if kind not in _THRESHOLD_KINDS:
         raise StructuralError(f"kind must be one of {_THRESHOLD_KINDS}, got {kind!r}")
-    order = _positive(order, "order")
-    w = _positive(w, "w")
+    order = positive(order, "order", to_float)
+    w = positive(w, "w", to_float)
     if order < 16:
         raise StructuralError(f"order must be >= 16, got {order}")
     log_order = math.log(order)

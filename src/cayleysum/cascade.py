@@ -26,14 +26,13 @@ reproduces every field bit for bit.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
 from ._record import Record
-from .errors import GuardError, StructuralError
+from .errors import GuardError, StructuralError, positive, to_float
 
 __all__ = [
     "MAX_DPS",
@@ -88,6 +87,17 @@ def _canonical_input(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # a numpy float64's own repr names its type
     return mp.nstr(value, mp.dps)
+
+
+def _parse_input(text: str, name: str) -> mpf:
+    """mpf(text), which also reads "p/q"; a bad or non-finite text names its input."""
+    try:
+        value = mpf(text)
+        if mp.isfinite(value):
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise StructuralError(f"{name} must be a finite number, got {text!r}")
 
 
 def _loglog_shifted(log_order: mpf) -> mpf:
@@ -157,9 +167,7 @@ def _merge_constants(mode: str, constants: dict | None) -> dict:
             raise StructuralError(
                 f"unknown constant {key!r} for mode {mode!r}; known: {sorted(merged)}"
             )
-        merged[key] = float(value)
-        if not 0 < merged[key] < math.inf:
-            raise StructuralError(f"constant {key!r} must be positive and finite, got {value!r}")
+        merged[key] = positive(value, f"constant {key!r}", to_float)
     return merged
 
 
@@ -176,19 +184,12 @@ def _evaluate(mode: str, log_order_str: str, w_str: str, consts: dict):
     Returns (derived, rows) with raw values; see _row for the row fields.
     The caller holds mp.workdps(dps) for the ledger's dps.
     """
-    try:
-        logn = mpf(log_order_str)
-        wv = mpf(w_str)
-    except ZeroDivisionError:  # mpf parses "p/q" strings
-        raise StructuralError(
-            f"zero denominator in log N or w: {log_order_str}, {w_str}"
-        ) from None
+    logn = _parse_input(log_order_str, "logN")
+    wv = _parse_input(w_str, "w")
     if not logn > mp.e:
         raise StructuralError(f"need log N > e, got {log_order_str}")
     if not wv > 1:
         raise StructuralError(f"need w > 1, got {w_str}")
-    if mp.isinf(logn) or mp.isinf(wv):
-        raise StructuralError(f"need finite log N and w, got {log_order_str}, {w_str}")
     if mode == "general":
         return _general_rows(logn, wv, consts)
     return _exponent2_rows(logn, wv, consts)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import bounds, cascade, harness
 from .decomposition import energy_partition, find_structured_subset
 from .deviation import greedy_low_overlap_packing
 from .dissociation import additive_dimension, is_dissociated
-from .errors import GuardError, PropertyError, StructuralError
+from .errors import GuardError, PropertyError, StructuralError, to_float, to_int
 from .groups import parse_group
 from .harness import run_deviation_scan, run_worst_case_scan
 from .subsets import GroupSubset, additive_energy, parse_subset
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy-ratio target M as an integer or fraction, e.g. 8 or 17/2",
     )
     p.add_argument("--finder", choices=("exhaustive", "greedy"), default="exhaustive")
-    p.add_argument("--dim-constant", type=float, default=16.0)
+    p.add_argument("--dim-constant", default=16.0)
     p.add_argument("--single-step", action="store_true",
                    help="run one structured-subset extraction instead of the loop")
 
@@ -169,10 +168,7 @@ def _bound_doc(name: str, raw: dict) -> dict:
     unknown = sorted(set(raw) - set(params))
     if unknown:
         raise StructuralError(f"unknown params: {', '.join(unknown)}")
-    values = {k: float(v) for k, v in raw.items()}
-    non_finite = sorted(k for k, v in values.items() if not math.isfinite(v))
-    if non_finite:
-        raise StructuralError(f"params must be finite: {', '.join(non_finite)}")
+    values = {k: to_float(v, k) for k, v in raw.items()}
     values.update({k: int(values[k]) for k in ints}, **text)
     args = [values[n] for n in params if n in values]
     result = getattr(bounds, func)(*args)
@@ -262,7 +258,7 @@ def _dispatch(args):
         return {"command": "bounds", "name": args.name, **doc}, None
 
     if cmd == "audit":
-        constants = {k: float(v) for k, v in _kv_pairs(args.constant).items()}
+        constants = _kv_pairs(args.constant)
         if args.find_threshold:
             search = cascade.find_threshold(
                 args.mode, constants=constants or None, dps=args.dps
@@ -306,7 +302,7 @@ def _parse_tiers(text: str) -> tuple:
         sx, _, sy = token.partition("x")
         if not sy:
             raise StructuralError(f"tier must look like 8x8, got {token!r}")
-        tiers.append((int(sx), int(sy)))
+        tiers.append((to_int(sx, "each --tiers size"), to_int(sy, "each --tiers size")))
     return tuple(tiers)
 
 
@@ -324,7 +320,7 @@ def _dispatch_mc(args):
         raise StructuralError(f"mc --kind {args.kind} does not take {flags}")
     given = {name: getattr(args, name) for name in options if getattr(args, name) is not None}
     if "ks" in given:
-        given["ks"] = tuple(int(k) for k in given["ks"].split(",") if k)
+        given["ks"] = tuple(to_int(k, "each --ks value") for k in given["ks"].split(",") if k)
     if "tiers" in given:
         given["tiers"] = _parse_tiers(given["tiers"])
     report = getattr(harness, runner)(seed=args.seed, **given)

@@ -28,9 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._record import Record
-from .deviation import to_fraction
 from .dissociation import EXACT_DIMENSION_GUARD, additive_dimension
-from .errors import GuardError, PropertyError, StructuralError, check
+from .errors import GuardError, StructuralError, check, positive, to_float
 from .subsets import GroupSubset, additive_energy
 
 __all__ = [
@@ -94,11 +93,8 @@ def find_structured_subset(
         raise StructuralError("B must be nonempty")
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    K = to_fraction(energy_ratio, "energy_ratio")
-    if K <= 0:
-        raise StructuralError("energy_ratio must be positive")
-    if not 0 < dim_constant < math.inf:
-        raise StructuralError(f"dim_constant must be positive and finite, got {dim_constant}")
+    K = positive(energy_ratio, "energy_ratio")
+    dim_constant = positive(dim_constant, "dim_constant", to_float)
 
     e_ab = additive_energy(a, b)
     # hypothesis E(A,B) >= |A| |B|^2 / K, compared exactly
@@ -238,9 +234,8 @@ def energy_partition(
         raise StructuralError(f"need |B| >= 2, got {b.size}")
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    M = to_fraction(target_ratio, "target_ratio")
-    if M <= 0:
-        raise StructuralError("target_ratio must be positive")
+    M = positive(target_ratio, "target_ratio")
+    dim_constant = positive(dim_constant, "dim_constant", to_float)
 
     g = a.group
     initial_energy = additive_energy(a, b)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng, subsets
 from ._record import Record
-from .errors import StructuralError, check
+from .errors import StructuralError, check, epsilon_in
 from .groups import Element, GroupSpec
 from .subsets import GroupSubset, additive_energy
 
@@ -55,22 +55,6 @@ __all__ = [
     "split_blocks",
     "restriction_sample",
 ]
-
-
-def to_fraction(value, name: str = "value") -> Fraction:
-    """Exact rational from int, float, str, or Fraction input."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise StructuralError(f"{name} must be rational, got {value!r}") from exc
-
-
-def epsilon_in(value, hi: Fraction = Fraction(1, 2)) -> Fraction:
-    """The rational epsilon in (0, hi], or StructuralError."""
-    eps = to_fraction(value, "epsilon")
-    if not 0 < eps <= hi:
-        raise StructuralError(f"epsilon must lie in (0, {hi}], got {eps}")
-    return eps
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,23 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and the one parser for numbers from outside the package.
 
 StructuralError covers malformed inputs: bad literals, mismatched groups,
 out-of-range indices.  GuardError covers refusals where an exact algorithm
 would blow past its enumeration budget.  PropertyError marks a violated
 postcondition, i.e. a bug, and subclasses AssertionError on purpose so test
 harnesses treat it like a failed assert.
+
+Every number handed in (int, float, Fraction, or text such as "0.25", "1/4"
+or "1e-3") is read here as an exact rational and range-checked here, and each
+error names its input.  A float is taken of that rational; the conversion is
+correctly rounded, so it equals float(text) for every decimal text.
 """
 
 from __future__ import annotations
 
-__all__ = ["CayleySumError", "StructuralError", "GuardError", "PropertyError"]
+from fractions import Fraction
+
+__all__ = ["CayleySumError", "StructuralError", "GuardError", "PropertyError", "check",
+           "to_fraction", "to_float", "to_int", "positive", "epsilon_in"]
 
 
 class CayleySumError(Exception):
@@ -32,3 +40,43 @@ def check(condition: bool, message: str) -> None:
     """Raise PropertyError unless a postcondition holds."""
     if not condition:
         raise PropertyError(message)
+
+
+def to_fraction(value, name: str = "value") -> Fraction:
+    """Exact rational from int, float, str, or Fraction input."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise StructuralError(f"{name} must be rational, got {value!r}") from exc
+
+
+def to_float(value, name: str = "value") -> float:
+    """The double nearest the exact rational value; never inf or nan."""
+    try:
+        return float(to_fraction(value, name))
+    except OverflowError:  # beyond the double range, e.g. "1e400"
+        raise StructuralError(f"{name} is beyond the float range, got {value!r}") from None
+
+
+def to_int(value, name: str = "value") -> int:
+    """int(value) for an int or integer text such as "12"."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def positive(value, name: str = "value", parse=to_fraction):
+    """parse(value, name), which must be > 0; parse=to_float for a double."""
+    number = parse(value, name)
+    if not number > 0:
+        raise StructuralError(f"{name} must be positive, got {value}")
+    return number
+
+
+def epsilon_in(value, hi=Fraction(1, 2), parse=to_fraction):
+    """parse(value, "epsilon"), which must lie in (0, hi]."""
+    eps = parse(value, "epsilon")
+    if not 0 < eps <= hi:
+        raise StructuralError(f"epsilon must lie in (0, {hi}], got {value}")
+    return eps

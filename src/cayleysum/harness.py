@@ -32,13 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, deviation, rng, subsets
-from .deviation import (
-    edge_density_deviation,
-    epsilon_in,
-    greedy_low_overlap_packing,
-    random_subset,
-)
-from .errors import StructuralError, check
+from .deviation import edge_density_deviation, greedy_low_overlap_packing, random_subset
+from .errors import StructuralError, check, epsilon_in
 from .groups import GroupSpec, parse_group
 from .subsets import GroupSubset
 
@@ -86,24 +81,20 @@ class ExperimentReport:
     results: dict
     timing: dict
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "kind": self.kind,
             "schema_version": CSV_SCHEMA_VERSION,
             "config": dict(self.config),
             "results": dict(self.results),
+            "timing": dict(self.timing),
         }
-        if include_timing:
-            doc["timing"] = dict(self.timing)
-        return doc
 
-    def canonical_bytes(self, include_timing: bool = False) -> bytes:
-        """Deterministic serialization; timing excluded by default."""
-        return json.dumps(
-            self.to_json(include_timing=include_timing),
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
+    def canonical_bytes(self) -> bytes:
+        """Deterministic serialization without the timing block."""
+        doc = self.to_json()
+        del doc["timing"]
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
     def csv_text(self) -> str:
         spec = _CSV_COLUMNS.get(self.kind)

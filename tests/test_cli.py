@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -544,9 +546,9 @@ def test_infinite_bound_param_is_usage_error(capsys, params):
         (("existential", "order=1048576"), "missing params: epsilon, n, k"),
         (("hoeffding", "deviation=0.1", "count=3", "bogus=1", "zed=2"),
          "unknown params: bogus, zed"),
-        (("joint-deviation", "epsilon=0.25", "k=-inf", "n=nan"), "params must be finite: k, n"),
+        (("joint-deviation", "epsilon=0.25", "k=-inf", "n=nan"), "k must be rational, got '-inf'"),
         (("size-thresholds", "kind=baseline", "order=abc", "w=1"),
-         "could not convert string to float: 'abc'"),
+         "order must be rational, got 'abc'"),
         # kind is text and is checked before the numeric parameters
         (("size-thresholds", "w=1"), "missing params: kind"),
         (("hoeffding", "kind=1", "deviation=0.1", "count=3"), "unknown params: kind"),
@@ -556,6 +558,53 @@ def test_bound_param_error_lines(capsys, params, line):
     name, *pairs = params
     code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+# every numeric CLI input, as an argv whose "{}" takes the value, and the
+# name its parse error must carry
+_NUMERIC_INPUTS = [
+    (("bounds", "--name", "packed", "--params", "m=4", "K=2", "epsilon={}"), "epsilon"),
+    (("bounds", "--name", "joint-deviation", "--params", "epsilon=1/4", "n=8", "k={}"), "k"),
+    (("audit", "--mode", "general", "--logN", "230", "--w", "5", "--constant", "count_rate={}"),
+     "count_rate"),
+    (("audit", "--mode", "general", "--logN", "{}", "--w", "5"), "logN"),
+    (("audit", "--mode", "general", "--logN", "230", "--w", "{}"), "w"),
+    (("mc", "--kind", "joint-deviation", "--trials", "1", "--ks", "1,{}"), "--ks"),
+    (("mc", "--kind", "sigma-tail", "--trials", "1", "--tiers", "4x{}"), "--tiers"),
+    (("mc", "--kind", "restriction", "--trials", "1", "--epsilon", "{}"), "epsilon"),
+    (("pack", "--group", "z16", "--set-x", "[1,2]", "--set-y", "0xfff", "--epsilon", "{}"),
+     "epsilon"),
+    (("decompose", "--group", "f2^4", "--set-a", "0xffff", "--set-b", "[1,2,3]", "-M", "{}"),
+     "target_ratio"),
+    # M = 1/2 stops the partition loop before its first step, so this also
+    # checks that the loop reads --dim-constant up front
+    (("decompose", "--group", "f2^4", "--set-a", "0xffff", "--set-b", "[1,2,3]", "-M", "1/2",
+      "--dim-constant", "{}"), "dim_constant"),
+]
+
+
+def test_numeric_parse_errors_name_their_input(capsys):
+    for argv, name in _NUMERIC_INPUTS:
+        for value in ("abc", "inf"):
+            code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+            assert (code, out) == (2, ""), (argv, value)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f" {name} " in err or f"'{name}'" in err, err
+    # bounds reads p/q like every other rational input
+    head = ("bounds", "--name", "joint-deviation", "--params")
+    assert run_cli(capsys, *head, "epsilon=1/2", "k=4", "n=32") == run_cli(
+        capsys, *head, "epsilon=0.5", "k=4", "n=32"
+    )
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 13 and all(argv[0] == "cayleysum" for argv in commands)
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_dispatch_looks_up_runners_and_bounds_at_call_time(capsys, monkeypatch):
