@@ -382,7 +382,7 @@ class ThresholdSearch(Record):
     passing_log_order: str = field(default="", metadata={"json": "passing_logN"})
 
 
-_DEFAULT_BRACKETS = {"general": (0.7, 520.0), "exponent2": (0.2, 12.0)}
+_BRACKETS = {"general": (0.7, 520.0), "exponent2": (0.2, 12.0)}  # the u range bisected
 _THRESHOLD_TOLERANCE = 1e-3  # bisection stops once the u bracket is this narrow
 
 
@@ -390,7 +390,6 @@ def find_threshold(
     mode: str,
     constants: dict | None = None,
     dps: int = DEFAULT_DPS,
-    bracket: tuple | None = None,
 ) -> ThresholdSearch:
     """Bisect for the least u with an all-pass ledger at w = e^u, logN = e^w.
 
@@ -402,9 +401,7 @@ def find_threshold(
     """
     if mode not in MODES:
         raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
-    lo, hi = bracket if bracket is not None else _DEFAULT_BRACKETS[mode]
-    if not (0 < lo < hi):
-        raise StructuralError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    lo, hi = _BRACKETS[mode]
     _check_dps(dps)
     consts = _merge_constants(mode, constants)
     probes: list[dict] = []

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 violated property assertion, 2 usage or structural
 error, 3 internal error (an unexpected exception, reported on one line).
-JSON goes to stdout or --out; CSV only for report kinds that declare a
-schema.
+JSON goes to stdout or --out; mc and worst-case, whose reports declare a
+CSV schema, also take --format csv.  Each subcommand takes only the shared
+options it reads.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ from .subsets import GroupSubset, additive_energy, parse_subset
 __all__ = ["build_parser", "main"]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--group", help="group literal, e.g. z12, f2^4, 3,4", default=None)
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+# the options several subcommands share; each names the ones it reads
+_SHARED = {
+    "--group": dict(required=True, help="group literal, e.g. z12, f2^4, 3,4"),
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--format": dict(choices=("json", "csv"), default="json", help="output format"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *shared: str) -> None:
+    """--out, plus the named shared options."""
+    for flag in shared:
+        sub.add_argument(flag, **_SHARED[flag])
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,20 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("group", help="describe a group literal")
-    _add_common(p)
+    _add_common(p, "--group")
 
     p = subs.add_parser("energy", help="additive energy of two subsets")
-    _add_common(p)
+    _add_common(p, "--group")
     p.add_argument("--set-x", required=True, help="subset, e.g. [0,1,5] or 0x2f")
     p.add_argument("--set-y", required=True)
 
     p = subs.add_parser("dim", help="dissociation and additive dimension")
-    _add_common(p)
+    _add_common(p, "--group")
     p.add_argument("--set", dest="the_set", required=True)
     p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
 
     p = subs.add_parser("decompose", help="structured/pseudorandom energy split")
-    _add_common(p)
+    _add_common(p, "--group")
     p.add_argument("--set-a", required=True)
     p.add_argument("--set-b", required=True)
     p.add_argument(
@@ -69,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run one structured-subset extraction instead of the loop")
 
     p = subs.add_parser("pack", help="greedy low-overlap packing of translates")
-    _add_common(p)
+    _add_common(p, "--group")
     p.add_argument("--set-x", required=True)
     p.add_argument("--set-y", required=True)
     p.add_argument("--epsilon", default="1/2")
 
     p = subs.add_parser("scan", help="sample A and report deviations and packings")
-    _add_common(p)
+    _add_common(p, "--group", "--seed")
     p.add_argument("--epsilon", default="1/4")
     p.add_argument("--set-x", default=None)
     p.add_argument("--set-y", default=None)
@@ -83,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-size", type=int, default=None)
 
     p = subs.add_parser("mc", help="Monte Carlo experiments")
-    _add_common(p)
+    p.add_argument("--group", help="group literal (default: the kind's own)")
+    _add_common(p, "--seed", "--format")
     p.add_argument(
         "--kind", choices=("joint-deviation", "sigma-tail", "restriction"),
         required=True,
@@ -113,17 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--find-threshold", action="store_true")
 
     p = subs.add_parser("worst-case", help="exhaustive |sigma| maximum at tiny N")
-    _add_common(p)
+    _add_common(p, "--group", "--seed", "--format")
     p.add_argument("--set-a", default=None)
     p.add_argument("--floor", type=int, default=1)
 
     return parser
-
-
-def _require_group(args) -> str:
-    if not args.group:
-        raise StructuralError("this command needs --group")
-    return args.group
 
 
 def _kv_pairs(pairs: list[str]) -> dict:
@@ -182,11 +184,11 @@ def _dispatch(args):
     cmd = args.command
 
     if cmd == "group":
-        g = parse_group(_require_group(args))
+        g = parse_group(args.group)
         return {"command": "group", **g.describe()}, None
 
     if cmd == "energy":
-        g = parse_group(_require_group(args))
+        g = parse_group(args.group)
         x = parse_subset(g, args.set_x)
         y = parse_subset(g, args.set_y)
         energy = additive_energy(x, y)
@@ -201,7 +203,7 @@ def _dispatch(args):
         }, None
 
     if cmd == "dim":
-        g = parse_group(_require_group(args))
+        g = parse_group(args.group)
         s = parse_subset(g, args.the_set)
         result = additive_dimension(s, mode=args.mode)
         return {
@@ -213,7 +215,7 @@ def _dispatch(args):
         }, None
 
     if cmd == "decompose":
-        g = parse_group(_require_group(args))
+        g = parse_group(args.group)
         a = parse_subset(g, args.set_a)
         b = parse_subset(g, args.set_b)
         if args.single_step:
@@ -232,19 +234,18 @@ def _dispatch(args):
         return {"command": "decompose", "single_step": False, **result.to_json()}, None
 
     if cmd == "pack":
-        g = parse_group(_require_group(args))
+        g = parse_group(args.group)
         x = parse_subset(g, args.set_x)
         y = parse_subset(g, args.set_y)
         result = greedy_low_overlap_packing(x, y, args.epsilon)
         return {"command": "pack", "group": args.group, **result.to_json()}, None
 
     if cmd == "scan":
-        group = _require_group(args)
-        g = parse_group(group)
+        g = parse_group(args.group)
         x_idx = parse_subset(g, args.set_x).to_index_list() if args.set_x else None
         y_idx = parse_subset(g, args.set_y).to_index_list() if args.set_y else None
         report = run_deviation_scan(
-            group, seed=args.seed, epsilon=args.epsilon,
+            args.group, seed=args.seed, epsilon=args.epsilon,
             x_indices=x_idx, y_indices=y_idx,
             x_size=args.x_size, y_size=args.y_size,
         )
@@ -273,12 +274,11 @@ def _dispatch(args):
         return {"command": "audit", "find_threshold": False, **ledger.to_json()}, None
 
     if cmd == "worst-case":
-        group = _require_group(args)
         a_idx = None
         if args.set_a is not None:
-            a_idx = parse_subset(parse_group(group), args.set_a).to_index_list()
+            a_idx = parse_subset(parse_group(args.group), args.set_a).to_index_list()
         report = run_worst_case_scan(
-            group, a_indices=a_idx, floor=args.floor, seed=args.seed
+            args.group, a_indices=a_idx, floor=args.floor, seed=args.seed
         )
         return report.to_json(), report
 
@@ -328,9 +328,7 @@ def _dispatch_mc(args):
 
 
 def _emit(args, doc, report) -> None:
-    if args.format == "csv":
-        if report is None:
-            raise StructuralError("this command emits JSON only; drop --format csv")
+    if getattr(args, "format", "json") == "csv":  # only mc and worst-case take --format
         text = report.csv_text()
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

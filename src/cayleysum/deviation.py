@@ -69,7 +69,6 @@ class CayleySample:
     group: GroupSpec
     seed: int
     a: GroupSubset
-    density: Fraction = field(default=Fraction(1, 2))
 
 
 def random_subset(group: GroupSpec, seed: int) -> CayleySample:
@@ -403,7 +402,7 @@ def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction) -> _Restric
         raise StructuralError("X and Y must be nonempty")
     log_order = math.log(x.group.order)
     rep = subsets.rep_function(x, y).values
-    (energy,) = subsets._squared_norms(rep[None], x.size, y.size)
+    (energy,) = subsets._squared_norms(rep[None])
     ratio = Fraction(x.size**2 * y.size, energy)
     eps_f = float(eps)
     s_raw = math.ceil(2000.0 * log_order / eps_f**4)
@@ -437,7 +436,7 @@ def _restriction_draws(
     r = subsets._rep_rows(x.group, s_rows, t_rows)
     # E(S,T) * |X|^2 |Y|^2 <= 2 s t |X|^2 |Y|^2 + 2 s^2 t^2 E(X,Y), in integers
     rhs = 2 * s * t * xy**2 + 2 * s**2 * t**2 * plan.energy
-    energy_ok = [e * xy**2 <= rhs for e in subsets._squared_norms(r, s, t)]
+    energy_ok = [e * xy**2 <= rhs for e in subsets._squared_norms(r)]
     if a_bits is None:
         return s_rows, t_rows, energy_ok, None
     big = a_bits @ plan.rep

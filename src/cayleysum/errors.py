@@ -14,6 +14,7 @@ correctly rounded, so it equals float(text) for every decimal text.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 __all__ = ["CayleySumError", "StructuralError", "GuardError", "PropertyError", "check",
@@ -42,8 +43,26 @@ def check(condition: bool, message: str) -> None:
         raise PropertyError(message)
 
 
+# Fraction builds 10^exp exactly for a text such as "1e999999999", so an
+# exponent beyond int()'s default digit limit is refused before that
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+
+
+def _decimal_exponent(text: str) -> int:
+    """The exponent of a decimal text ("1e-3" gives -3); 0 when there is none."""
+    _, e, tail = text.lower().rpartition("e")
+    try:
+        return int(tail) if e else 0
+    except ValueError:  # not a decimal exponent; Fraction rejects the text
+        return 0
+
+
 def to_fraction(value, name: str = "value") -> Fraction:
     """Exact rational from int, float, str, or Fraction input."""
+    if isinstance(value, str) and abs(_decimal_exponent(value)) > _MAX_EXPONENT:
+        raise StructuralError(
+            f"{name} has a decimal exponent above {_MAX_EXPONENT} in magnitude, got {value!r}"
+        )
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -4,8 +4,7 @@ A group is a tuple of moduli (m_1, ..., m_k), each >= 2, standing for
 Z_{m_1} x ... x Z_{m_k}.  Elements are coordinate tuples; the index codec is
 row-major mixed radix with the last coordinate varying fastest, so group
 elements double as dense array indices in [0, N).  Dense representations are
-capped at N <= 2^20 by default; the CAYLEY_DENSE_CAP environment variable
-overrides the cap.
+capped at N <= DENSE_CAP = 2^20, which keeps every count exact in int64.
 
 All index arithmetic goes through one method, `GroupSpec._combine`, with
 the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
@@ -16,7 +15,6 @@ integer addition mod N.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,28 +24,15 @@ import numpy as np
 from .errors import StructuralError
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
-    "DENSE_CAP_ENV",
+    "DENSE_CAP",
     "Element",
     "GroupSpec",
     "parse_group",
 ]
 
-DEFAULT_DENSE_CAP = 1 << 20
-DENSE_CAP_ENV = "CAYLEY_DENSE_CAP"
-
-
-def _dense_cap() -> int:
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw, 0)
-    except ValueError as exc:
-        raise StructuralError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise StructuralError(f"{DENSE_CAP_ENV} must be at least 2, got {cap}")
-    return cap
+# The largest count, an energy sum_z r(z)^2 <= max r * sum r <= min(|X|, |Y|) |X||Y|,
+# is at most N^3 = 2^60 at this order, so int64 holds every count exactly.
+DENSE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +47,7 @@ class GroupSpec:
 
     __slots__ = ("moduli", "order", "strides", "is_exponent_two", "_coord_cache")
 
-    def __init__(self, moduli: Sequence[int], dense_cap: int | None = None):
+    def __init__(self, moduli: Sequence[int]):
         moduli = tuple(int(m) for m in moduli)
         if not moduli:
             raise StructuralError("a group needs at least one cyclic factor")
@@ -72,10 +57,9 @@ class GroupSpec:
         order = 1
         for m in moduli:
             order *= m
-        cap = _dense_cap() if dense_cap is None else dense_cap
-        if order > cap:
+        if order > DENSE_CAP:
             raise StructuralError(
-                f"group order {order} exceeds the dense representation cap {cap}"
+                f"group order {order} exceeds the dense representation cap {DENSE_CAP}"
             )
         strides = []
         acc = 1
@@ -183,22 +167,22 @@ _GROUP_CYCLIC = re.compile(r"^z(\d+)$")
 _GROUP_BOOLEAN = re.compile(r"^f2\^(\d+)$")
 
 
-def parse_group(text: str, dense_cap: int | None = None) -> GroupSpec:
+def parse_group(text: str) -> GroupSpec:
     """Parse a group literal: "2,2,2,2", "z8", or "f2^10"."""
     cleaned = text.strip().lower().replace(" ", "")
     if not cleaned:
         raise StructuralError("empty group literal")
     m = _GROUP_CYCLIC.match(cleaned)
     if m:
-        return GroupSpec((int(m.group(1)),), dense_cap=dense_cap)
+        return GroupSpec((int(m.group(1)),))
     m = _GROUP_BOOLEAN.match(cleaned)
     if m:
         k = int(m.group(1))
         if k < 1:
             raise StructuralError("f2^k needs k >= 1")
-        return GroupSpec((2,) * k, dense_cap=dense_cap)
+        return GroupSpec((2,) * k)
     try:
         moduli: Iterable[int] = tuple(int(part) for part in cleaned.split(","))
     except ValueError as exc:
         raise StructuralError(f"unrecognized group literal {text!r}") from exc
-    return GroupSpec(moduli, dense_cap=dense_cap)
+    return GroupSpec(moduli)

@@ -200,11 +200,8 @@ def run_joint_deviation_mc(
     row_targets = np.array(packing.ys[: ks[-1]], dtype=np.int64)
     gather = g.pairsum_matrix(row_targets, x.indices)
 
-    # |c/n - 1/2| >= eps  <=>  |2c - n| >= ceil(2 n num / den): integer
-    # thresholds keep a bignum denominator out of int64 arithmetic
-    num, den = eps.numerator, eps.denominator
-    row_threshold = -(-2 * n * num // den)
-    pair_threshold = -(-4 * num // den)
+    # a row deviates when |c/n - 1/2| >= eps: the eps/2 row test at 2 eps
+    row_eps = 2 * eps
     successes = {k: 0 for k in ks}
     indep_hits = 0
     indep_rows = _independence_rows(g)
@@ -212,11 +209,11 @@ def run_joint_deviation_mc(
         seeds = rng.derive_seed_array(seed, np.arange(lo, hi))
         bits = rng.bit_matrix(seeds, g.order)
         counts = bits[:, gather].sum(axis=2, dtype=np.int64)
-        events = np.abs(2 * counts - n) >= row_threshold
+        events = deviation._row_deviates(counts, n, row_eps)
         for k in ks:
             successes[k] += int(events[:, :k].all(axis=1).sum())
         pair = bits[:, indep_rows].sum(axis=2, dtype=np.int64)
-        pair_events = np.abs(2 * pair - 2) >= pair_threshold
+        pair_events = deviation._row_deviates(pair, 2, row_eps)
         indep_hits += int(pair_events.all(axis=1).sum())
 
     per_k = []
@@ -237,9 +234,9 @@ def run_joint_deviation_mc(
             }
         )
 
-    # with A = G every row count equals n, so |2n - n| >= row_threshold holds
-    # whenever eps <= 1/2: the bound constrains random A only
-    forced = n >= row_threshold
+    # with A = G every row count equals n, which deviates whenever eps <= 1/2:
+    # the bound constrains random A only
+    forced = bool(deviation._row_deviates(n, n, row_eps))
 
     product_ref = 0.25  # P(both rows deviate) = (1/2)^2 for the disjoint pair
     indep_emp = indep_hits / trials

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cayleysum import subsets
 from cayleysum.deviation import edge_count, high_deviation_elements, row_edge_counts
-from cayleysum.groups import GroupSpec, parse_group
+from cayleysum.groups import DENSE_CAP, parse_group
 from cayleysum.subsets import GroupSubset, additive_energy, rep_function, sumset
 
 from conftest import oracle_energy, oracle_rep_counts, oracle_sigma_parts, oracle_sumset
@@ -164,8 +164,13 @@ def test_cost_model_takes_transform_for_large_cells(group, nx, ny):
     assert subsets._transform_cheaper(parse_group(group), nx * ny)
 
 
-def test_energy_exact_beyond_int64():
-    # E(G, G) = N^3 = 2^66 overflows an int64 dot product
-    g = GroupSpec((1 << 22,), dense_cap=1 << 22)
+def test_energy_of_full_group_at_the_cap():
+    # E(G, G) = N^3 = 2^60, the largest energy any pair of sets can have
+    g = parse_group("z1048576")
     full = GroupSubset.full(g)
     assert additive_energy(full, full) == g.order**3
+
+
+def test_dense_cap_keeps_energy_in_int64():
+    # E(X, Y) <= min(|X|, |Y|) |X||Y| <= N^3, so an int64 dot product holds it
+    assert DENSE_CAP**3 < 2**63

@@ -153,9 +153,10 @@ def test_numpy_float_input_matches_float():
     assert a.to_json() == cascade.cascade_audit("general", 230.0, 5.438).to_json()
 
 
-def test_find_threshold_bad_bracket():
+def test_find_threshold_bad_bracket(monkeypatch):
+    monkeypatch.setitem(cascade._BRACKETS, "exponent2", (0.1, 0.2))
     with pytest.raises(GuardError):
-        cascade.find_threshold("exponent2", bracket=(0.1, 0.2))
+        cascade.find_threshold("exponent2")
 
 
 def test_safe_exp_extremes():

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import shlex
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from cayleysum import bounds, cascade, harness
 from cayleysum.cli import _BOUNDS, _dispatch, build_parser, main
 from cayleysum.deviation import restriction_sample
 from cayleysum.dissociation import count_low_dimension_sets
+from cayleysum.errors import StructuralError, to_float, to_fraction
 from cayleysum.groups import parse_group
 from cayleysum.subsets import GroupSubset
 
@@ -210,10 +213,48 @@ def test_scan_json_only(capsys):
     assert code == 0
     doc = json.loads(out)
     assert "pipeline" in doc["results"]
+    # scan's report has no CSV schema, so scan takes no --format
     code, _, err = run_cli(
         capsys, "scan", "--group", "f2^4", "--seed", "3", "--format", "csv"
     )
-    assert code == 2 and "CSV" in err
+    assert code == 2 and "unrecognized arguments: --format csv" in err
+
+
+# a valid argv of each subcommand, and the shared options it reads (all take --out)
+_COMMAND_ARGV = {
+    "group": (("group", "--group", "z4"), {"--group"}),
+    "energy": (("energy", "--group", "z8", "--set-x", "[1,2]", "--set-y", "[3,6]"), {"--group"}),
+    "dim": (("dim", "--group", "f2^5", "--set", "[1,2,3]"), {"--group"}),
+    "decompose": (("decompose", "--group", "f2^4", "--set-a", "0xffff", "--set-b", "[1,2,3]",
+                   "-M", "8"), {"--group"}),
+    "pack": (("pack", "--group", "z16", "--set-x", "[1,2]", "--set-y", "0xfff"), {"--group"}),
+    "scan": (("scan", "--group", "f2^4"), {"--group", "--seed"}),
+    "mc": (("mc", "--kind", "sigma-tail", "--group", "z16", "--tiers", "4x4", "--trials", "2"),
+           {"--group", "--seed", "--format"}),
+    "bounds": (("bounds", "--name", "hoeffding", "--params", "deviation=0", "count=4"), set()),
+    "audit": (("audit", "--mode", "general", "--logN", "230", "--w", "5.438"), set()),
+    "worst-case": (("worst-case", "--group", "z4"), {"--group", "--seed", "--format"}),
+}
+_SHARED_VALUES = {"--group": "z4", "--seed": "3", "--format": "json"}
+
+
+def test_each_command_takes_only_the_shared_options_it_reads(capsys):
+    stray, rows = 0, []
+    for cmd, (argv, reads) in _COMMAND_ARGV.items():
+        rows.append((argv, 0))
+        for flag, value in _SHARED_VALUES.items():
+            if flag not in reads:  # accepted and ignored before, so now a usage error
+                stray += 1
+                rows.append(((cmd, flag, value, *argv[1:]), 2))
+        if "--group" in argv:  # argparse-required wherever read, except by mc
+            at = argv.index("--group")
+            rows.append((argv[:at] + argv[at + 2:], 0 if cmd == "mc" else 2))
+    assert stray == 17
+    for argv, expected in rows:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected, (argv, err)
+        if expected == 2:
+            assert err.startswith("usage:"), (argv, err)
 
 
 def test_usage_errors_exit_two(capsys):
@@ -597,6 +638,28 @@ def test_numeric_parse_errors_name_their_input(capsys):
     )
 
 
+def test_huge_decimal_exponents_are_refused_before_parsing(capsys):
+    # Fraction would build 10^exponent exactly: 1e999999999 needs a ~400 MB integer
+    rational = [(argv, name) for argv, name in _NUMERIC_INPUTS
+                if name not in ("logN", "w", "--ks", "--tiers")]
+    assert len(rational) == 7
+    for argv, name in rational:
+        for value in ("1e5000", "1E+5000", "1e-5000"):
+            code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+            assert (code, out) == (2, ""), (argv, value)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"decimal exponent above 4300 in magnitude, got {value!r}" in err, err
+            assert f" {name} " in err or f"'{name}'" in err, err
+    started = time.perf_counter()
+    with pytest.raises(StructuralError, match="decimal exponent"):
+        to_fraction("1e999999999", "epsilon")
+    assert time.perf_counter() - started < 0.05
+    # inside the limit nothing changes
+    with pytest.raises(StructuralError, match="beyond the float range"):
+        to_float("1e400", "epsilon")
+    assert to_fraction("1e-300") == Fraction(1, 10**300) and to_float("1e-300") == 1e-300
+
+
 def test_readme_cli_examples_run(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -707,8 +770,11 @@ def _cli_argv(draw):
     elif cmd == "worst-case":
         argv += ["--group", draw(_TINY_GROUPS)]
         argv += optional("--set-a", _SETS) + optional("--floor", _NUMBERS)
-    argv += optional("--seed", st.sampled_from(["0", "7", "-1", str(2**64), "x"]))
-    argv += optional("--format", st.sampled_from(["json", "csv"]))
+    # only the commands that read them take --seed and --format
+    if cmd in ("scan", "mc", "worst-case"):
+        argv += optional("--seed", st.sampled_from(["0", "7", "-1", str(2**64), "x"]))
+    if cmd in ("mc", "worst-case"):
+        argv += optional("--format", st.sampled_from(["json", "csv"]))
     return argv
 
 

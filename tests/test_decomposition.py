@@ -71,7 +71,7 @@ def test_energy_hypothesis_enforced():
 
 
 def test_exhaustive_guard():
-    g = parse_group("z16", dense_cap=1 << 20)
+    g = parse_group("z16")
     b = GroupSubset.from_indices(g, range(EXHAUSTIVE_SUBSET_GUARD + 1))
     a = GroupSubset.full(g)
     with pytest.raises(GuardError):

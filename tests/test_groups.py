@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cayleysum.errors import StructuralError
-from cayleysum.groups import DEFAULT_DENSE_CAP, DENSE_CAP_ENV, parse_group
+from cayleysum.groups import DENSE_CAP, parse_group
 
 from conftest import coords_of, index_of, oracle_add, oracle_neg
 
@@ -109,12 +109,10 @@ def test_describe():
 
 
 def test_dense_cap_default_and_override(monkeypatch):
-    assert parse_group("f2^20").order == DEFAULT_DENSE_CAP
+    assert parse_group("f2^20").order == DENSE_CAP == 1 << 20
     with pytest.raises(StructuralError):
         parse_group("f2^21")
-    monkeypatch.setenv(DENSE_CAP_ENV, str(1 << 21))
-    assert parse_group("f2^21").order == 1 << 21
-    monkeypatch.setenv(DENSE_CAP_ENV, "64")
+    # no environment setting moves the cap
+    monkeypatch.setenv("CAYLEY_DENSE_CAP", str(1 << 21))
     with pytest.raises(StructuralError):
-        parse_group("z128")
-    assert parse_group("z64").order == 64
+        parse_group("f2^21")

@@ -208,7 +208,7 @@ def test_empty_inputs_give_zero():
 
 
 def test_oracle_guard():
-    g = parse_group("z64", dense_cap=1 << 20)
+    g = parse_group("z64")
     big = GroupSubset.full(g)
     # (|X||Y|)^2 = 64^4 = 1.6e7 is fine; push over 1e8 with a bigger group
     g2 = parse_group("z128")
