@@ -161,8 +161,6 @@ def threshold_deviation_bound(
     if log_order <= 1.0:
         raise StructuralError("order must satisfy log(order) > 1")
     loglog = math.log(log_order)
-    if loglog <= 0.0:
-        raise StructuralError("order must satisfy loglog(order) > 0")
     ratio_floor = math.sqrt(log_order) / loglog
     row_threshold = (eps / 4.0) * w * loglog * log_order**1.5
     epsilon_ok = eps**7 * w * loglog * math.sqrt(log_order) >= 2.0**25

@@ -10,6 +10,7 @@ options it reads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -42,6 +43,7 @@ def _add_common(sub: argparse.ArgumentParser, *shared: str) -> None:
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayleysum",

@@ -30,7 +30,7 @@ import numpy as np
 from ._record import Record
 from .dissociation import EXACT_DIMENSION_GUARD, additive_dimension
 from .errors import GuardError, StructuralError, check, positive, to_float
-from .subsets import GroupSubset, additive_energy
+from .subsets import GroupSubset, _row_counts, additive_energy
 
 __all__ = [
     "ENERGY_KEEP_DENOMINATOR",
@@ -114,11 +114,12 @@ def find_structured_subset(
                 f"exhaustive mode over {b.size} elements exceeds the guard "
                 f"{EXHAUSTIVE_SUBSET_GUARD}; use mode='greedy'"
             )
-        # overlap[j, k] = |(A + b_j) ∩ (A + b_k)|, so E(A, S) = 1_S' overlap 1_S
+        # overlap[j, k] = |(A + b_j) ∩ (A + b_k)|, the row counts of the stacked
+        # translates A + b_j against X = A and Y = B, so E(A, S) = 1_S' overlap 1_S
         m = len(b_idx)
         member = np.zeros((m, g.order), dtype=bool)
         member[np.arange(m)[:, None], translates] = True
-        overlap = np.array([np.count_nonzero(member[:, t], axis=1) for t in translates])
+        overlap = _row_counts(g, member, a.indices, b.indices)
         i = np.arange(1, 1 << m, dtype=np.int64)
         gray = i ^ (i >> 1)
         bits = (gray[:, None] >> np.arange(m)) & 1

@@ -16,7 +16,8 @@ pack translates X + y with pairwise-small overlap, and chain the two.  Each
 step asserts the counting inequality it is meant to witness.
 
 Apart from the restriction draws, A enters only through row_edge_counts, the
-vector c(y) = |A ∩ (X + y)| over y in Y.  Edges are its sum, so one pass
+vector c(y) = |A ∩ (X + y)| over y in Y, one call to the row-count kernel
+subsets._row_counts.  Edges are its sum, so one pass
 fixes sigma, the deviating rows and every per-row check of the pipeline.
 The restriction draws, batched over many A, read edges as the inner product
 <1_A, r_{X+Y}> with the representation counts instead.
@@ -118,20 +119,7 @@ def row_edge_counts(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> np.ndarra
     """For each y in Y (ascending index order), |A ∩ (X + y)|."""
     if a.group != x.group or a.group != y.group:
         raise StructuralError("A, X, Y must share one group")
-    g = a.group
-    if subsets._transform_cheaper(g, len(x.indices) * len(y.indices)):
-        # |A ∩ (X + y)| = (1_A * 1_{-X})(y)
-        neg_x = np.zeros(g.order, dtype=bool)
-        neg_x[g.neg_array(x.indices)] = True
-        conv = subsets._exact_convolution(g, a.bits, neg_x)
-        if conv is not None:
-            return conv[y.indices]
-    # pairwise: the x + y index matrix in row blocks of at most _PAIR_BLOCK sums
-    counts = np.zeros(len(y.indices), dtype=np.int64)
-    step = max(1, subsets._PAIR_BLOCK // max(1, len(y.indices)))
-    for lo in range(0, len(x.indices), step):
-        counts += a.bits[g.pairsum_matrix(x.indices[lo : lo + step], y.indices)].sum(axis=0)
-    return counts
+    return subsets._row_counts(a.group, a.bits, x.indices, y.indices)
 
 
 def high_deviation_elements(

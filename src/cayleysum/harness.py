@@ -14,8 +14,10 @@ A, as bit_matrix unpacks them: 64 ceil(N / 64) bytes per trial.  A chunk
 derives all its trial seeds in array passes and draws all its A rows with
 one bit_matrix call.  The sampled-set runners then take one stacked count
 r_t = r_{X_t + Y_t} per trial and read every quantity off it as an inner
-product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The X, Y, S and T
-draws are one seeded random.Random sample per set.
+product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The joint-deviation
+rows and the scan rows c(y) = |A ∩ (X + y)| come from subsets._row_counts, on
+a chunk's stack of A rows and on one A.  The X, Y, S and T draws are one
+seeded random.Random sample per set.
 """
 
 from __future__ import annotations
@@ -123,12 +125,16 @@ def _finish(kind: str, config: dict, results: dict, started: float) -> Experimen
     return ExperimentReport(kind=kind, config=config, results=results, timing=timing)
 
 
+def _set_size(g: GroupSpec, name: str, size: int) -> int:
+    if not 1 <= size <= g.order:
+        raise StructuralError(f"{name} must lie in [1, {g.order}], got {size}")
+    return size
+
+
 def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
     # first n indices; in an exponent-2 group with n a power of two this is
     # a subgroup, so its translates by coset representatives are disjoint
-    if not (1 <= n <= g.order):
-        raise StructuralError(f"n must lie in [1, {g.order}], got {n}")
-    return GroupSubset.from_indices(g, np.arange(n))
+    return GroupSubset.from_indices(g, np.arange(_set_size(g, "n", n)))
 
 
 def _chunks(trials: int, order: int):
@@ -151,21 +157,22 @@ def _trial_seeds(master: int, lo: int, hi: int, streams: int) -> np.ndarray:
     return rng.derive_seed_array(bases[:, None], np.arange(streams))
 
 
-def _independence_rows(g: GroupSpec) -> np.ndarray:
-    """Index rows of two disjoint translates of {0, 1}: by 2 and 4 when N >= 5,
-    else by 0 and 2, which are disjoint in z4 and 2,2, the only such N < 5."""
+def _independence_shifts(g: GroupSpec) -> np.ndarray:
+    """Two shifts y with disjoint translates {0, 1} + y: 2 and 4 when N >= 5,
+    else 0 and 2, which are disjoint in z4 and 2,2, the only such N < 5."""
     if g.order >= 4:
-        rows = g.pairsum_matrix(np.array((2, 4) if g.order >= 5 else (0, 2)), np.arange(2))
-        if len(set(rows.flat)) == 4:
-            return rows
+        shifts = np.array((2, 4) if g.order >= 5 else (0, 2))
+        if len(set(g.pairsum_matrix(shifts, np.arange(2)).flat)) == 4:
+            return shifts
     raise StructuralError(
         f"N={g.order} has no two disjoint translates of a 2-element set for the independence arm"
     )
 
 
-def _sampled_set(g: GroupSpec, size: int, seed: int) -> GroupSubset:
+def _sampled_set(g: GroupSpec, name: str, size: int, seed: int) -> GroupSubset:
     """Seeded uniform size-element subset of g (positions drawn without replacement)."""
-    return GroupSubset.from_indices(g, rng.sample_without_replacement(range(g.order), size, seed))
+    positions = rng.sample_without_replacement(range(g.order), _set_size(g, name, size), seed)
+    return GroupSubset.from_indices(g, positions)
 
 
 def run_joint_deviation_mc(
@@ -198,21 +205,20 @@ def run_joint_deviation_mc(
             f"packing yields only {packing.k} rows, need {ks[-1]}"
         )
     row_targets = np.array(packing.ys[: ks[-1]], dtype=np.int64)
-    gather = g.pairsum_matrix(row_targets, x.indices)
 
     # a row deviates when |c/n - 1/2| >= eps: the eps/2 row test at 2 eps
     row_eps = 2 * eps
     successes = {k: 0 for k in ks}
     indep_hits = 0
-    indep_rows = _independence_rows(g)
+    pair_x, pair_shifts = np.arange(2), _independence_shifts(g)
     for lo, hi in _chunks(trials, g.order):
         seeds = rng.derive_seed_array(seed, np.arange(lo, hi))
         bits = rng.bit_matrix(seeds, g.order)
-        counts = bits[:, gather].sum(axis=2, dtype=np.int64)
+        counts = subsets._row_counts(g, bits, x.indices, row_targets)
         events = deviation._row_deviates(counts, n, row_eps)
         for k in ks:
             successes[k] += int(events[:, :k].all(axis=1).sum())
-        pair = bits[:, indep_rows].sum(axis=2, dtype=np.int64)
+        pair = subsets._row_counts(g, bits, pair_x, pair_shifts)
         pair_events = deviation._row_deviates(pair, 2, row_eps)
         indep_hits += int(pair_events.all(axis=1).sum())
 
@@ -288,6 +294,8 @@ def run_sigma_tail_mc(
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     tiers = tuple((int(a), int(b)) for a, b in tiers)
+    if not tiers:
+        raise StructuralError("tiers must be nonempty")
     for sx, sy in tiers:
         if not (1 <= sx <= g.order and 1 <= sy <= g.order):
             raise StructuralError(f"tier ({sx}, {sy}) out of range for N={g.order}")
@@ -357,11 +365,8 @@ def run_restriction_mc(
     eps = epsilon_in(epsilon)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
-    for name, size in (("x_size", x_size), ("y_size", y_size)):
-        if not 1 <= size <= g.order:
-            raise StructuralError(f"{name} must lie in [1, {g.order}], got {size}")
-    x = _sampled_set(g, x_size, rng.derive_seed(seed, 1))
-    y = _sampled_set(g, y_size, rng.derive_seed(seed, 2))
+    x = _sampled_set(g, "x_size", x_size, rng.derive_seed(seed, 1))
+    y = _sampled_set(g, "y_size", y_size, rng.derive_seed(seed, 2))
     plan = deviation._restriction_plan(x, y, eps)
     energy_ok = 0
     deviation_ok = 0
@@ -510,12 +515,12 @@ def run_deviation_scan(
         x = GroupSubset.from_indices(g, x_indices)
     else:
         size = x_size if x_size is not None else max(1, g.order // 4)
-        x = _sampled_set(g, size, rng.derive_seed(seed, 1))
+        x = _sampled_set(g, "x_size", size, rng.derive_seed(seed, 1))
     if y_indices is not None:
         y = GroupSubset.from_indices(g, y_indices)
     else:
         size = y_size if y_size is not None else max(x.size, g.order // 4)
-        y = _sampled_set(g, size, rng.derive_seed(seed, 2))
+        y = _sampled_set(g, "y_size", size, rng.derive_seed(seed, 2))
     # one row-count pass feeds sigma, the extracted rows and the pipeline
     counts = deviation.row_edge_counts(sample.a, x, y)
     results = {

@@ -18,7 +18,8 @@ is a functional of one group convolution, computed by one of two backends:
 Representation counts come from one function, _rep_rows, which counts a
 whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
 its one-row case, and the Monte Carlo runners take one stack per chunk of
-trials.
+trials.  Row counts |S ∩ (X + y)| come from one function, _row_counts, for
+one indicator row S or a stack: the scan, joint-deviation and finder counts.
 
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
@@ -294,17 +295,17 @@ def _transform_error_bound(order: int, norm_product: float) -> float:
 def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """(1_F * 1_H)(z) for every index z, from indicator vectors f and h, by rfftn.
 
-    f and h may also be equal-shape stacks of indicator rows, one convolution
-    per row.  Returns None when the float result cannot be certified exact;
-    the caller then computes pairwise.
+    f may also be a stack of indicator rows, one convolution per row, and h
+    a stack of the same shape or one row shared by every row of f.  Returns
+    None when the float result cannot be certified exact for every row; the
+    caller then computes pairwise.
     """
     sizes = np.count_nonzero(f, axis=-1) * np.count_nonzero(h, axis=-1)
     if _transform_error_bound(group.order, math.sqrt(int(np.max(sizes)))) >= 0.25:
         return None
-    shape = f.shape[:-1] + group.moduli
-    axes = tuple(range(f.ndim - 1, len(shape)))
-    spectrum = np.fft.rfftn(f.reshape(shape), axes=axes)
-    spectrum *= np.fft.rfftn(h.reshape(shape), axes=axes)
+    axes = tuple(range(-len(group.moduli), 0))
+    spectrum = np.fft.rfftn(f.reshape(f.shape[:-1] + group.moduli), axes=axes)
+    spectrum *= np.fft.rfftn(h.reshape(h.shape[:-1] + group.moduli), axes=axes)
     values = np.fft.irfftn(spectrum, s=group.moduli, axes=axes).reshape(f.shape)
     rounded = np.rint(values)
     if not np.abs(values - rounded).max() < 0.25:
@@ -351,6 +352,21 @@ def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                 sums += offsets
             counts[lo:hi] += np.bincount(sums.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
     return counts
+
+
+def _row_counts(group: GroupSpec, s_bits: np.ndarray, xi: np.ndarray, yi: np.ndarray):
+    """|S ∩ (X + y)| for each y in yi and each row S of the indicator row or stack s_bits.
+
+    The transform reads them off 1_S * 1_{-X}; pairwise blocks x + y by _PAIR_BLOCK sums.
+    """
+    if _transform_cheaper(group, len(xi) * len(yi)):
+        neg_x = np.bincount(group.neg_array(xi), minlength=group.order)
+        conv = _exact_convolution(group, s_bits, neg_x)
+        if conv is not None:
+            return conv[..., yi]
+    step = max(1, _PAIR_BLOCK // max(1, len(yi)))
+    sums = (group.pairsum_matrix(xi[lo : lo + step], yi) for lo in range(0, max(1, len(xi)), step))
+    return functools.reduce(np.add, (s_bits[..., i].sum(axis=-2, dtype=np.int64) for i in sums))
 
 
 def _squared_norms(r: np.ndarray) -> list[int]:

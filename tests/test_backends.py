@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleysum import subsets
+from cayleysum.decomposition import find_structured_subset
 from cayleysum.deviation import edge_count, high_deviation_elements, row_edge_counts
 from cayleysum.groups import DENSE_CAP, parse_group
+from cayleysum.harness import run_joint_deviation_mc
 from cayleysum.subsets import GroupSubset, additive_energy, rep_function, sumset
 
 from conftest import oracle_energy, oracle_rep_counts, oracle_sigma_parts, oracle_sumset
@@ -67,6 +69,49 @@ def test_backend_counts_match_oracles(backend, case, eps):
             if abs(2 * int(c) - n) * eps.denominator >= eps.numerator * n:
                 kept.append(yi)
         assert high_deviation_elements(a, x, y, eps).to_index_list() == kept
+
+        # the stacked kernel, one indicator row per set, against the oracle row by row
+        stack = [a, x, y, empty]
+        stacked = subsets._row_counts(g, np.stack([s.bits for s in stack]), x.indices, y.indices)
+        assert stacked.shape == (len(stack), len(y_idx)) and stacked.dtype == np.int64
+        for s, counts in zip(stack, stacked):
+            s_idx = s.to_index_list()
+            assert counts.tolist() == [
+                oracle_sigma_parts(g.moduli, s_idx, x_idx, [yi])[0] for yi in y_idx
+            ]
+
+
+def _under_each_backend(run):
+    out = []
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, backend)
+            out.append(run())
+    return out
+
+
+@pytest.mark.parametrize(
+    "group, n, ks", [("f2^4", 4, (1, 2)), ("z12", 3, (1, 2)), ("3,5", 5, (1,)), ("2,4,8", 8, (1, 2))]
+)
+def test_joint_deviation_bytes_equal_under_both_backends(group, n, ks):
+    # every chunk's row counts and independence arm are one stacked count
+    pairwise, transform = _under_each_backend(
+        lambda: run_joint_deviation_mc(group, n=n, ks=ks, trials=300, seed=5).canonical_bytes()
+    )
+    assert pairwise == transform
+
+
+@pytest.mark.parametrize(
+    "group, sizes", [("z12", (8, 5)), ("3,5", (9, 6)), ("2,4,8", (20, 8)), ("16,16", (40, 9))]
+)
+def test_exhaustive_finder_report_equal_under_both_backends(group, sizes):
+    # the finder's overlap matrix is the stacked count of the translates A + b
+    g, (a, b) = _sets(group, sizes, seed=1)
+    ratio = Fraction(a.size * b.size**2, additive_energy(a, b))
+    pairwise, transform = _under_each_backend(lambda: find_structured_subset(a, b, ratio).to_json())
+    assert pairwise == transform
+    chosen = pairwise["subset"]
+    assert pairwise["energy"] == oracle_energy(g.moduli, a.to_index_list(), chosen)
 
 
 def _sets(name, sizes, seed=0):

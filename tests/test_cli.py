@@ -328,12 +328,35 @@ def test_fuzz_found_inputs(capsys, argv, code):
           "--trials", "2"), 0, ""),
         (("mc", "--kind", "restriction", "--y-size", "-3"), 2, "y_size must lie in [1, 256]"),
         (("mc", "--kind", "restriction", "--x-size", "0"), 2, "x_size must lie in [1, 256]"),
+        # an empty tier list ran no trial and reported a vacuous trend
+        (("mc", "--kind", "sigma-tail", "--tiers", ","), 2, "error: tiers must be nonempty"),
     ],
 )
 def test_mc_found_inputs(capsys, argv, code, message):
     got, _, err = run_cli(capsys, *argv)
     assert got == code and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("option", ["--x-size", "--y-size"])
+@pytest.mark.parametrize("size", ["-1", "0", "17"])
+def test_scan_set_size_outside_the_group_is_usage_error(capsys, option, size):
+    # one check serves scan and mc --kind restriction, and names the option
+    code, out, err = run_cli(capsys, "scan", "--group", "f2^4", option, size)
+    name = option[2:].replace("-", "_")
+    assert (code, out, err) == (2, "", f"error: {name} must lie in [1, 16], got {size}\n")
+
+
+def test_parser_is_built_once_and_keeps_no_call_state(capsys):
+    assert build_parser() is build_parser()
+    head = ("audit", "--mode", "general", "--logN", "230", "--w", "5.438")
+    code, overridden, _ = run_cli(capsys, *head, "--constant", "count_rate=2")
+    code_default, default, _ = run_cli(capsys, *head)
+    assert code == code_default == 0 and overridden != default
+    # the frozen digest of the default ledger
+    assert hashlib.sha256(default.encode()).hexdigest() == (
+        "e2c7dd9502a86450839432040ccc1297de3f36187f98d31e81af0b75f4b77f8d"
+    )
 
 
 @pytest.mark.parametrize(
