@@ -1,11 +1,13 @@
 """The one JSON mapping shared by every report dataclass.
 
+Every report, harness.ExperimentReport included, serializes through it.
 Exact values stay exact: a Fraction is written as its exact string ("12/7"),
-a GroupSubset as its ascending index list.  No record holds an mpmath
-value: cascade_audit formats each one as a string (cascade._fmt) at the
-ledger's working precision while it builds the ledger.  Nested records,
-lists, tuples and dicts are mapped value by value; everything else (None,
-bool, int, float, str) passes through unchanged.
+a GroupSubset (a frozen dataclass, as is its GroupSpec) as its ascending
+index list.  No record holds an mpmath value: cascade_audit formats each one
+as a string (cascade._fmt) at the ledger's working precision while it builds
+the ledger.  Nested records, lists, tuples and dicts are mapped value by
+value; everything else (None, bool, int, float, str) passes through
+unchanged.
 
 A field's JSON key is its name unless field(metadata={"json": key}) says
 otherwise; a key of None leaves the field out, for a record whose to_json
@@ -32,8 +34,8 @@ class Record:
         return doc
 
 
-# written unchanged; tested first because most report values are scalars
-_PLAIN = (str, int, float, bool, type(None))
+# written unchanged; a set, since every entry of a scan's index lists is tested
+_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 def _jsonable(value):
@@ -46,7 +48,7 @@ def _jsonable(value):
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value

@@ -1,10 +1,11 @@
 """Finite abelian groups presented as products of cyclic factors.
 
-A group is a tuple of moduli (m_1, ..., m_k), each >= 2, standing for
-Z_{m_1} x ... x Z_{m_k}.  Elements are coordinate tuples; the index codec is
-row-major mixed radix with the last coordinate varying fastest, so group
-elements double as dense array indices in [0, N).  Dense representations are
-capped at N <= DENSE_CAP = 2^20, which keeps every count exact in int64.
+A GroupSpec is a frozen dataclass of its moduli (m_1, ..., m_k), each >= 2,
+standing for Z_{m_1} x ... x Z_{m_k}.  Elements are coordinate tuples; the
+index codec is row-major mixed radix with the last coordinate varying
+fastest, so group elements double as dense array indices in [0, N).  Dense
+representations are capped at N <= DENSE_CAP = 2^20, which keeps every count
+exact in int64; a larger group is refused with work bounded by the cap.
 
 All index arithmetic goes through one method, `GroupSpec._combine`, with
 the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
@@ -15,9 +16,11 @@ integer addition mod N.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +38,10 @@ __all__ = [
 DENSE_CAP = 1 << 20
 
 
+def _over_cap(what: str) -> StructuralError:
+    return StructuralError(f"{what} exceeds the dense representation cap {DENSE_CAP}")
+
+
 @dataclass(frozen=True)
 class Element:
     """Group element as a coordinate tuple."""
@@ -42,47 +49,36 @@ class Element:
     coords: tuple[int, ...]
 
 
+@dataclass(frozen=True)
 class GroupSpec:
     """Product-of-cyclic-factors group with a dense row-major index codec."""
 
-    __slots__ = ("moduli", "order", "strides", "is_exponent_two", "_coord_cache")
+    moduli: tuple[int, ...]
 
-    def __init__(self, moduli: Sequence[int]):
-        moduli = tuple(int(m) for m in moduli)
+    def __post_init__(self):
+        moduli = tuple(int(m) for m in self.moduli)
+        object.__setattr__(self, "moduli", moduli)
         if not moduli:
             raise StructuralError("a group needs at least one cyclic factor")
-        for m in moduli:
+        order = 1
+        for m in moduli:  # stops at the first partial product above the cap
             if m < 2:
                 raise StructuralError(f"every modulus must be >= 2, got {m}")
-        order = 1
-        for m in moduli:
             order *= m
-        if order > DENSE_CAP:
-            raise StructuralError(
-                f"group order {order} exceeds the dense representation cap {DENSE_CAP}"
-            )
-        strides = []
-        acc = 1
-        for m in reversed(moduli):
-            strides.append(acc)
-            acc *= m
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "strides", tuple(reversed(strides)))
-        object.__setattr__(self, "is_exponent_two", all(m == 2 for m in moduli))
-        object.__setattr__(self, "_coord_cache", {})
+            if order > DENSE_CAP:
+                raise _over_cap("group order")
 
-    def __setattr__(self, name, value):  # immutable by convention
-        raise AttributeError("GroupSpec is immutable")
+    @cached_property
+    def order(self) -> int:
+        return math.prod(self.moduli)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupSpec) and self.moduli == other.moduli
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        return tuple(math.prod(self.moduli[c + 1 :]) for c in range(self.rank))
 
-    def __hash__(self) -> int:
-        return hash(self.moduli)
-
-    def __repr__(self) -> str:
-        return f"GroupSpec({','.join(str(m) for m in self.moduli)})"
+    @cached_property
+    def is_exponent_two(self) -> bool:
+        return all(m == 2 for m in self.moduli)
 
     @property
     def rank(self) -> int:
@@ -119,15 +115,16 @@ class GroupSpec:
 
     # ---- index arithmetic ----
 
+    @cached_property
+    def _coord_tables(self) -> tuple[np.ndarray, ...]:
+        idx = np.arange(self.order, dtype=np.int64)
+        return tuple(idx // s % m for m, s in zip(self.moduli, self.strides))
+
     def _coord(self, v, c: int):
         """Coordinate c of index v: a cached table lookup for arrays, int math otherwise."""
         if not isinstance(v, np.ndarray):
             return (v // self.strides[c]) % self.moduli[c]
-        table = self._coord_cache.get(c)
-        if table is None:
-            table = (np.arange(self.order, dtype=np.int64) // self.strides[c]) % self.moduli[c]
-            self._coord_cache[c] = table
-        return table[v]
+        return self._coord_tables[c][v]
 
     def _combine(self, a, b, sign: int = 1):
         """Index of coords(a) + sign * coords(b); broadcasts over index arrays."""
@@ -172,6 +169,8 @@ def parse_group(text: str) -> GroupSpec:
     cleaned = text.strip().lower().replace(" ", "")
     if not cleaned:
         raise StructuralError("empty group literal")
+    if max(map(len, re.split(r"\D", cleaned))) > sys.int_info.default_max_str_digits:
+        raise _over_cap(f"a number of more than {sys.int_info.default_max_str_digits} digits")
     m = _GROUP_CYCLIC.match(cleaned)
     if m:
         return GroupSpec((int(m.group(1)),))
@@ -180,9 +179,11 @@ def parse_group(text: str) -> GroupSpec:
         k = int(m.group(1))
         if k < 1:
             raise StructuralError("f2^k needs k >= 1")
+        if k >= DENSE_CAP.bit_length():  # refused before the k-tuple is built
+            raise _over_cap(f"group order 2^{k}")
         return GroupSpec((2,) * k)
     try:
-        moduli: Iterable[int] = tuple(int(part) for part in cleaned.split(","))
+        moduli = tuple(int(part) for part in cleaned.split(","))
     except ValueError as exc:
         raise StructuralError(f"unrecognized group literal {text!r}") from exc
     return GroupSpec(moduli)

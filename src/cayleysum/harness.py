@@ -27,13 +27,14 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds, deviation, rng, subsets
+from ._record import Record
 from .deviation import edge_density_deviation, greedy_low_overlap_packing, random_subset
 from .errors import StructuralError, check, epsilon_in
 from .groups import GroupSpec, parse_group
@@ -77,20 +78,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     kind: str
+    schema_version: int = field(default=CSV_SCHEMA_VERSION, init=False)
     config: dict
     results: dict
     timing: dict
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schema_version": CSV_SCHEMA_VERSION,
-            "config": dict(self.config),
-            "results": dict(self.results),
-            "timing": dict(self.timing),
-        }
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization without the timing block."""
@@ -106,7 +99,7 @@ class ExperimentReport:
         cols = [c if isinstance(c, tuple) else (c, c, None) for c in row_cols]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["schema_version", CSV_SCHEMA_VERSION])
+        writer.writerow(["schema_version", self.schema_version])
         writer.writerow(["kind", *config_cols, *(header for header, _, _ in cols)])
         for row in self.results[rows_key] if rows_key else [self.results]:
             cells = [row[key] if i is None else row[key][i] for _, key, i in cols]
@@ -508,6 +501,9 @@ def run_deviation_scan(
 ) -> ExperimentReport:
     """Sample A, then report sigma, extraction, and the packing pipeline."""
     started = time.monotonic()
+    for name, indices, size in (("x", x_indices, x_size), ("y", y_indices, y_size)):
+        if indices is not None and size is not None:
+            raise StructuralError(f"give {name}_indices or {name}_size, not both")
     g = parse_group(group)
     eps = epsilon_in(epsilon)
     sample = random_subset(g, seed)

@@ -1,8 +1,9 @@
 """Dense subsets of a group and exact additive-energy computations.
 
-A GroupSubset is an immutable bitset over the index space [0, N).  The
-additive energy of (X, Y) counts quadruples (x1, y1, x2, y2) with
-x1 + y1 = x2 + y2.  The production path computes the representation counts
+A GroupSubset is an immutable bitset over the index space [0, N), a frozen
+dataclass of its group and a read-only copy of its bit vector.  The additive
+energy of (X, Y) counts quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2.
+The production path computes the representation counts
 r(z) = #{(x, y) : x + y = z} and sums r(z)^2; the quartic literal count is
 kept as an independent oracle and never shares that code path.
 
@@ -83,26 +84,21 @@ _FFT_ROUGH_FACTOR = 8
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+@dataclass(frozen=True, eq=False)
 class GroupSubset:
     """Immutable dense subset of a group, indexed by the group's codec."""
 
-    __slots__ = ("group", "_bits", "_indices", "_mask")
+    group: GroupSpec
+    bits: np.ndarray
 
-    def __init__(self, group: GroupSpec, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (group.order,):
+    def __post_init__(self):
+        bits = np.array(self.bits, dtype=bool)  # a copy: the caller's array may change
+        if bits.shape != (self.group.order,):
             raise StructuralError(
-                f"bit vector of length {bits.shape} does not match group order {group.order}"
+                f"bit vector of length {bits.shape} does not match group order {self.group.order}"
             )
-        bits = bits.copy()
         bits.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_indices", None)
-        object.__setattr__(self, "_mask", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupSubset is immutable")
+        object.__setattr__(self, "bits", bits)
 
     # ---- constructors ----
 
@@ -135,30 +131,21 @@ class GroupSubset:
 
     # ---- views ----
 
-    @property
-    def bits(self) -> np.ndarray:
-        return self._bits
-
-    @property
+    @functools.cached_property
     def indices(self) -> np.ndarray:
-        if self._indices is None:
-            object.__setattr__(self, "_indices", np.flatnonzero(self._bits))
-        return self._indices
+        return np.flatnonzero(self.bits)
 
     @property
     def size(self) -> int:
-        return int(np.count_nonzero(self._bits))
+        return int(np.count_nonzero(self.bits))
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
         """The subset as a Python int bitmask (bit i = index i)."""
-        if self._mask is None:
-            packed = np.packbits(self._bits, bitorder="little")
-            object.__setattr__(self, "_mask", int.from_bytes(packed.tobytes(), "little"))
-        return self._mask
+        return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     def contains(self, index: int) -> bool:
-        return bool(self._bits[index])
+        return bool(self.bits[index])
 
     def to_index_list(self) -> list[int]:
         return [int(i) for i in self.indices]
@@ -171,19 +158,19 @@ class GroupSubset:
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
         self._require_same_group(other)
-        return GroupSubset(self.group, self._bits | other._bits)
+        return GroupSubset(self.group, self.bits | other.bits)
 
     def intersection(self, other: "GroupSubset") -> "GroupSubset":
         self._require_same_group(other)
-        return GroupSubset(self.group, self._bits & other._bits)
+        return GroupSubset(self.group, self.bits & other.bits)
 
     def difference(self, other: "GroupSubset") -> "GroupSubset":
         self._require_same_group(other)
-        return GroupSubset(self.group, self._bits & ~other._bits)
+        return GroupSubset(self.group, self.bits & ~other.bits)
 
     def is_disjoint(self, other: "GroupSubset") -> bool:
         self._require_same_group(other)
-        return not bool((self._bits & other._bits).any())
+        return not bool((self.bits & other.bits).any())
 
     def translate(self, by: int) -> "GroupSubset":
         """The shifted set {x + by : x in self}."""
@@ -197,7 +184,7 @@ class GroupSubset:
         return (
             isinstance(other, GroupSubset)
             and self.group == other.group
-            and bool(np.array_equal(self._bits, other._bits))
+            and bool(np.array_equal(self.bits, other.bits))
         )
 
     def __hash__(self) -> int:

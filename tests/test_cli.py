@@ -330,6 +330,11 @@ def test_fuzz_found_inputs(capsys, argv, code):
         (("mc", "--kind", "restriction", "--x-size", "0"), 2, "x_size must lie in [1, 256]"),
         # an empty tier list ran no trial and reported a vacuous trend
         (("mc", "--kind", "sigma-tail", "--tiers", ","), 2, "error: tiers must be nonempty"),
+        # scan dropped a size given beside an explicit set
+        (("scan", "--group", "f2^4", "--set-x", "[1,2]", "--x-size", "99"), 2,
+         "error: give x_indices or x_size, not both"),
+        (("scan", "--group", "f2^4", "--set-y", "[1,2]", "--y-size", "-5"), 2,
+         "error: give y_indices or y_size, not both"),
     ],
 )
 def test_mc_found_inputs(capsys, argv, code, message):
@@ -715,17 +720,19 @@ def test_dispatch_looks_up_runners_and_bounds_at_call_time(capsys, monkeypatch):
     assert seen == ["run_sigma_tail_mc", "hoeffding_tail"]
 
 
-# CLI fuzz: random argv over every subcommand on groups of order <= 64 (and a
-# few malformed literals); whatever the input, the exit code is one of the
-# documented three and a failure is one line, never a traceback
+# CLI fuzz: random argv over every subcommand on groups of order <= 64, a few
+# malformed literals and literals above the dense cap; whatever the input, the
+# exit code is one of the documented three and a failure is one line, never a
+# traceback
+_OVERSIZED = ["f2^21", "f2^80000", "z" + "9" * 5000]
 _GROUPS = st.sampled_from(
     ["z1", "z5", "z12", "z64", "f2^1", "f2^4", "f2^6", "2,4", "3,5", "4,4,4", "8,8",
-     "z0", "f2^0", "x"]
+     "z0", "f2^0", "x", *_OVERSIZED]
 )
 # worst-case enumerates every subset of G, so it draws orders up to its cap
 # of 16 (and z17, one above it)
 _TINY_GROUPS = st.sampled_from(
-    ["z1", "z4", "z6", "f2^3", "2,4", "z0", "f2^4", "z16", "4,4", "z17"]
+    ["z1", "z4", "z6", "f2^3", "2,4", "z0", "f2^4", "z16", "4,4", "z17", *_OVERSIZED]
 )
 _NUMBERS = st.one_of(
     st.integers(-3, 70).map(str),

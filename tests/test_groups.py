@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cayleysum.errors import StructuralError
-from cayleysum.groups import DENSE_CAP, parse_group
+from cayleysum.groups import DENSE_CAP, GroupSpec, parse_group
 
 from conftest import coords_of, index_of, oracle_add, oracle_neg
 
@@ -116,3 +116,18 @@ def test_dense_cap_default_and_override(monkeypatch):
     monkeypatch.setenv("CAYLEY_DENSE_CAP", str(1 << 21))
     with pytest.raises(StructuralError):
         parse_group("f2^21")
+    # oversized literals are refused with work bounded by the cap: no 80000-tuple,
+    # no product of 40000 factors, and no digit-limit ValueError from int()
+    for text in ("f2^80000", ",".join(["2"] * 40_000), "z" + "9" * 5000):
+        with pytest.raises(StructuralError, match=str(DENSE_CAP)):
+            parse_group(text)
+
+
+def test_group_is_a_frozen_value():
+    g = parse_group("z12")
+    assert g == GroupSpec([12]) and hash(g) == hash(GroupSpec([12]))
+    assert parse_group("3,4") != parse_group("4,3")
+    for name in ("moduli", "order", "strides", "is_exponent_two", "rank", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    assert g.moduli == (12,) and g.order == 12

@@ -59,6 +59,17 @@ def test_report_canonical_bytes_strip_timing():
     assert rep1.to_json()["timing"]
 
 
+def test_report_is_a_frozen_record():
+    rep = run_worst_case_scan("z4", a_indices=[0, 1], floor=1)
+    assert set(rep.to_json()) == {"kind", "schema_version", "config", "results", "timing"}
+    assert rep.to_json()["schema_version"] == CSV_SCHEMA_VERSION
+    for name in ("kind", "schema_version", "config", "results", "timing"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+    with pytest.raises(TypeError):
+        harness.ExperimentReport(kind="scan", config={}, results={}, timing={}, schema_version=2)
+
+
 def test_csv_has_schema_row():
     rep = run_worst_case_scan("z4", a_indices=[0, 1], floor=1)
     lines = rep.csv_text().splitlines()

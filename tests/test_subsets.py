@@ -24,6 +24,25 @@ from conftest import (
 )
 
 
+def test_subset_is_a_frozen_value():
+    g = parse_group("z4")
+    bits = np.array([True, False, True, False])
+    s = GroupSubset(g, bits)
+    bits[1] = True  # the constructor copied the vector
+    assert s.to_index_list() == [0, 2]
+    assert not s.bits.flags.writeable
+    with pytest.raises(ValueError):
+        s.bits[1] = True
+    for name in ("group", "bits", "indices", "mask", "size", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    same = GroupSubset.from_indices(parse_group("z4"), [0, 2])
+    assert s == same and hash(s) == hash(same)
+    assert s != GroupSubset.from_indices(g, [0, 3])
+    # equal bits in a different group of the same order are a different subset
+    assert s != GroupSubset(parse_group("2,2"), s.bits)
+
+
 def test_from_indices_dedup_and_order():
     g = parse_group("z10")
     s = GroupSubset.from_indices(g, [5, 1, 5, 3])
