@@ -5,7 +5,7 @@ with sum(eps_s * s) = 0 is all zeros.  Span(S) is the set of all such signed
 subset sums.  The additive dimension of A is the size of its largest
 dissociated subset.
 
-Two facts drive the implementation:
+Three facts drive the implementation:
 
 * Span(S) is symmetric and S + {e} stays dissociated exactly when S is
   dissociated and e lies outside Span(S).  So membership tests reduce to a
@@ -13,6 +13,23 @@ Two facts drive the implementation:
   enumeration.  One ascending greedy scan does this: S is dissociated
   exactly when the scan admits every element, so `is_dissociated` and the
   greedy dimension share `_greedy_scan`.
+* One closure step, Span + {e, -e}, is either one pair-sum scatter over
+  the span, O(|span|), or span | span[T_-e] | span[T_+e], bool gathers
+  through the translation tables T_-+e = (z -> z -+ e), O(N).  Building the
+  tables costs about a scatter over the whole group, so they pay only for
+  an element inserted again and again, as at the nodes of the exact search;
+  a one-pass scan (`span`, `is_dissociated`, greedy dimension) never
+  builds them.  Per search and element, the scatters are tallied in span
+  entries, each call also counting _SCATTER_CALL_COST for its fixed cost,
+  and once the tally reaches N the tables are built (rent or buy: at most
+  about twice the cheaper choice).  Gathers run only up to order
+  _GATHER_ORDER_LIMIT: a gather costs about 3 ns per group element, which
+  at order 4096 is one scatter's fixed cost (12.7 against 10.4 us on a
+  near-empty span), and above it the sparse spans of a search scatter
+  cheaper (z65536, a span of N/64 entries: 200 us to gather, 50 us to
+  scatter).  The tables are intp (int64) arrays, since numpy casts any
+  other index dtype on every gather (13 against 5 us at N = 4096, numpy
+  2.4), live for one search, and are never stored on the group.
 * In exponent-2 groups, dissociated means linearly independent over the
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
@@ -48,6 +65,10 @@ __all__ = [
 SPAN_ENUMERATION_GUARD = 24
 # exact dimension search refuses above this set size (non-exponent-2)
 EXACT_DIMENSION_GUARD = 20
+# span closures gather through cached tables only up to this group order
+_GATHER_ORDER_LIMIT = 4096
+# a pair-sum scatter's fixed cost, counted in span entries
+_SCATTER_CALL_COST = 512
 # count_low_dimension_sets enumerates exhaustively only up to this group order
 _COUNT_ORDER_LIMIT = 32
 # ... and only up to this many candidate sets
@@ -78,19 +99,34 @@ def _span_guard(g: GroupSpec, size: int, what: str) -> None:
         )
 
 
-def _closure_insert(g: GroupSpec, span_bits: np.ndarray, e: int) -> None:
-    """Grow a span closure in place by one generator: Span + {e, -e}, one scatter.
+def _closure_insert(g: GroupSpec, span_bits: np.ndarray, e: int, tables: dict) -> None:
+    """Grow a span closure in place by one generator: Span + {e, -e}.
 
-    The old span stays set (the zero coefficient), and when e = -e the two
-    rows of the pair-sum matrix coincide, which the union absorbs.
+    With T_-e and T_+e the index permutations z -> z - e and z -> z + e,
+    span[T_-e] marks S + e and span[T_+e] marks S - e, and the old span stays
+    set (the zero coefficient).  Per element, `tables` holds for one search
+    either the span entries its scatters have covered so far or its tables:
+    once those scatters have covered g.order entries, about what building
+    the tables costs, the tables are built (up to _GATHER_ORDER_LIMIT).
     """
-    span_bits[g.pairsum_matrix([e, g.neg_index(e)], np.flatnonzero(span_bits))] = True
+    entry = tables.get(e, 0)
+    if isinstance(entry, int):
+        signed = list({e, g.neg_index(e)})  # one element when e = -e
+        if entry < g.order or g.order > _GATHER_ORDER_LIMIT:
+            members = np.flatnonzero(span_bits)
+            tables[e] = entry + members.size + _SCATTER_CALL_COST
+            span_bits[g.pairsum_matrix(signed, members)] = True
+            return
+        z = np.arange(g.order)  # intp: other index dtypes are cast on every gather
+        entry = tables[e] = tuple(g.translate_array(z, t) for t in signed)
+    for t in entry:
+        span_bits |= span_bits[t]
 
 
 def is_dissociated(s: GroupSubset) -> bool:
     """Whether no nontrivial {-1,0,1} combination of s sums to zero."""
     _span_guard(s.group, s.size, "dissociation test")
-    return len(_greedy_scan(s)) == s.size
+    return len(_greedy_scan(s, {})) == s.size
 
 
 def span(s: GroupSubset) -> GroupSubset:
@@ -99,8 +135,9 @@ def span(s: GroupSubset) -> GroupSubset:
     _span_guard(g, s.size, "span")
     span_bits = np.zeros(g.order, dtype=bool)
     span_bits[0] = True
+    tables: dict = {}
     for e in s.indices:
-        _closure_insert(g, span_bits, int(e))
+        _closure_insert(g, span_bits, int(e), tables)
     return GroupSubset(g, span_bits)
 
 
@@ -113,7 +150,7 @@ class DimensionResult(Record):
     exact: bool
 
 
-def _greedy_scan(a: GroupSubset) -> list[int]:
+def _greedy_scan(a: GroupSubset, tables: dict) -> list[int]:
     """Maximal-by-inclusion dissociated subset, scanning indices ascending."""
     g = a.group
     if g.is_exponent_two:
@@ -125,43 +162,42 @@ def _greedy_scan(a: GroupSubset) -> list[int]:
         e = int(e)
         if not span_bits[e]:
             chosen.append(e)
-            _closure_insert(g, span_bits, e)
+            _closure_insert(g, span_bits, e, tables)
     return chosen
 
 
 def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
     """Largest dissociated subset by branch and bound over indices ascending.
 
-    With stop_at set, returns early once a dissociated subset of that size is
-    found (used for dim <= d tests).
+    A depth-first search, taking e before leaving it out.  With stop_at set,
+    returns early once a dissociated subset of that size is found (used for
+    dim <= d tests).
     """
     g = a.group
     elems = [int(e) for e in a.indices]
     n = len(elems)
-    best = _greedy_scan(a)
+    tables: dict = {}  # one cache for the whole search: its nodes reinsert the same elements
+    best = _greedy_scan(a, tables)
     if stop_at is not None and len(best) >= stop_at:
         return best[:stop_at]
     root = np.zeros(g.order, dtype=bool)
     root[0] = True
-
-    def rec(i: int, chosen: list[int], span_bits: np.ndarray) -> bool:
-        nonlocal best
+    stack = [(0, [], root)]  # (next position, chosen, span of chosen)
+    while stack:
+        i, chosen, span_bits = stack.pop()
         if len(chosen) > len(best):
-            best = list(chosen)
+            best = chosen
             if stop_at is not None and len(best) >= stop_at:
-                return True
+                break
         if i == n or len(chosen) + (n - i) <= len(best):
-            return False
+            continue
         e = elems[i]
+        stack.append((i + 1, chosen, span_bits))
         if not span_bits[e]:
             grown = span_bits.copy()
             grown[e] = True  # e itself is a one-term signed sum
-            _closure_insert(g, grown, e)
-            if rec(i + 1, chosen + [e], grown):
-                return True
-        return rec(i + 1, chosen, span_bits)
-
-    rec(0, [], root)
+            _closure_insert(g, grown, e, tables)
+            stack.append((i + 1, chosen + [e], grown))
     return best
 
 
@@ -176,7 +212,7 @@ def additive_dimension(a: GroupSubset, mode: str = "exact") -> DimensionResult:
     if mode not in ("greedy", "exact"):
         raise StructuralError(f"unknown dimension mode {mode!r}")
     if mode == "greedy" or g.is_exponent_two:  # exponent 2: a matroid, greedy is maximum
-        chosen = _greedy_scan(a)
+        chosen = _greedy_scan(a, {})
     elif a.size > EXACT_DIMENSION_GUARD:
         raise GuardError(
             f"exact dimension over {a.size} elements exceeds the guard "

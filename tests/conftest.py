@@ -47,10 +47,6 @@ def oracle_neg(moduli, i: int) -> int:
     return index_of(moduli, tuple(-c for c in coords_of(moduli, i)))
 
 
-def oracle_scale(moduli, i: int, c: int) -> int:
-    return index_of(moduli, tuple(c * v for v in coords_of(moduli, i)))
-
-
 # ------------------------------------------------------------ energy oracles
 
 def oracle_rep_counts(moduli, x_idx, y_idx) -> Counter:
@@ -87,6 +83,15 @@ def oracle_dissociated(moduli, s_idx) -> bool:
         if tuple(t % m for t, m in zip(total, moduli)) == zero:
             return False
     return True
+
+
+def oracle_span(moduli, s_idx) -> set:
+    """Every signed subset sum, by sign-vector enumeration; feasible up to |S| around 8."""
+    coords = [coords_of(moduli, e) for e in s_idx]
+    return {
+        index_of(moduli, [sum(c * v[pos] for c, v in zip(signs, coords)) for pos in range(len(moduli))])
+        for signs in itertools.product((-1, 0, 1), repeat=len(coords))
+    }
 
 
 def oracle_gf2_rank(indices) -> int:
