@@ -14,7 +14,6 @@ from .decomposition import (
     find_structured_subset,
 )
 from .deviation import (
-    CayleySample,
     DeviationReport,
     PackingResult,
     PipelineResult,
@@ -25,7 +24,6 @@ from .deviation import (
     high_deviation_elements,
     random_subset,
     restriction_sample,
-    split_blocks,
 )
 from .dissociation import (
     DimensionResult,
@@ -66,7 +64,6 @@ from .subsets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleySample",
     "CayleySumError",
     "DecompositionResult",
     "DecompositionStep",
@@ -110,7 +107,6 @@ __all__ = [
     "run_worst_case_scan",
     "sample_without_replacement",
     "span",
-    "split_blocks",
     "splitmix64",
     "sumset",
     "wilson_interval",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, cascade, harness
-from .decomposition import energy_partition, find_structured_subset
+from .decomposition import DEFAULT_DIMENSION_CONSTANT, energy_partition, find_structured_subset
 from .deviation import greedy_low_overlap_packing
 from .dissociation import additive_dimension, is_dissociated
 from .errors import GuardError, PropertyError, StructuralError, to_float, to_int
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy-ratio target M as an integer or fraction, e.g. 8 or 17/2",
     )
     p.add_argument("--finder", choices=("exhaustive", "greedy"), default="exhaustive")
-    p.add_argument("--dim-constant", default=16.0)
+    p.add_argument("--dim-constant", default=DEFAULT_DIMENSION_CONSTANT)
     p.add_argument("--single-step", action="store_true",
                    help="run one structured-subset extraction instead of the loop")
 

@@ -1,8 +1,9 @@
 """Random Cayley sum graphs and exact edge-density deviation machinery.
 
 For a subset A of a group G, the Cayley sum graph on G has an edge (x, y)
-exactly when x + y lies in A (loops allowed, orientation ignored).  For sets
-X, Y the normalized deviation
+exactly when x + y lies in A (loops allowed, orientation ignored);
+random_subset(group, seed) returns A itself, a GroupSubset of seeded fair
+coins.  For sets X, Y the normalized deviation
 
     sigma_A(X, Y) = edges(X, Y) / (|X| |Y|) - 1/2
 
@@ -35,53 +36,33 @@ import numpy as np
 from . import rng, subsets
 from ._record import Record
 from .errors import StructuralError, check, epsilon_in
-from .groups import Element, GroupSpec
+from .groups import GroupSpec
 from .subsets import GroupSubset, additive_energy
 
 __all__ = [
-    "CayleySample",
     "DeviationReport",
     "PackingResult",
     "PipelineResult",
     "RestrictionParams",
     "RestrictionDraw",
     "random_subset",
-    "edge_query",
     "edge_count",
     "edge_density_deviation",
     "row_edge_counts",
     "high_deviation_elements",
     "greedy_low_overlap_packing",
     "deviation_packing_pipeline",
-    "split_blocks",
     "restriction_sample",
 ]
 
 
-@dataclass(frozen=True)
-class CayleySample:
-    """A sampled vertex-label set A with its provenance (group, seed).
+def random_subset(group: GroupSpec, seed: int) -> GroupSubset:
+    """The vertex-label set A, sampled by independent fair coins, one per element.
 
-    Regenerating with the same group and seed reproduces A bit for bit:
-    element e is included iff bit (e mod 64) of
-    splitmix64(seed + (e // 64 + 1) * GAMMA) is set.
+    The same group and seed reproduce A bit for bit: element e is included
+    iff bit (e mod 64) of splitmix64(seed + (e // 64 + 1) * GAMMA) is set.
     """
-
-    group: GroupSpec
-    seed: int
-    a: GroupSubset
-
-
-def random_subset(group: GroupSpec, seed: int) -> CayleySample:
-    """Sample A by independent fair coins, one per group element."""
-    bits = rng.bernoulli_bits(seed, group.order)
-    return CayleySample(group=group, seed=seed, a=GroupSubset(group, bits))
-
-
-def edge_query(sample: CayleySample, x: Element, y: Element) -> bool:
-    """Whether (x, y) is an edge: x + y lands in A."""
-    g = sample.group
-    return sample.a.contains(g.add_indices(g.encode(x), g.encode(y)))
+    return GroupSubset(group, rng.bernoulli_bits(seed, group.order))
 
 
 def edge_count(a: GroupSubset, x: GroupSubset, y: GroupSubset) -> int:
@@ -288,35 +269,6 @@ def _packing_pipeline(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: F
         packing=packing,
         k_floor=k_floor,
     )
-
-
-def split_blocks(y: GroupSubset, lo: int, hi: int) -> list[GroupSubset]:
-    """Partition Y (ascending index order) into blocks with sizes in [lo, hi].
-
-    Rule: use the fewest blocks, q = ceil(|Y| / hi), sized as evenly as
-    possible (the first |Y| mod q blocks get one extra element).  A partition
-    exists iff q * lo <= |Y|; otherwise StructuralError.
-    """
-    if lo < 1 or hi < lo:
-        raise StructuralError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    total = y.size
-    if total < lo:
-        raise StructuralError(f"|Y| = {total} is below the minimum block size {lo}")
-    q = -(-total // hi)
-    base, extra = divmod(total, q)
-    if base < lo:
-        raise StructuralError(
-            f"cannot split {total} elements into blocks of size in [{lo}, {hi}]"
-        )
-    sizes = [base + 1] * extra + [base] * (q - extra)
-    blocks: list[GroupSubset] = []
-    idx = y.indices
-    at = 0
-    for s in sizes:
-        blocks.append(GroupSubset.from_indices(y.group, idx[at : at + s]))
-        at += s
-    check(sum(b.size for b in blocks) == total, "blocks must cover Y exactly")
-    return blocks
 
 
 @dataclass

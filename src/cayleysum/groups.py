@@ -1,11 +1,11 @@
 """Finite abelian groups presented as products of cyclic factors.
 
 A GroupSpec is a frozen dataclass of its moduli (m_1, ..., m_k), each >= 2,
-standing for Z_{m_1} x ... x Z_{m_k}.  Elements are coordinate tuples; the
-index codec is row-major mixed radix with the last coordinate varying
-fastest, so group elements double as dense array indices in [0, N).  Dense
-representations are capped at N <= DENSE_CAP = 2^20, which keeps every count
-exact in int64; a larger group is refused with work bounded by the cap.
+standing for Z_{m_1} x ... x Z_{m_k}.  Elements are indices in [0, N), laid
+out row-major by `strides` (mixed radix, the last coordinate varying
+fastest), so they double as dense array indices.  Dense representations are
+capped at N <= DENSE_CAP = 2^20, which keeps every count exact in int64; a
+larger group is refused with work bounded by the cap.
 
 All index arithmetic goes through one method, `GroupSpec._combine`, with
 the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
@@ -28,7 +28,6 @@ from .errors import StructuralError
 
 __all__ = [
     "DENSE_CAP",
-    "Element",
     "GroupSpec",
     "parse_group",
 ]
@@ -43,15 +42,8 @@ def _over_cap(what: str) -> StructuralError:
 
 
 @dataclass(frozen=True)
-class Element:
-    """Group element as a coordinate tuple."""
-
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GroupSpec:
-    """Product-of-cyclic-factors group with a dense row-major index codec."""
+    """Product-of-cyclic-factors group whose elements are row-major indices."""
 
     moduli: tuple[int, ...]
 
@@ -91,29 +83,12 @@ class GroupSpec:
             "exponent_two": self.is_exponent_two,
         }
 
-    # ---- index codec ----
-
-    def _validate(self, a: Element) -> None:
-        if len(a.coords) != self.rank:
-            raise StructuralError(f"element {a.coords} has wrong rank for {self!r}")
-        for c, m in zip(a.coords, self.moduli):
-            if not 0 <= c < m:
-                raise StructuralError(f"coordinate {c} out of range for modulus {m}")
-
-    def encode(self, a: Element) -> int:
-        self._validate(a)
-        return sum(c * s for c, s in zip(a.coords, self.strides))
+    # ---- index arithmetic ----
 
     def _check_index(self, index: int) -> int:
         if not 0 <= index < self.order:
             raise StructuralError(f"index {index} out of range for order {self.order}")
         return index
-
-    def decode(self, index: int) -> Element:
-        self._check_index(index)
-        return Element(tuple(self._coord(index, c) for c in range(self.rank)))
-
-    # ---- index arithmetic ----
 
     @cached_property
     def _coord_tables(self) -> tuple[np.ndarray, ...]:
@@ -140,9 +115,6 @@ class GroupSpec:
             t *= s
             out += t
         return out
-
-    def add_indices(self, i: int, j: int) -> int:
-        return self._combine(self._check_index(i), self._check_index(j))
 
     def neg_index(self, i: int) -> int:
         return self._combine(0, self._check_index(i), -1)

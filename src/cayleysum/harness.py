@@ -423,7 +423,7 @@ def run_worst_case_scan(
     if not 1 <= floor <= n_total:
         raise StructuralError(f"floor must lie in [1, {n_total}], got {floor}")
     if a_indices is None:
-        a = random_subset(g, seed).a
+        a = random_subset(g, seed)
     else:
         a = GroupSubset.from_indices(g, a_indices)
 
@@ -506,7 +506,7 @@ def run_deviation_scan(
             raise StructuralError(f"give {name}_indices or {name}_size, not both")
     g = parse_group(group)
     eps = epsilon_in(epsilon)
-    sample = random_subset(g, seed)
+    a = random_subset(g, seed)
     if x_indices is not None:
         x = GroupSubset.from_indices(g, x_indices)
     else:
@@ -518,9 +518,9 @@ def run_deviation_scan(
         size = y_size if y_size is not None else max(x.size, g.order // 4)
         y = _sampled_set(g, "y_size", size, rng.derive_seed(seed, 2))
     # one row-count pass feeds sigma, the extracted rows and the pipeline
-    counts = deviation.row_edge_counts(sample.a, x, y)
+    counts = deviation.row_edge_counts(a, x, y)
     results = {
-        "a_size": sample.a.size,
+        "a_size": a.size,
         "sigma": deviation._deviation_report(counts, x, y).to_json(),
         "high_deviation_rows": deviation._deviating_rows(counts, x, y, eps).to_index_list(),
         "pipeline": deviation._packing_pipeline(counts, x, y, eps).to_json(),

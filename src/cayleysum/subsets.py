@@ -86,7 +86,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True, eq=False)
 class GroupSubset:
-    """Immutable dense subset of a group, indexed by the group's codec."""
+    """Immutable dense subset of a group: bit i is set when element index i is a member."""
 
     group: GroupSpec
     bits: np.ndarray
@@ -144,9 +144,6 @@ class GroupSubset:
         """The subset as a Python int bitmask (bit i = index i)."""
         return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
-    def contains(self, index: int) -> bool:
-        return bool(self.bits[index])
-
     def to_index_list(self) -> list[int]:
         return [int(i) for i in self.indices]
 
@@ -160,10 +157,6 @@ class GroupSubset:
         self._require_same_group(other)
         return GroupSubset(self.group, self.bits | other.bits)
 
-    def intersection(self, other: "GroupSubset") -> "GroupSubset":
-        self._require_same_group(other)
-        return GroupSubset(self.group, self.bits & other.bits)
-
     def difference(self, other: "GroupSubset") -> "GroupSubset":
         self._require_same_group(other)
         return GroupSubset(self.group, self.bits & ~other.bits)
@@ -171,14 +164,6 @@ class GroupSubset:
     def is_disjoint(self, other: "GroupSubset") -> bool:
         self._require_same_group(other)
         return not bool((self.bits & other.bits).any())
-
-    def translate(self, by: int) -> "GroupSubset":
-        """The shifted set {x + by : x in self}."""
-        if not 0 <= by < self.group.order:
-            raise StructuralError(f"shift {by} out of range for order {self.group.order}")
-        bits = np.zeros(self.group.order, dtype=bool)
-        bits[self.group.translate_array(self.indices, by)] = True
-        return GroupSubset(self.group, bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -234,9 +219,6 @@ class RepFunction:
     values: np.ndarray
     x_size: int
     y_size: int
-
-    def total(self) -> int:
-        return int(self.values.sum())
 
 
 def _seven_smooth(m: int) -> bool:

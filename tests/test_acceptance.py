@@ -184,7 +184,7 @@ def test_criterion_06_packing_extraction_pipeline():
             attempts += 1
             assert attempts < 20000, "hypothesis-true instances too rare"
             g = parse_group(names[attempts % 2])
-            a = random_subset(g, rnd.getrandbits(40)).a
+            a = random_subset(g, rnd.getrandbits(40))
             x = GroupSubset.from_indices(
                 g, rnd.sample(range(g.order), rnd.randint(1, 5))
             )

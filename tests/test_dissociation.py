@@ -66,7 +66,7 @@ def test_span_properties(small_group, rnd):
     for _ in range(20):
         s = random_nonempty(rnd, g, 5)
         sp = span(s)
-        assert sp.contains(0)
+        assert sp.bits[0]
         members = set(sp.to_index_list())
         assert set(s.to_index_list()) <= members
         assert {g.neg_index(i) for i in members} == members

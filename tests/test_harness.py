@@ -117,7 +117,7 @@ def _brute_max_sigma(g, a, floor):
 @pytest.mark.parametrize("floor", [1, 2, 3])
 def test_worst_case_matches_bruteforce(floor):
     g = parse_group("z6")
-    a = random_subset(g, 11).a
+    a = random_subset(g, 11)
     rep = run_worst_case_scan("z6", floor=floor, seed=11)
     want = _brute_max_sigma(g, a, floor)
     assert Fraction(rep.results["max_abs_sigma"]) == want
@@ -126,7 +126,7 @@ def test_worst_case_matches_bruteforce(floor):
 def test_worst_case_witness_recomputes():
     rep = run_worst_case_scan("f2^3", floor=2, seed=5)
     g = parse_group("f2^3")
-    a = random_subset(g, 5).a
+    a = random_subset(g, 5)
     x = GroupSubset.from_indices(g, rep.results["x_witness"])
     y = GroupSubset.from_indices(g, rep.results["y_witness"])
     val = abs(edge_density_deviation(a, x, y).sigma)
