@@ -161,23 +161,26 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
     The result is maximal: every rejected y overlaps the final union in more
     than eps |X| points.  Its size beats eps^2 |Y| K / |X| where
     K = |X|^2 |Y| / E(X, Y); that floor is asserted.
+
+    The test is overlap <= cap = floor(eps.numerator |X| / eps.denominator),
+    in Python integers, so a bignum denominator never reaches int64.  The
+    union only grows, so an overlap counted earlier is a lower bound on the
+    current one: each remaining row keeps such a bound, and a row whose bound
+    is above cap is rejected without a translate.  Right after the bounds are
+    counted they are exact, so the first row within cap is admitted
+    unchecked; every later row within cap gets one translate and one gather.
+    Once the checks that rejected their row have cost about one refresh, as
+    priced by subsets._recount_ns, one subsets._row_counts call against the
+    union recounts the bounds of all remaining rows.  A check that admits
+    its row is not counted: the admission needs its translate anyway.
     """
     eps = epsilon_in(epsilon)
     if x.size == 0:
         raise StructuralError("X must be nonempty")
     g = x.group
     n = x.size
-    xi = x.indices
-    z_bits = np.zeros(g.order, dtype=bool)
-    ys: list[int] = []
-    for e in y.indices:
-        e = int(e)
-        tr = g.translate_array(xi, e)
-        overlap = int(z_bits[tr].sum())
-        # overlap <= eps * n, exactly
-        if overlap * eps.denominator <= eps.numerator * n:
-            ys.append(e)
-            z_bits[tr] = True
+    # the scan's bounds and refresh buffers are freed before the energy count
+    ys, z_bits = _greedy_scan(g, x.indices, y.indices, eps.numerator * n // eps.denominator)
     z = GroupSubset(g, z_bits)
     if y.size == 0:
         return PackingResult(
@@ -199,6 +202,36 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
         energy_ratio=ratio,
         lower_bound=floor,
     )
+
+
+def _greedy_scan(g: GroupSpec, xi: np.ndarray, cand: np.ndarray, cap: int):
+    """(admitted rows, union bits) of the scan greedy_low_overlap_packing describes."""
+    n = len(xi)
+    bound = np.zeros(len(cand), dtype=np.int64)  # exact for the empty union
+    z_bits = np.zeros(g.order, dtype=bool)
+    ys: list[int] = []
+    start = 0  # bound[start:] is exact for the union as it stands
+    while start < len(cand):
+        check_ns, refresh_ns = subsets._recount_ns(g, n, len(cand) - start)
+        spent = 0.0
+        exact = True
+        stop = len(cand)
+        for i in (start + np.flatnonzero(bound[start:] <= cap)).tolist():
+            e = int(cand[i])
+            tr = g.translate_array(xi, e)
+            if exact or np.count_nonzero(z_bits[tr]) <= cap:
+                ys.append(e)
+                z_bits[tr] = True
+                exact = False
+            else:
+                spent += check_ns  # the work a refresh would have saved
+            if spent >= refresh_ns:
+                stop = i + 1
+                break
+        start = stop
+        if start < len(cand):
+            bound[start:] = subsets._row_counts(g, z_bits, xi, cand[start:])
+    return ys, z_bits
 
 
 @dataclass

@@ -20,14 +20,17 @@ Representation counts come from one function, _rep_rows, which counts a
 whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
 its one-row case, and the Monte Carlo runners take one stack per chunk of
 trials.  Row counts |S ∩ (X + y)| come from one function, _row_counts, for
-one indicator row S or a stack: the scan, joint-deviation and finder counts.
+one indicator row S or a stack: the scan, joint-deviation and finder counts,
+and the packing's refreshes of its overlap bounds (S = the union so far).
 
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
-it.  The transform result is kept only when it is certified exact: an a
-priori float64 error bound must lie below 1/4, every value must lie within
-1/4 of an integer, and the rounded counts must add up to |X||Y|.  Otherwise
-the call recomputes pairwise, so both backends return the same integers.
+it.  _recount_ns prices, from the same model, one _row_counts call against
+one row counted by a translate and a gather.  The transform result is kept
+only when it is certified exact: an a priori float64 error bound must lie
+below 1/4, every value must lie within 1/4 of an integer, and the rounded
+counts must add up to |X||Y|.  Otherwise the call recomputes pairwise, so
+both backends return the same integers.
 """
 
 from __future__ import annotations
@@ -79,6 +82,13 @@ _FFT_NS_PER_AXIS = 60_000
 _FFT_NS_PER_STAGE = 4
 _FFT_NS_PER_LINE = 220
 _FFT_ROUGH_FACTOR = 8
+# - a row check (one translate, gather and count in Python): about 4 us
+#   beyond its pairs (3-5 us measured at |X| = 4, rank 1);
+# - a _row_counts call: its pairs or transform, as above, plus a 200 us
+#   margin (the call's own fixed cost is about 15 us; the packing scans of
+#   the benchmark's dense cells take the same time with either).
+_ROW_CHECK_NS = 4_000
+_ROW_COUNTS_CALL_NS = 200_000
 
 # float64 unit roundoff
 _UNIT_ROUNDOFF = 2.0**-53
@@ -113,10 +123,18 @@ class GroupSubset:
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "GroupSubset":
         bits = np.zeros(group.order, dtype=bool)
+        if isinstance(indices, np.ndarray):
+            # one range check and one scatter: a loop costs about 0.3 us an index
+            if indices.size and (indices.min() < 0 or indices.max() >= group.order):
+                raise _out_of_range(group, next(i for i in indices if not 0 <= i < group.order))
+            bits[indices.astype(np.int64, copy=False)] = True
+            return cls(group, bits)
+        # anything else one index at a time, which keeps bignums out of int64
+        # and is cheaper than converting the short lists most callers pass
         for i in indices:
             i = int(i)
             if not 0 <= i < group.order:
-                raise StructuralError(f"index {i} out of range for group order {group.order}")
+                raise _out_of_range(group, i)
             bits[i] = True
         return cls(group, bits)
 
@@ -182,6 +200,10 @@ class GroupSubset:
         return f"GroupSubset({self.group!r}, {shown})"
 
 
+def _out_of_range(group: GroupSpec, index) -> StructuralError:
+    return StructuralError(f"index {index} out of range for group order {group.order}")
+
+
 def parse_subset(group: GroupSpec, text: str) -> GroupSubset:
     """Parse a subset literal: an index list "[0,1,5]" or a hex mask "0x2f"."""
     cleaned = text.strip().replace(" ", "")
@@ -238,10 +260,23 @@ def _transform_ns(moduli: tuple[int, ...]) -> float:
     return total
 
 
+def _pair_ns(group: GroupSpec) -> int:
+    return _PAIR_NS_XOR if group.is_exponent_two else _PAIR_NS_PER_COORD * group.rank
+
+
 def _transform_cheaper(group: GroupSpec, pairs: int) -> bool:
     """Whether the transform backend is cheaper than `pairs` pairwise sums."""
-    pair_ns = _PAIR_NS_XOR if group.is_exponent_two else _PAIR_NS_PER_COORD * group.rank
-    return pairs * pair_ns > _transform_ns(group.moduli)
+    return pairs * _pair_ns(group) > _transform_ns(group.moduli)
+
+
+def _recount_ns(group: GroupSpec, width: int, rows: int) -> tuple[float, float]:
+    """Estimated ns of counting one row |S ∩ (X + y)| by a translate and a
+    gather, and of one _row_counts call over `rows` rows, for |X| = width."""
+    pair_ns = _pair_ns(group)
+    return (
+        _ROW_CHECK_NS + width * pair_ns,
+        _ROW_COUNTS_CALL_NS + min(width * rows * pair_ns, _transform_ns(group.moduli)),
+    )
 
 
 def _transform_error_bound(order: int, norm_product: float) -> float:

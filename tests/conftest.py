@@ -65,6 +65,21 @@ def oracle_sumset(moduli, x_idx, y_idx) -> set:
     return set(oracle_rep_counts(moduli, x_idx, y_idx))
 
 
+def oracle_packing(moduli, x_idx, y_idx, eps: Fraction) -> tuple:
+    """(admitted rows, union, k) of the greedy scan, one translate per row of Y.
+
+    Each y in ascending order is admitted iff |(X + y) ∩ union| <= eps |X|.
+    """
+    union: set = set()
+    ys = []
+    for y in sorted(y_idx):
+        translate = {oracle_add(moduli, x, y) for x in x_idx}
+        if len(translate & union) * eps.denominator <= eps.numerator * len(x_idx):
+            ys.append(y)
+            union |= translate
+    return ys, sorted(union), len(ys)
+
+
 # ------------------------------------------------------ dissociation oracles
 
 def oracle_dissociated(moduli, s_idx) -> bool:

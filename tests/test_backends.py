@@ -6,6 +6,7 @@ result that the exactness gate cannot certify must give way to the pairwise
 kernel.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,23 @@ from hypothesis import strategies as st
 
 from cayleysum import subsets
 from cayleysum.decomposition import find_structured_subset
-from cayleysum.deviation import edge_count, high_deviation_elements, row_edge_counts
+from cayleysum.deviation import (
+    edge_count,
+    greedy_low_overlap_packing,
+    high_deviation_elements,
+    row_edge_counts,
+)
 from cayleysum.groups import DENSE_CAP, parse_group
 from cayleysum.harness import run_joint_deviation_mc
 from cayleysum.subsets import GroupSubset, additive_energy, rep_function, sumset
 
-from conftest import oracle_energy, oracle_rep_counts, oracle_sigma_parts, oracle_sumset
+from conftest import (
+    oracle_energy,
+    oracle_packing,
+    oracle_rep_counts,
+    oracle_sigma_parts,
+    oracle_sumset,
+)
 
 GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "2,4,8", "6,10", "16,16")}
 EPSILONS = (Fraction(1, 2), Fraction(1, 4), Fraction(2, 7), Fraction(1, 2**70))
@@ -79,6 +91,43 @@ def test_backend_counts_match_oracles(backend, case, eps):
             assert counts.tolist() == [
                 oracle_sigma_parts(g.moduli, s_idx, x_idx, [yi])[0] for yi in y_idx
             ]
+
+
+# the packing's refresh rule, as priced by subsets._recount_ns: (check, refresh) ns
+REFRESH_RULES = {
+    "every-row": lambda group, width, rows: (1.0, 0.0),
+    "never": lambda group, width, rows: (1.0, math.inf),
+    "priced": subsets._recount_ns,
+}
+
+
+@st.composite
+def packing_case(draw):
+    g = draw(st.sampled_from([*GROUPS.values(), parse_group("f2^6")]))
+    x_idx, y_idx = (
+        sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=min_size, max_size=40)))
+        for min_size in (1, 0)
+    )
+    n = len(x_idx)
+    eps = draw(st.sampled_from(EPSILONS))
+    if n >= 2 and draw(st.booleans()):  # eps |X| an integer: an overlap can equal the cap
+        eps = Fraction(draw(st.integers(1, n // 2)), n)
+    return g, x_idx, y_idx, eps
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("rule", sorted(REFRESH_RULES))
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=packing_case())
+def test_packing_matches_oracle(backend, rule, case):
+    g, x_idx, y_idx, eps = case
+    x, y = (GroupSubset.from_indices(g, idx) for idx in (x_idx, y_idx))
+    with pytest.MonkeyPatch.context() as mp:
+        force(mp, backend)
+        mp.setattr(subsets, "_recount_ns", REFRESH_RULES[rule])
+        res = greedy_low_overlap_packing(x, y, eps)
+    ys, union, k = oracle_packing(g.moduli, x_idx, y_idx, eps)
+    assert (res.ys, res.z.to_index_list(), res.k) == (ys, union, k)
 
 
 def _under_each_backend(run):

@@ -369,13 +369,24 @@ def test_parser_is_built_once_and_keeps_no_call_state(capsys):
     [
         ("scan", "--group", "z64"),
         ("mc", "--kind", "joint-deviation", "--trials", "10"),
+        ("pack", "--group", "z64", "--set-x", "[0,1,5,9]", "--set-y", "[0,2,3,7,20,40]"),
+        # sigma != 0, so the pipeline extracts rows and packs them at eps/2
+        ("scan", "--group", "z64", "--seed", "3", "--set-x", "[0,1,2,3,4,5]",
+         "--set-y", "[0,6,12,18,24,30]"),
     ],
 )
 def test_bignum_epsilon_runs(capsys, argv):
     eps = "1/1180591620717411303424"  # 1/2^70: the denominator exceeds int64
     code, out, _ = run_cli(capsys, *argv, "--epsilon", eps)
     assert code == 0
-    assert json.loads(out)["config"]["epsilon"] == eps
+    doc = json.loads(out)
+    if argv[0] == "pack":
+        # cap = floor(eps |X|) = 0: only disjoint translates are admitted
+        assert doc["epsilon"] == eps and doc["k"] >= 1
+    else:
+        assert doc["config"]["epsilon"] == eps
+    if argv[0] == "scan":
+        assert doc["results"]["pipeline"]["packing"]["k"] >= 1
 
 
 @pytest.mark.parametrize(

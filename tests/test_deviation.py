@@ -1,11 +1,13 @@
 """Edge-density deviations, row extraction, packing, and restriction draws."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cayleysum import subsets
 from cayleysum.deviation import (
     deviation_packing_pipeline,
     edge_count,
@@ -17,7 +19,7 @@ from cayleysum.deviation import (
     row_edge_counts,
 )
 from cayleysum.errors import StructuralError
-from cayleysum.groups import parse_group
+from cayleysum.groups import GroupSpec, parse_group
 from cayleysum.subsets import GroupSubset, additive_energy
 
 from conftest import oracle_add, oracle_fair_coins, oracle_sigma_parts, random_nonempty
@@ -204,6 +206,29 @@ def test_packing_conditions_recomputed(rnd):
             assert res.energy_ratio == ratio
             assert res.k > eps**2 * y.size * ratio / n
             assert res.k == len(res.ys)
+
+
+def test_packing_skips_rows_by_stale_bounds(monkeypatch):
+    # one translate per row of Y would be 512 here; stale overlap counts are
+    # lower bounds, so rows whose count is already over the cap need none
+    g = parse_group("z4096")
+    gen = np.random.default_rng(7)
+    x, y = (GroupSubset.from_indices(g, gen.choice(g.order, 512, replace=False)) for _ in "xy")
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(GroupSpec, "translate_array", counted(GroupSpec.translate_array, "translate"))
+    monkeypatch.setattr(subsets, "_row_counts", counted(subsets._row_counts, "refresh"))
+    res = greedy_low_overlap_packing(x, y, Fraction(1, 2))
+    assert 0 < res.k < y.size
+    assert calls["translate"] < y.size // 4
+    assert 1 <= calls["refresh"] <= 4
 
 
 def test_packing_empty_y():

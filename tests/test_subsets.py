@@ -97,6 +97,35 @@ def test_out_of_range_rejected():
         GroupSubset.from_indices(g, [-1])
 
 
+@pytest.mark.parametrize(
+    "indices, bad",
+    [
+        ([3, 9, 12, -1], 12),
+        ([-1, 12], -1),
+        ([2**70, -5], 2**70),
+        ([1, 2**63], 2**63),
+        (np.array([4, -2, 99]), -2),
+        (np.array([5, 2**63], dtype=np.uint64), 2**63),
+        ((i for i in (0, 11)), 11),
+    ],
+)
+def test_from_indices_names_first_bad_index(indices, bad):
+    # bignum and negative indices raise the same error, never OverflowError or IndexError
+    with pytest.raises(StructuralError, match=rf"^index {bad} out of range for group order 10$"):
+        GroupSubset.from_indices(parse_group("z10"), indices)
+
+
+def test_from_indices_input_forms_agree():
+    g = parse_group("z10")
+    expected = [0, 3, 9]
+    for indices in ([9, 0, 3, 3], np.array([9, 0, 3]), np.array([9, 0, 3], dtype=np.uint8),
+                    (i for i in (3, 9, 0)), [np.int64(9), 3, 0]):
+        assert GroupSubset.from_indices(g, indices).to_index_list() == expected
+    assert GroupSubset.from_indices(g, range(0, 10, 3)).to_index_list() == [0, 3, 6, 9]
+    for empty in ([], np.array([], dtype=np.int64), np.array([])):
+        assert GroupSubset.from_indices(g, empty).size == 0
+
+
 def test_parse_subset_forms():
     g = parse_group("z8")
     assert parse_subset(g, "[0,1,5]").to_index_list() == [0, 1, 5]
