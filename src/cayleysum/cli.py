@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, cascade, harness
@@ -69,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-a", required=True)
     p.add_argument("--set-b", required=True)
     p.add_argument(
-        "--target-ratio", "-M", "--M", dest="target_ratio", required=True,
-        help="energy-ratio target M as an integer or fraction, e.g. 8 or 17/2",
+        "--target-ratio", "-M", "--M", dest="target_ratio",
+        help="energy-ratio target M of the partition loop, e.g. 8 or 17/2",
     )
     p.add_argument("--finder", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--dim-constant", default=DEFAULT_DIMENSION_CONSTANT)
@@ -217,17 +216,13 @@ def _dispatch(args):
         }, None
 
     if cmd == "decompose":
+        if args.single_step != (args.target_ratio is None):
+            raise StructuralError("decompose needs -M, except with --single-step, which takes none")
         g = parse_group(args.group)
         a = parse_subset(g, args.set_a)
         b = parse_subset(g, args.set_b)
         if args.single_step:
-            # the actual ratio makes the energy hypothesis hold with equality;
-            # only an empty A or B has zero energy, and the finder rejects both
-            energy = additive_energy(a, b)
-            ratio = Fraction(a.size * b.size**2, energy) if energy else 0
-            report = find_structured_subset(
-                a, b, ratio, mode=args.finder, dim_constant=args.dim_constant
-            )
+            report = find_structured_subset(a, b, mode=args.finder, dim_constant=args.dim_constant)
             return {"command": "decompose", "single_step": True, **report.to_json()}, None
         result = energy_partition(
             a, b, args.target_ratio,
@@ -263,6 +258,8 @@ def _dispatch(args):
     if cmd == "audit":
         constants = _kv_pairs(args.constant)
         if args.find_threshold:
+            if args.log_order is not None or args.w is not None:
+                raise StructuralError("audit --find-threshold takes no --logN or --w")
             search = cascade.find_threshold(
                 args.mode, constants=constants or None, dps=args.dps
             )

@@ -1,8 +1,8 @@
 """Energy-driven decomposition of a set into structured and unstructured parts.
 
 find_structured_subset realizes an existence guarantee as a checked search:
-given A, B with |A| >= |B| and energy ratio parameter K (where
-E(A,B) >= |A||B|^2 / K), it returns B_* inside B with
+given A, B with |A| >= |B| and K = |A||B|^2 / E(A, B), the least K for which
+E(A,B) >= |A||B|^2 / K holds, it returns B_* inside B with
 E(A, B_*) >= E(A,B) / 32 (hard postcondition) and reports whether the
 witness dimension stays below dim_constant * K * log|A| (soft check, the
 guarantee's shape, with a configurable constant).
@@ -64,24 +64,15 @@ class StructuredSubsetReport(Record):
     dim_within_target: bool
 
 
-def _dimension_info(subset: GroupSubset) -> tuple[int, bool]:
-    g = subset.group
-    if g.is_exponent_two or subset.size <= EXACT_DIMENSION_GUARD:
-        res = additive_dimension(subset, mode="exact")
-    else:
-        res = additive_dimension(subset, mode="greedy")
-    return res.value, res.exact
-
-
 def find_structured_subset(
     a: GroupSubset,
     b: GroupSubset,
-    energy_ratio,
     mode: str = "exhaustive",
     dim_constant: float = DEFAULT_DIMENSION_CONSTANT,
 ) -> StructuredSubsetReport:
     """Find B_* in B keeping at least 1/32 of E(A, B), preferring low dimension.
 
+    K = |A||B|^2 / E(A, B) sets the dimension target dim_constant * K * log|A|.
     Exhaustive mode scans all nonempty subsets of B (guard: |B| <= 12) and
     returns the qualifying subset minimizing (dimension, size, bitmask).
     Greedy mode grows B_* by the element with the largest energy gain until
@@ -93,15 +84,10 @@ def find_structured_subset(
         raise StructuralError("B must be nonempty")
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    K = positive(energy_ratio, "energy_ratio")
     dim_constant = positive(dim_constant, "dim_constant", to_float)
 
-    e_ab = additive_energy(a, b)
-    # hypothesis E(A,B) >= |A| |B|^2 / K, compared exactly
-    if e_ab * K.numerator < a.size * b.size**2 * K.denominator:
-        raise StructuralError(
-            f"energy hypothesis fails: E(A,B)={e_ab} < |A||B|^2/K"
-        )
+    e_ab = additive_energy(a, b)  # at least |A||B| > 0
+    K = Fraction(a.size * b.size**2, e_ab)
 
     g = a.group
     n_a = a.size
@@ -120,29 +106,34 @@ def find_structured_subset(
         member = np.zeros((m, g.order), dtype=bool)
         member[np.arange(m)[:, None], translates] = True
         overlap = _row_counts(g, member, a.indices, b.indices)
-        i = np.arange(1, 1 << m, dtype=np.int64)
-        gray = i ^ (i >> 1)
-        bits = (gray[:, None] >> np.arange(m)) & 1
+        masks = np.arange(1, 1 << m, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(m)) & 1
         energies = ((bits @ overlap) * bits).sum(axis=1)
         keep = ENERGY_KEEP_DENOMINATOR * energies >= e_ab
-        # (local mask, energy) in Gray order
-        qualifying = list(zip(gray[keep].tolist(), energies[keep].tolist()))
+        # b_idx ascends, so ordering local masks orders the subsets' global
+        # bitmasks too: this is the tie-break order (size, bitmask), in which a
+        # later candidate wins only with a strictly smaller dimension
+        qualifying = sorted(
+            zip(masks[keep].tolist(), energies[keep].tolist()),
+            key=lambda q: (q[0].bit_count(), q[0]),
+        )
         check(bool(qualifying), "the full set B always qualifies; none found")
-
-        best = None  # (dim, size, global mask, members, energy, exact)
+        best_dim = m + 1  # above every dimension: the first candidate wins
         for local_mask, sub_energy in qualifying:
+            # S lies in the span of its greedy witness: |S| <= 3^greedy <= 3^dim(S),
+            # and sizes only grow, so once 3|S| > 3^best_dim no candidate left wins
+            if 3 * local_mask.bit_count() > 3**best_dim:
+                break
             members = [b_idx[j] for j in range(m) if local_mask >> j & 1]
             candidate = GroupSubset.from_indices(g, members)
-            greedy_dim = additive_dimension(candidate, mode="greedy").value
-            if best is not None and greedy_dim > best[0]:
-                continue  # the exact dim is at least the greedy one: cannot win
-            dim_value, dim_exact = _dimension_info(candidate)
-            key = (dim_value, len(members), sum(1 << e for e in members))
-            if best is None or key < best[:3]:
-                best = (*key, members, sub_energy, dim_exact)
-        assert best is not None
-        dim_value, _, _, members, chosen_energy, dim_exact = best
-        subset = GroupSubset.from_indices(g, members)
+            # the exact dim is at least the greedy one, so once some candidate
+            # has won, one whose greedy dim is best_dim or more cannot win
+            if best_dim <= m and additive_dimension(candidate, mode="greedy").value >= best_dim:
+                continue
+            dim_value = additive_dimension(candidate, mode="exact").value
+            if dim_value < best_dim:
+                best_dim, subset, chosen_energy = dim_value, candidate, sub_energy
+        dim_value, dim_exact = best_dim, True  # |S| <= 12 < EXACT_DIMENSION_GUARD
     elif mode == "greedy":
         rep = np.zeros(g.order, dtype=np.int64)
         taken = np.zeros(len(b_idx), dtype=bool)
@@ -161,7 +152,9 @@ def find_structured_subset(
             energy += int(gains[j])
         subset = GroupSubset.from_indices(g, chosen)
         chosen_energy = energy
-        dim_value, dim_exact = _dimension_info(subset)
+        exact = g.is_exponent_two or subset.size <= EXACT_DIMENSION_GUARD
+        dim = additive_dimension(subset, mode="exact" if exact else "greedy")
+        dim_value, dim_exact = dim.value, dim.exact
     else:
         raise StructuralError(f"unknown finder mode {mode!r}")
 
@@ -207,13 +200,7 @@ class DecompositionResult(Record):
     structured_energy: int
     residual_energy: int
     step_bound: int
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "step_count": self.step_count}
+    step_count: int
 
 
 def energy_partition(
@@ -250,8 +237,7 @@ def energy_partition(
         # halt when E(A, residual) < |A| |residual|^2 / M, compared exactly
         if residual_energy * M.numerator < a.size * residual.size**2 * M.denominator:
             break
-        step_ratio = Fraction(a.size * residual.size**2, residual_energy)
-        report = find_structured_subset(a, residual, step_ratio, mode=mode, dim_constant=dim_constant)
+        report = find_structured_subset(a, residual, mode=mode, dim_constant=dim_constant)
         extracted = report.subset
         steps.append(
             DecompositionStep(
@@ -265,7 +251,8 @@ def energy_partition(
         residual = residual.difference(extracted)
         next_energy = additive_energy(a, residual)
         check(
-            32 * next_energy <= 31 * residual_energy,
+            ENERGY_KEEP_DENOMINATOR * next_energy
+            <= (ENERGY_KEEP_DENOMINATOR - 1) * residual_energy,
             "extraction failed to shave a 1/32 energy fraction off the residual",
         )
         residual_energy = next_energy
@@ -275,7 +262,8 @@ def energy_partition(
         ratio_log = math.log(b.size * M.numerator * K.denominator) - math.log(
             M.denominator * K.numerator
         )
-        step_bound = math.ceil(ratio_log / math.log(32.0 / 31.0)) + 1
+        decay = ENERGY_KEEP_DENOMINATOR / (ENERGY_KEEP_DENOMINATOR - 1)
+        step_bound = math.ceil(ratio_log / math.log(decay)) + 1
     else:
         step_bound = 0
     check(len(steps) <= step_bound, "step count exceeded its logarithmic bound")
@@ -300,4 +288,5 @@ def energy_partition(
         structured_energy=structured_energy,
         residual_energy=residual_energy,
         step_bound=step_bound,
+        step_count=len(steps),
     )

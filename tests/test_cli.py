@@ -60,6 +60,16 @@ def test_dim_and_pack(capsys):
     assert doc["k"] == len(doc["ys"]) >= 1
 
 
+def test_dim_greedy_takes_any_size(capsys):
+    # the greedy scan inserts at most log2 N elements, so no size guard applies
+    code, out, err = run_cli(
+        capsys, "dim", "--group", "z1009", "--set", str(list(range(1, 31))), "--mode", "greedy"
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["dissociated"] is False and doc["value"] == 5
+
+
 def test_decompose_target_ratio_alias(capsys):
     for flag in ("--target-ratio", "-M"):
         code, out, _ = run_cli(
@@ -335,6 +345,16 @@ def test_fuzz_found_inputs(capsys, argv, code):
          "error: give x_indices or x_size, not both"),
         (("scan", "--group", "f2^4", "--set-y", "[1,2]", "--y-size", "-5"), 2,
          "error: give y_indices or y_size, not both"),
+        # an option read by one mode only is refused by the other, not dropped
+        (("decompose", "--group", "z12", "--set-a", "[0,1,2]", "--set-b", "[0,1]"), 2,
+         "error: decompose needs -M, except with --single-step, which takes none"),
+        (("decompose", "--group", "z12", "--set-a", "[0,1,2]", "--set-b", "[0,1]",
+          "-M", "8", "--single-step"), 2,
+         "error: decompose needs -M, except with --single-step, which takes none"),
+        (("audit", "--mode", "exponent2", "--find-threshold", "--logN", "1e9"), 2,
+         "error: audit --find-threshold takes no --logN or --w"),
+        (("audit", "--mode", "exponent2", "--find-threshold", "--w", "3"), 2,
+         "error: audit --find-threshold takes no --logN or --w"),
     ],
 )
 def test_mc_found_inputs(capsys, argv, code, message):
@@ -393,16 +413,16 @@ def test_bignum_epsilon_runs(capsys, argv):
     "argv",
     [
         ("decompose", "--group", "z12", "--set-a", "[0,1]", "--set-b", "[]",
-         "-M", "2", "--single-step"),
+         "--single-step"),
         ("decompose", "--group", "z12", "--set-a", "[]", "--set-b", "[0]",
-         "-M", "2", "--single-step"),
+         "--single-step"),
         ("bounds", "--name", "hoeffding", "--params", "deviation=nan", "count=3"),
         ("bounds", "--name", "packed", "--params", "epsilon=0.5", "m=nan", "K=2"),
         ("bounds", "--name", "low-energy", "--params", "order=100", "epsilon=0.5",
          "r=1", "K=nan"),
         ("bounds", "--name", "low-dim-count", "--params", "order=100", "n=nan", "d=1"),
         ("decompose", "--group", "z12", "--set-a", "[0,1,2]", "--set-b", "[0,1]",
-         "-M", "2", "--single-step", "--dim-constant", "nan"),
+         "--single-step", "--dim-constant", "nan"),
         ("audit", "--mode", "general", "--logN", "1e3", "--w", "inf"),
         ("audit", "--mode", "exponent2", "--logN", "1e3", "--w", "inf"),
         ("audit", "--mode", "exponent2", "--logN", "inf", "--w", "2"),
@@ -434,7 +454,7 @@ FROZEN_STDOUT = [
       "--set-b", "[0,2,4,6]", "-M", "8"),
      "fa38f27f2e918156848d9bd0c20d7aa04a6d793c2d8efde9b81a6a1bc4764b47"),
     (("decompose", "--group", "z12", "--set-a", "[0,1,2,3,4,5]",
-      "--set-b", "[0,2,4,6]", "-M", "8", "--single-step"),
+      "--set-b", "[0,2,4,6]", "--single-step"),
      "bea00ab94b72d0cee8bdb018a46fb03e07e38f95e86bb41d0158d367f070e984"),
     (("bounds", "--name", "existential", "--params", "order=1048576",
       "epsilon=0.25", "n=100", "k=2"),
@@ -772,10 +792,11 @@ def _cli_argv(draw):
     elif cmd == "dim":
         argv += ["--set", draw(_SETS), "--mode", draw(st.sampled_from(["greedy", "exact"]))]
     elif cmd == "decompose":
-        argv += ["--set-a", draw(_SETS), "--set-b", draw(_SETS), "-M", draw(_NUMBERS)]
+        argv += ["--set-a", draw(_SETS), "--set-b", draw(_SETS)]
         argv += optional("--finder", st.sampled_from(["exhaustive", "greedy"]))
         argv += optional("--dim-constant", _NUMBERS)
-        argv += ["--single-step"] if draw(st.booleans()) else []
+        # the partition loop reads -M; --single-step takes none
+        argv += ["--single-step"] if draw(st.booleans()) else ["-M", draw(_NUMBERS)]
     elif cmd == "pack":
         argv += ["--set-x", draw(_SETS), "--set-y", draw(_SETS)]
         argv += optional("--epsilon", _NUMBERS)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleysum.dissociation import (
     _GATHER_ORDER_LIMIT,
@@ -151,13 +153,25 @@ def test_guards_outside_exponent_two():
     big = GroupSubset.from_indices(g, range(SPAN_ENUMERATION_GUARD + 1))
     with pytest.raises(GuardError):
         span(big)
-    with pytest.raises(GuardError):
-        is_dissociated(big)
+    # the greedy scan of is_dissociated takes any size (it holds 0)
+    assert is_dissociated(big) is False
     medium = GroupSubset.from_indices(g, range(1, EXACT_DIMENSION_GUARD + 2))
     with pytest.raises(GuardError):
         additive_dimension(medium, mode="exact")
-    # greedy mode stays within the span guard, so this size is fine
     assert additive_dimension(medium, mode="greedy").value >= 1
+
+
+_LARGE_SET_GROUPS = {name: parse_group(name) for name in ("z1009", "5,5,5")}
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_dissociation_above_the_span_guard_is_the_greedy_scan(data):
+    # sets above SPAN_ENUMERATION_GUARD: no guard, one answer with greedy dim
+    g = _LARGE_SET_GROUPS[data.draw(st.sampled_from(sorted(_LARGE_SET_GROUPS)))]
+    idx = data.draw(st.sets(st.integers(0, g.order - 1), min_size=25, max_size=40))
+    s = GroupSubset.from_indices(g, sorted(idx))
+    assert is_dissociated(s) == (additive_dimension(s, mode="greedy").value == s.size)
 
 
 def test_exponent_two_sizes_unguarded():
