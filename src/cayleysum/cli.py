@@ -239,8 +239,8 @@ def _dispatch(args):
 
     if cmd == "scan":
         g = parse_group(args.group)
-        x_idx = parse_subset(g, args.set_x).to_index_list() if args.set_x else None
-        y_idx = parse_subset(g, args.set_y).to_index_list() if args.set_y else None
+        x_idx = parse_subset(g, args.set_x).indices if args.set_x else None
+        y_idx = parse_subset(g, args.set_y).indices if args.set_y else None
         report = run_deviation_scan(
             args.group, seed=args.seed, epsilon=args.epsilon,
             x_indices=x_idx, y_indices=y_idx,

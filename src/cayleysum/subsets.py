@@ -13,8 +13,9 @@ is a functional of one group convolution, computed by one of two backends:
 * pairwise: a reduction over the |X| x |Y| matrix of index sums, streamed
   in row blocks of at most _PAIR_BLOCK entries, so the temporary memory
   stays bounded however large X and Y are;
-* transform: numpy's rfftn/irfftn over the moduli shape, rounded to
-  integers, in O(N log N) whatever the sizes of X and Y.
+* transform: in O(N log N) whatever the sizes of X and Y, a Walsh–Hadamard
+  transform on groups of exponent 2, and numpy's rfftn/irfftn over the
+  moduli shape, rounded to integers, on every other group.
 
 Representation counts come from one function, _rep_rows, which counts a
 whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
@@ -26,11 +27,12 @@ and the packing's refreshes of its overlap bounds (S = the union so far).
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
 it.  _recount_ns prices, from the same model, one _row_counts call against
-one row counted by a translate and a gather.  The transform result is kept
-only when it is certified exact: an a priori float64 error bound must lie
-below 1/4, every value must lie within 1/4 of an integer, and the rounded
-counts must add up to |X||Y|.  Otherwise the call recomputes pairwise, so
-both backends return the same integers.
+one row counted by a translate and a gather.  The Walsh–Hadamard result
+is exact a priori: every intermediate is an integer below 2^53.  The rfftn
+result is kept only when it is certified exact: an a priori float64 error
+bound must lie below 1/4, every value must lie within 1/4 of an integer,
+and the rounded counts must add up to |X||Y|.  Otherwise the call
+recomputes pairwise, so both backends return the same integers.
 """
 
 from __future__ import annotations
@@ -73,15 +75,21 @@ _PAIR_BLOCK = 1 << 18
 #   radix-2 stage (35-80 ns per element for z65536, 16,16,16 and 16,16,16,16),
 #   eight times that on an axis whose length has a prime factor above 7
 #   (pocketfft's generic-radix and Bluestein paths: z1009, z65521), and
-#   220 ns per one-dimensional line, N/m of them along an axis of length m.
-#   Lines of length 2 dominate on f2^k (1.4-2.3 us per element), so exponent-2
-#   groups stay pairwise at every size this package handles.
+#   220 ns per one-dimensional line, N/m of them along an axis of length m;
+# - Walsh–Hadamard (exponent 2; three transforms, the product and the integer
+#   conversion, with the index scatters of _rep_rows): about 40 us per call
+#   and 15-20 ns per element up to order 2^18, rising to 42-45 ns at 2^20,
+#   where the float64 vectors no longer fit in cache.  The model takes 40 ns,
+#   so f2^20 cells of about 8 million pairs or fewer stay pairwise, which also
+#   keeps their float64 vectors (8 MB each) out of the peak memory.
 _PAIR_NS_XOR = 5
 _PAIR_NS_PER_COORD = 10
 _FFT_NS_PER_AXIS = 60_000
 _FFT_NS_PER_STAGE = 4
 _FFT_NS_PER_LINE = 220
 _FFT_ROUGH_FACTOR = 8
+_WHT_NS_PER_CALL = 40_000
+_WHT_NS_PER_ELEMENT = 40
 # - a row check (one translate, gather and count in Python): about 4 us
 #   beyond its pairs (3-5 us measured at |X| = 4, rank 1);
 # - a _row_counts call: its pairs or transform, as above, plus a 200 us
@@ -89,6 +97,13 @@ _FFT_ROUGH_FACTOR = 8
 #   the benchmark's dense cells take the same time with either).
 _ROW_CHECK_NS = 4_000
 _ROW_COUNTS_CALL_NS = 200_000
+
+# Walsh–Hadamard transform: Hadamard blocks of at most 2^5 x 2^5, in GEMMs
+# of at most 2^18 multiply-adds, which OpenBLAS runs on the calling thread.
+# A larger GEMM may be split across threads: on a 2-vCPU VM a pass over
+# (2, 32, 1024) blocks in one matmul took 24-40 ms instead of about 0.2 ms.
+_HADAMARD_BITS = 5
+_GEMM_MNK = 1 << 18
 
 # float64 unit roundoff
 _UNIT_ROUNDOFF = 2.0**-53
@@ -163,7 +178,7 @@ class GroupSubset:
         return int.from_bytes(np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     def to_index_list(self) -> list[int]:
-        return [int(i) for i in self.indices]
+        return self.indices.tolist()
 
     # ---- set algebra ----
 
@@ -253,6 +268,8 @@ def _seven_smooth(m: int) -> bool:
 @functools.lru_cache(maxsize=64)
 def _transform_ns(moduli: tuple[int, ...]) -> float:
     n = math.prod(moduli)
+    if all(m == 2 for m in moduli):
+        return _WHT_NS_PER_CALL + _WHT_NS_PER_ELEMENT * n
     total = 0.0
     for m in moduli:
         stage_ns = _FFT_NS_PER_STAGE * (1 if _seven_smooth(m) else _FFT_ROUGH_FACTOR)
@@ -297,13 +314,27 @@ def _transform_error_bound(order: int, norm_product: float) -> float:
 
 
 def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-    """(1_F * 1_H)(z) for every index z, from indicator vectors f and h, by rfftn.
+    """(1_F * 1_H)(z) for every index z, from indicator vectors f and h.
 
     f may also be a stack of indicator rows, one convolution per row, and h
-    a stack of the same shape or one row shared by every row of f.  Returns
-    None when the float result cannot be certified exact for every row; the
-    caller then computes pairwise.
+    a stack of the same shape or one row shared by every row of f.
+
+    A group of exponent 2 convolves by Walsh–Hadamard transforms,
+    W(W(f) W(h)) / N, which is exact a priori: every forward partial sum is
+    an integer of size at most |F| <= 2^20, every pointwise product one of
+    at most |F||H| <= 2^40, and every inverse partial sum one of at most
+    sum_s |W(f)(s) W(h)(s)| <= N sqrt(|F||H|) <= 2^40 (Cauchy–Schwarz, with
+    Parseval's sum_s W(f)(s)^2 = N |F|), all below 2^53; dividing by N = 2^k
+    is exact.  Any other group convolves by rfftn and returns None when the
+    float result cannot be certified exact for every row; the caller then
+    computes pairwise.
     """
+    if group.is_exponent_two:
+        spectrum = _walsh_hadamard(f.astype(np.float64, order="C"))
+        spectrum *= _walsh_hadamard(h.astype(np.float64, order="C"))
+        values = _walsh_hadamard(spectrum)
+        values /= group.order
+        return values.astype(np.int64)
     sizes = np.count_nonzero(f, axis=-1) * np.count_nonzero(h, axis=-1)
     if _transform_error_bound(group.order, math.sqrt(int(np.max(sizes)))) >= 0.25:
         return None
@@ -318,6 +349,48 @@ def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.nda
     if not np.array_equal(counts.sum(axis=-1), sizes):
         return None
     return counts
+
+
+@functools.lru_cache(maxsize=_HADAMARD_BITS + 1)
+def _hadamard(bits: int) -> np.ndarray:
+    """The 2^bits x 2^bits Sylvester matrix, entry (s, x) = (-1)^popcount(s & x)."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """W(v)(s) = sum_x (-1)^popcount(s & x) v(x) along the last axis of v, of length 2^k.
+
+    The k index bits are split into ceil(k / _HADAMARD_BITS) axes, and each
+    axis is multiplied by its Hadamard block: from the left in column blocks
+    of at most _GEMM_MNK // m^2, or, on the last axis, from the right in row
+    blocks as narrow, so no one GEMM exceeds _GEMM_MNK.  The passes alternate
+    between v and one buffer of its shape, so v (float64, C-contiguous) is
+    overwritten, and the result is whichever of the two the last pass wrote.
+    """
+    n = v.shape[-1]
+    bits = n.bit_length() - 1
+    passes = -(-bits // _HADAMARD_BITS)
+    spare = np.empty_like(v)
+    after = n  # the product of the lengths of the axes after the current one
+    for p in range(passes):
+        b = bits * (p + 1) // passes - bits * p // passes
+        m = 1 << b
+        after //= m
+        cols = _GEMM_MNK // (m * m)
+        if after == 1:
+            rows = (-1, min(cols, n // m), m)
+            np.matmul(v.reshape(rows), _hadamard(b), out=spare.reshape(rows))
+        else:
+            c = min(cols, after)
+            blocks = (-1, m, after // c, c)
+            v_blocks, out = v.reshape(blocks).swapaxes(1, 2), spare.reshape(blocks).swapaxes(1, 2)
+            np.matmul(_hadamard(b), v_blocks, out=out)
+        v, spare = spare, v
+    return v
 
 
 def rep_function(x: GroupSubset, y: GroupSubset) -> RepFunction:
@@ -370,7 +443,9 @@ def _row_counts(group: GroupSpec, s_bits: np.ndarray, xi: np.ndarray, yi: np.nda
             return conv[..., yi]
     step = max(1, _PAIR_BLOCK // max(1, len(yi)))
     sums = (group.pairsum_matrix(xi[lo : lo + step], yi) for lo in range(0, max(1, len(xi)), step))
-    return functools.reduce(np.add, (s_bits[..., i].sum(axis=-2, dtype=np.int64) for i in sums))
+    # s_bits[i] gathers one row 2-3x faster than s_bits[..., i], which stacks need
+    hits = (s_bits[i] if s_bits.ndim == 1 else s_bits[..., i] for i in sums)
+    return functools.reduce(np.add, (h.sum(axis=-2, dtype=np.int64) for h in hits))
 
 
 def _squared_norms(r: np.ndarray) -> list[int]:

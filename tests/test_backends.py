@@ -1,9 +1,10 @@
 """The two backends of every set-level count, and the cost model between them.
 
 Forcing the dispatch each way runs every count through one backend, and
-each must agree with the independent oracles in conftest.  A transform
-result that the exactness gate cannot certify must give way to the pairwise
-kernel.
+each must agree with the independent oracles in conftest.  On groups of
+exponent 2 the transform is the Walsh–Hadamard one, exact a priori; on every
+other group an rfftn result that the exactness gate cannot certify must give
+way to the pairwise kernel.
 """
 
 import math
@@ -34,7 +35,9 @@ from conftest import (
     oracle_sumset,
 )
 
-GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "2,4,8", "6,10", "16,16")}
+GROUPS = {
+    name: parse_group(name) for name in ("z12", "3,5", "2,4,8", "6,10", "16,16", "f2^5", "2,2,2")
+}
 EPSILONS = (Fraction(1, 2), Fraction(1, 4), Fraction(2, 7), Fraction(1, 2**70))
 BACKENDS = ("pairwise", "transform")
 
@@ -225,8 +228,9 @@ def test_a_priori_bound_admits_dense_groups():
 
 # (group, |X|, |Y|) of every count in the benchmark's mc and structure
 # workloads (largest shapes: sigma-tail tiers up to 64 x 64, restriction
-# 64 x 64, decompose |A| <= 352 against |B| <= 32, worst-case at order 16)
-# and of every dense cell on an exponent-2 group
+# 64 x 64, decompose |A| <= 352 against |B| <= 32, worst-case at order 16),
+# and the small dense cells and f2^20 dense cells, whose Walsh–Hadamard
+# convolution costs as much as their pairs
 PAIRWISE_SHAPES = [
     ("f2^10", 64, 64),
     ("4,4,4,4,4", 64, 64),
@@ -240,11 +244,10 @@ PAIRWISE_SHAPES = [
     ("4,4", 16, 16),
     ("2,8", 16, 16),
     ("f2^16", 256, 256),
-    ("f2^16", 2304, 2304),
     ("f2^20", 256, 256),
     ("f2^20", 160, 32768),
 ]
-TRANSFORM_SHAPES = [("16,16,16,16", 2304, 2304), ("z65536", 2304, 2304)]
+TRANSFORM_SHAPES = [("16,16,16,16", 2304, 2304), ("z65536", 2304, 2304), ("f2^16", 2304, 2304)]
 
 
 @pytest.mark.parametrize("group, nx, ny", PAIRWISE_SHAPES)
@@ -258,12 +261,67 @@ def test_cost_model_takes_transform_for_large_cells(group, nx, ny):
 
 
 def test_energy_of_full_group_at_the_cap():
-    # E(G, G) = N^3 = 2^60, the largest energy any pair of sets can have
-    g = parse_group("z1048576")
-    full = GroupSubset.full(g)
-    assert additive_energy(full, full) == g.order**3
+    # E(G, G) = N^3 = 2^60, the largest energy any pair of sets can have; in
+    # f2^20 the Walsh–Hadamard inverse sums N^2 = 2^40, its a priori bound
+    for name in ("z1048576", "f2^20"):
+        g = parse_group(name)
+        full = GroupSubset.full(g)
+        assert subsets._transform_cheaper(g, g.order**2)
+        assert additive_energy(full, full) == g.order**3
 
 
 def test_dense_cap_keeps_energy_in_int64():
     # E(X, Y) <= min(|X|, |Y|) |X||Y| <= N^3, so an int64 dot product holds it
     assert DENSE_CAP**3 < 2**63
+
+
+def _oracle_walsh_hadamard(v):
+    # the Sylvester matrix entry by entry: (-1)^popcount(s & x)
+    idx = np.arange(v.shape[-1])
+    signs = (-1.0) ** np.bitwise_count(idx[:, None] & idx[None, :])
+    return v @ signs
+
+
+@pytest.mark.parametrize("bits", [1, 4, 5, 6, 9, 10, 16])
+def test_walsh_hadamard_gemms_stay_single_threaded(monkeypatch, bits):
+    # OpenBLAS splits a GEMM of more than _GEMM_MNK multiply-adds across threads
+    sizes = []
+    matmul = np.matmul
+
+    def recorded(a, b, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    v = np.random.default_rng(bits).integers(0, 2, size=(3, 1 << bits)).astype(np.float64)
+    w = subsets._walsh_hadamard(v.copy())
+    assert sizes and max(sizes) <= subsets._GEMM_MNK
+    if bits <= 10:
+        assert np.array_equal(w, _oracle_walsh_hadamard(v))
+    else:  # W(W(v)) = N v
+        assert np.array_equal(subsets._walsh_hadamard(w) / (1 << bits), v)
+
+
+@pytest.mark.parametrize("group", ["f2^3", "f2^10", "4,4,4"])
+def test_stacked_rows_equal_under_both_backends(group):
+    # the stacks of the Monte Carlo chunks: one pair (X_i, Y_i) per row
+    g = parse_group(group)
+    gen = np.random.default_rng(7)
+    rows, nx, ny = 6, min(g.order, 20), min(g.order, 7)
+    xs = np.stack([gen.choice(g.order, nx, replace=False) for _ in range(rows)])
+    ys = np.stack([gen.choice(g.order, ny, replace=False) for _ in range(rows)])
+    pairwise, transform = _under_each_backend(lambda: subsets._rep_rows(g, xs, ys))
+    assert transform.dtype == np.int64 and np.array_equal(pairwise, transform)
+    for r, x, y in zip(transform, xs, ys):
+        assert {z: int(v) for z, v in enumerate(r) if v} == dict(
+            oracle_rep_counts(g.moduli, x.tolist(), y.tolist())
+        )
+
+
+def test_index_list_holds_python_ints():
+    # the serializer passes a value through only when type(v) is exactly int
+    g = parse_group("f2^20")
+    s = GroupSubset.from_indices(g, np.random.default_rng(3).choice(g.order, 500, replace=False))
+    listed = s.to_index_list()
+    assert listed == sorted(int(i) for i in s.indices)
+    assert all(type(v) is int for v in listed)
