@@ -60,7 +60,12 @@ def hoeffding_tail(deviation: float, count: int) -> float:
         raise StructuralError(f"count must be >= 1, got {count}")
     if not deviation >= 0:
         raise StructuralError(f"deviation must be >= 0, got {deviation}")
-    return tail_probability(-2.0 * float(deviation) ** 2 / count)
+    deviation = float(deviation)
+    try:
+        exponent = -2.0 * deviation**2 / count
+    except OverflowError:  # deviation^2 is beyond a double, deviation / count is not
+        exponent = -2.0 * deviation * (deviation / count)
+    return tail_probability(exponent)
 
 
 def joint_deviation_bound(epsilon: float, k: int, n: int) -> float:
@@ -103,7 +108,7 @@ def existential_deviation_bounds(
     union_exp = k * (log_order - eps**2 * n / 2.0)
     union = _clipped_exp(union_exp)
     refined = tail_probability(-(eps**2) * n * k / 4.0)
-    threshold = 4.0 * log_order / eps**2
+    threshold = 4.0 * log_order / eps**2 if eps**2 else math.inf  # eps^2 may underflow
     return ExistentialBounds(
         union_bound=union,
         refined_bound=refined,
@@ -113,11 +118,18 @@ def existential_deviation_bounds(
 
 
 def low_energy_exponent(order: float, epsilon: float, r: float, big_k: float) -> float:
-    """2000 log^2 N / eps^4 - eps^2 r K / 40, the raw exponent."""
+    """2000 log^2 N / eps^4 - eps^2 r K / 40, the raw exponent; a term beyond a
+    double is inf, and where both are, the sign of their exact difference decides."""
     eps = epsilon_in(epsilon, 1, to_float)
     order = positive(order, "order", to_float)
     log_order = math.log(order)
-    return 2000.0 * log_order**2 / eps**4 - eps**2 * float(r) * float(big_k) / 40.0
+    # eps^4 may underflow to 0; the quotient is then inf, or 0 at log N = 0
+    gain = 2000.0 * log_order**2 / eps**4 if eps**4 else math.inf if log_order else 0.0
+    loss = eps**2 * float(r) * float(big_k) / 40.0
+    if gain == loss == math.inf:  # log(gain / loss), a sum of finite logs
+        return math.copysign(math.inf, math.log(80000.0 * log_order**2) - 6.0 * math.log(eps)
+                             - math.log(abs(r)) - math.log(abs(big_k)))
+    return gain - loss
 
 
 def low_energy_deviation_bound(
@@ -200,17 +212,24 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
 
     The chain N^d 3^(nd) < e^((log N + 1.1 n) d) <= e^(2nd) needs n >= 2 log N
     and d >= 1; threshold_ok reports the first condition, and the chain is
-    asserted whenever both hold.
+    asserted whenever both hold.  Where a link is beyond a double, the chain is
+    compared divided by nd, whose terms stay finite.
     """
     order = positive(order, "order", to_float)
     if not (1 <= n < math.inf and 0 <= d < math.inf):
         raise StructuralError(f"need finite n >= 1 and d >= 0, got n={n}, d={d}")
     log_order = math.log(order)
-    log_bound = 2.0 * float(n) * float(d)
-    log_intermediate = float(d) * log_order + float(n) * float(d) * math.log(3.0)
-    middle = (log_order + 1.1 * float(n)) * float(d)
+    n, d = float(n), float(d)
+    log_bound = 2.0 * n * d if d else 0.0  # not inf * 0 where 2n overflows
+    log_intermediate = d * log_order + n * d * math.log(3.0)
+    if math.isnan(log_intermediate):  # d log N = -inf against nd log 3 = +inf
+        log_intermediate = d * (log_order + n * math.log(3.0))
     threshold_ok = n >= 2.0 * log_order
-    chain_ok = (log_intermediate < middle <= log_bound) if d >= 1 else True
+    links = (log_intermediate, (log_order + 1.1 * n) * d, log_bound)
+    chain_ok = d < 1 or (  # divided by nd, the first link holds as log 3 < 1.1
+        links[0] < links[1] <= links[2]
+        if all(map(math.isfinite, links)) else log_order / n + 1.1 <= 2.0
+    )
     if threshold_ok and d >= 1:
         check(chain_ok, "counting chain must hold above the size threshold")
     # log_bound >= 0 never meets the floor; log_intermediate keeps exp()'s own underflow

@@ -46,9 +46,9 @@ __all__ = [
 
 MODES = ("general", "exponent2")
 DEFAULT_DPS = 30
-# precision cap: a general-mode threshold search at this dps took about 3.3 s
-# (1.2 s at the default) on a 2-vCPU x86-64 VM, while 10^8 digits did not
-# finish in a minute
+# precision cap: a general-mode threshold search at this dps took 2.2-2.4 s
+# as a CLI process (0.7-0.8 s at the default) on a 2-vCPU x86-64 VM, while
+# 10^8 digits did not finish in a minute
 MAX_DPS = 1000
 _NSTR_DIGITS = 20
 # beyond this magnitude the result's own exponent becomes an astronomically

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bounds, cascade, harness
 from .decomposition import DEFAULT_DIMENSION_CONSTANT, energy_partition, find_structured_subset
 from .deviation import greedy_low_overlap_packing
-from .dissociation import additive_dimension, is_dissociated
+from .dissociation import additive_dimension
 from .errors import GuardError, PropertyError, StructuralError, to_float, to_int
 from .groups import parse_group
 from .harness import run_deviation_scan, run_worst_case_scan
@@ -211,7 +211,7 @@ def _dispatch(args):
             "command": "dim",
             "group": args.group,
             "set": s.to_index_list(),
-            "dissociated": is_dissociated(s),
+            "dissociated": result.value == s.size,  # dim(S) = |S| iff S is dissociated
             **result.to_json(),
         }, None
 

@@ -10,8 +10,9 @@ guarantee's shape, with a configurable constant).
 Every subset energy in the finder is one quadratic form: with b_1..b_m the
 elements of B and overlap[j, k] = |(A + b_j) ∩ (A + b_k)| (diagonal |A|),
 E(A, S) = sum_{j,k in S} |(A + b_j) ∩ (A + b_k)| = 1_S' overlap 1_S.
-Exhaustive mode evaluates it for all 2^m - 1 subsets in one product; greedy
-mode reads every candidate's gain 2 (overlap 1_S)_j + |A| off one gather.
+Exhaustive mode evaluates it for all 2^m - 1 subsets in one product, E(A, B)
+being the full set's entry; greedy mode reads every candidate's gain
+2 (overlap 1_S)_j + |A| off one gather.
 
 energy_partition iterates the finder: while the residual part keeps energy
 ratio at most M, extract a structured piece and continue.  Each extraction
@@ -86,9 +87,6 @@ def find_structured_subset(
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
     dim_constant = positive(dim_constant, "dim_constant", to_float)
 
-    e_ab = additive_energy(a, b)  # at least |A||B| > 0
-    K = Fraction(a.size * b.size**2, e_ab)
-
     g = a.group
     n_a = a.size
     b_idx = [int(y) for y in b.indices]
@@ -109,6 +107,7 @@ def find_structured_subset(
         masks = np.arange(1, 1 << m, dtype=np.int64)
         bits = (masks[:, None] >> np.arange(m)) & 1
         energies = ((bits @ overlap) * bits).sum(axis=1)
+        e_ab = int(energies[-1])  # the full mask: E(A, B)
         keep = ENERGY_KEEP_DENOMINATOR * energies >= e_ab
         # b_idx ascends, so ordering local masks orders the subsets' global
         # bitmasks too: this is the tie-break order (size, bitmask), in which a
@@ -135,6 +134,7 @@ def find_structured_subset(
                 best_dim, subset, chosen_energy = dim_value, candidate, sub_energy
         dim_value, dim_exact = best_dim, True  # |S| <= 12 < EXACT_DIMENSION_GUARD
     elif mode == "greedy":
+        e_ab = additive_energy(a, b)
         rep = np.zeros(g.order, dtype=np.int64)
         taken = np.zeros(len(b_idx), dtype=bool)
         energy = 0
@@ -157,6 +157,7 @@ def find_structured_subset(
         dim_value, dim_exact = dim.value, dim.exact
     else:
         raise StructuralError(f"unknown finder mode {mode!r}")
+    K = Fraction(a.size * b.size**2, e_ab)  # E(A, B) >= |A||B| > 0
 
     check(
         ENERGY_KEEP_DENOMINATOR * chosen_energy >= e_ab,

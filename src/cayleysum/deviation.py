@@ -378,10 +378,10 @@ def _restriction_plan(x: GroupSubset, y: GroupSubset, eps: Fraction) -> _Restric
     (energy,) = subsets._squared_norms(rep[None])
     ratio = Fraction(x.size**2 * y.size, energy)
     eps_f = float(eps)
-    s_raw = math.ceil(2000.0 * log_order / eps_f**4)
+    s_raw = 2000.0 * log_order / eps_f**4 if eps_f**4 else math.inf  # eps^4 underflows
     t_raw = math.ceil(float(ratio) * y.size * eps_f**2 / (10.0 * log_order))
     params = RestrictionParams(
-        x_sample_size=max(1, min(s_raw, x.size)),
+        x_sample_size=x.size if s_raw >= x.size else max(1, math.ceil(s_raw)),
         y_sample_size=max(1, min(t_raw, y.size)),
         y_threshold=y.size,
         energy_ratio=ratio,

@@ -12,7 +12,8 @@ Three facts drive the implementation:
   dense span closure grown one element at a time, with no sign-vector
   enumeration.  One ascending greedy scan does this: S is dissociated
   exactly when the scan admits every element, so `is_dissociated` and the
-  greedy dimension share `_greedy_scan`.
+  greedy dimension share `_greedy_scan`.  An exact witness is dissociated and
+  no smaller than the scan's, so S is dissociated iff dim(S) = |S| in either mode.
 * One closure step, Span + {e, -e}, is either one pair-sum scatter over
   the span, O(|span|), or span | span[T_-e] | span[T_+e], bool gathers
   through the translation tables T_-+e = (z -> z -+ e), O(N).  Building the
@@ -45,7 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from ._record import Record
-from .bounds import low_dimension_count_bound
+from .bounds import LowDimCountBound, low_dimension_count_bound
 from .errors import GuardError, StructuralError
 from .groups import GroupSpec
 from .subsets import GroupSubset
@@ -222,30 +223,18 @@ def additive_dimension(a: GroupSubset, mode: str = "exact") -> DimensionResult:
 
 
 def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:
-    if len(indices) <= d:
-        return True
     if g.is_exponent_two:
         return len(_gf2_basis_scan(indices)) <= d
     found = _exact_search(GroupSubset.from_indices(g, indices), stop_at=d + 1)
     return len(found) <= d
 
 
-@dataclass
-class LowDimensionSetCount(Record):
-    """Count of nonempty sets X with |X| <= n and dim(X) <= d, plus bounds.
-
-    The closed-form ceiling is exp(2nd); the intermediate quantity
-    N^d * 3^(nd) < exp((log N + 1.1 n) d) feeds the chain that proves it
-    whenever n >= 2 log N.
-    """
+@dataclass(frozen=True)
+class LowDimensionSetCount(LowDimCountBound):
+    """The counting bound's record plus the count of nonempty sets X with
+    |X| <= n and dim(X) <= d, when enumerated (exact is None otherwise)."""
 
     exact: int | None
-    bound: float
-    intermediate: float
-    log_bound: float
-    log_intermediate: float
-    chain_ok: bool
-    threshold_ok: bool
     enumerated: bool
 
 
@@ -253,29 +242,18 @@ def count_low_dimension_sets(g: GroupSpec, n: int, d: int) -> LowDimensionSetCou
     """Count (when feasible) and bound the nonempty X with |X| <= n, dim(X) <= d."""
     N = g.order
     chain = low_dimension_count_bound(N, n, d)
-    exact: int | None = None
-    enumerated = False
     top = min(n, N)
-    total_subsets = sum(math.comb(N, i) for i in range(1, top + 1))
-    if N <= _COUNT_ORDER_LIMIT and total_subsets <= _COUNT_SUBSET_LIMIT:
-        enumerated = True
-        count = 0
-        for size in range(1, top + 1):
-            if size <= d:
-                count += math.comb(N, size)
-                continue
-            for combo in combinations(range(N), size):
-                if _dimension_at_most(g, combo, d):
-                    count += 1
-        exact = count
-
-    return LowDimensionSetCount(
-        exact=exact,
-        bound=chain.bound,
-        intermediate=chain.intermediate,
-        log_bound=chain.log_bound,
-        log_intermediate=chain.log_intermediate,
-        chain_ok=chain.chain_ok,
-        threshold_ok=chain.threshold_ok,
-        enumerated=enumerated,
-    )
+    # the binomial sum is formed only in groups small enough to enumerate
+    if N > _COUNT_ORDER_LIMIT or (
+        sum(math.comb(N, i) for i in range(1, top + 1)) > _COUNT_SUBSET_LIMIT
+    ):
+        return LowDimensionSetCount(**vars(chain), exact=None, enumerated=False)
+    count = 0
+    for size in range(1, top + 1):
+        if size <= d:
+            count += math.comb(N, size)
+            continue
+        for combo in combinations(range(N), size):
+            if _dimension_at_most(g, combo, d):
+                count += 1
+    return LowDimensionSetCount(**vars(chain), exact=count, enumerated=True)

@@ -212,16 +212,9 @@ def test_gate_falls_back_to_pairwise(monkeypatch, corrupt):
     assert len(calls) == 3  # every count tried the transform before falling back
 
 
-def test_a_priori_bound_skips_transform(monkeypatch):
-    g, (x, y) = _sets("16,16", (40, 50))
-    force(monkeypatch, "transform")
-    monkeypatch.setattr(subsets, "_transform_error_bound", lambda order, norm: 0.25)
-    monkeypatch.setattr(np.fft, "rfftn", None)  # would raise if called
-    assert additive_energy(x, y) == oracle_energy(g.moduli, x.to_index_list(), y.to_index_list())
-
-
 def test_a_priori_bound_admits_dense_groups():
-    # full sets in the largest groups the dense cap allows are far inside 1/4
+    # full sets in the largest groups the dense cap allows are far inside 1/4,
+    # which is why _exact_convolution does not check the bound per call
     for order in (12, 1 << 20, 1 << 24):
         assert subsets._transform_error_bound(order, float(order)) < 1e-5
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 import time
 from fractions import Fraction
@@ -18,6 +19,8 @@ from cayleysum.dissociation import count_low_dimension_sets
 from cayleysum.errors import StructuralError, to_float, to_fraction
 from cayleysum.groups import parse_group
 from cayleysum.subsets import GroupSubset
+
+from conftest import oracle_dissociated
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +71,29 @@ def test_dim_greedy_takes_any_size(capsys):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["dissociated"] is False and doc["value"] == 5
+
+
+_DIM_GROUPS = {
+    name: parse_group(name) for name in ("z12", "z101", "3,5", "4,4,4", "f2^6", "2,4,8")
+}
+
+
+# dim reports dissociated as dim(S) = |S|: the greedy scan admits all of S
+# exactly when S is dissociated, and an exact witness is no smaller
+@settings(
+    max_examples=40, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_dim_dissociated_matches_the_oracle(capsys, data):
+    name = data.draw(st.sampled_from(sorted(_DIM_GROUPS)))
+    moduli = _DIM_GROUPS[name].moduli
+    idx = sorted(data.draw(st.sets(st.integers(0, _DIM_GROUPS[name].order - 1), max_size=7)))
+    expected = oracle_dissociated(moduli, idx)
+    for mode in ("greedy", "exact"):
+        code, out, err = run_cli(capsys, "dim", "--group", name, "--set", str(idx), "--mode", mode)
+        assert code == 0, err
+        assert json.loads(out)["dissociated"] is expected
 
 
 def test_decompose_target_ratio_alias(capsys):
@@ -201,6 +227,16 @@ def test_mc_restriction_kind(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["smoke_ok"] is True
+
+
+def test_mc_restriction_at_tiny_epsilon(capsys):
+    # s = ceil(2000 log N / eps^4) is beyond a double: it clips to |X|
+    code, out, _ = run_cli(
+        capsys, "mc", "--kind", "restriction", "--epsilon", "1e-80", "--trials", "1"
+    )
+    assert code == 0
+    params = json.loads(out)["results"]["params"]
+    assert (params["x_sample_size"], params["y_sample_size"]) == (64, 1)
 
 
 @pytest.mark.parametrize(
@@ -639,6 +675,43 @@ def test_infinite_bound_param_is_usage_error(capsys, params):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# where a bound's float arithmetic leaves the double range it still gives
+# 0.0, 1.0 or inf (an exponent of -inf or inf), never an exception or NaN
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        (("hoeffding", "deviation=1e155", "count=1"), {"value": 0.0}),
+        # deviation^2 is beyond a double, the exponent -2 deviation^2 / count is -200
+        (("hoeffding", "deviation=1e155", "count=1e308"), {"value": 1.3838965267367376e-87}),
+        (("existential", "order=100", "epsilon=1e-200", "n=8", "k=2"),
+         {"threshold": math.inf, "threshold_ok": False, "refined_bound": 1.0}),
+        (("low-energy", "order=100", "epsilon=1e-90", "r=2", "K=2"),
+         {"exponent": math.inf, "value": math.inf}),
+        (("threshold", "order=100", "epsilon=1e-90", "w=2"), {"value": math.inf}),
+        # both exponent terms are beyond a double; eps^2 r K / 40 is the larger
+        (("low-energy", "order=100", "epsilon=1e-78", "r=1e300", "K=1e300"),
+         {"exponent": -math.inf, "value": 0.0}),
+        # the chain holds (log N <= 0.9 n) though its links are all inf
+        (("low-dim-count", "order=16", "n=1e200", "d=1e200"),
+         {"chain_ok": True, "threshold_ok": True, "bound": math.inf}),
+        (("low-dim-count", "order=1048576", "n=16", "d=1.7e308"),
+         {"chain_ok": True, "threshold_ok": False}),
+        # d log N = -inf against nd log 3 = +inf
+        (("low-dim-count", "order=1e-300", "n=1", "d=1e307"),
+         {"chain_ok": True, "log_intermediate": -math.inf, "intermediate": 0.0}),
+        # 2n = inf, but 2nd = 0 at d = 0
+        (("low-dim-count", "order=0.5", "n=1.7e308", "d=0"),
+         {"log_bound": 0.0, "bound": 1.0}),
+    ],
+)
+def test_bound_beyond_the_double_range(capsys, params, expected):
+    name, *pairs = params
+    code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
+    assert (code, err) == (0, "") and "NaN" not in out
+    doc = json.loads(out)
+    assert {key: doc[key] for key in expected} == expected
+
+
 @pytest.mark.parametrize(
     "params,line",
     [
@@ -658,6 +731,37 @@ def test_bound_param_error_lines(capsys, params, line):
     name, *pairs = params
     code, out, err = run_cli(capsys, "bounds", "--name", name, "--params", *pairs)
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+# refusals in the harness, the bounds and the partition loop, each with its
+# exact error line
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        *((("mc", "--kind", kind, "--trials", "0"), "trials must be >= 1")
+          for kind in ("sigma-tail", "restriction", "joint-deviation")),
+        (("mc", "--kind", "joint-deviation", "--ks", "0", "--trials", "10"),
+         "ks must be positive, got (0,)"),
+        (("mc", "--kind", "joint-deviation", "--n", "3", "--ks", "1000", "--trials", "10"),
+         "packing yields only 64 rows, need 1000"),
+        (("mc", "--kind", "sigma-tail", "--group", "f2^17", "--trials", "1"),
+         "group order 131072 exceeds the 2^16 throughput cap"),
+        (("worst-case", "--group", "z4", "--floor", "0"), "floor must lie in [1, 4], got 0"),
+        (("bounds", "--name", "packed", "--params", "foo"), "expected key=val, got 'foo'"),
+        (("bounds", "--name", "joint-deviation", "--params", "epsilon=0.25", "k=-1", "n=8"),
+         "k must be >= 0, got -1"),
+        (("bounds", "--name", "joint-deviation", "--params", "epsilon=0.25", "k=2", "n=0"),
+         "n must be >= 1, got 0"),
+        (("bounds", "--name", "existential", "--params", "order=100", "epsilon=0.25", "n=0",
+          "k=2"), "need n, k >= 1, got n=0, k=2"),
+        (("bounds", "--name", "threshold", "--params", "order=2", "epsilon=0.25", "w=2"),
+         "order must satisfy log(order) > 1"),
+        (("decompose", "--group", "z8", "--set-a", "[1,2]", "--set-b", "[1,2,3]", "-M", "2"),
+         "need |A| >= |B|, got 2 < 3"),
+    ],
+)
+def test_refusal_error_lines(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
 
 
 # every numeric CLI input, as an argv whose "{}" takes the value, and the
@@ -769,6 +873,13 @@ _NUMBERS = st.one_of(
     st.integers(-3, 70).map(str),
     st.sampled_from(["1/2", "1/3", "-1/2", "1/0", "2.5", "1e400", "nan", "inf", "abc", ""]),
 )
+# doubles near the ends of the range, where a bound's float arithmetic
+# overflows or underflows
+_EXTREME_NUMBERS = st.builds(
+    "{}e{}".format,
+    st.sampled_from(["1", "1.7", "5", "-1"]),
+    st.sampled_from([-320, -300, -200, -155, -100, -90, -78, 78, 154, 155, 200, 300, 307, 308]),
+)
 _SETS = st.one_of(
     st.lists(st.integers(-2, 70), max_size=8).map(lambda xs: f"[{','.join(map(str, xs))}]"),
     st.sampled_from(["0xff", "0x0", "[", "[a]", ""]),
@@ -812,11 +923,15 @@ def _cli_argv(draw):
         argv += optional("--tiers", st.sampled_from(["4x4", "2x3,8x8", "0x0", "99x99", "4by4"]))
         argv += optional("--x-size", _NUMBERS) + optional("--y-size", _NUMBERS)
     elif cmd == "bounds":
+        name = draw(st.sampled_from(sorted(_BOUNDS)))
         keys = ["deviation", "count", "epsilon", "k", "n", "order", "r", "K", "m", "d", "w",
                 "constant", "kind"]
-        params = draw(st.lists(st.tuples(st.sampled_from(keys), _NUMBERS), max_size=5))
-        argv += ["--name", draw(st.sampled_from(sorted(_BOUNDS)))]
-        argv += ["--params", *(f"{k}={v}" for k, v in params)]
+        # the bound's own keys reach its arithmetic, drawn keys mostly its checks
+        names = draw(st.one_of(
+            st.just(list(_BOUNDS[name][1])), st.lists(st.sampled_from(keys), max_size=5)
+        ))
+        params = [(k, draw(st.one_of(_NUMBERS, _EXTREME_NUMBERS))) for k in names]
+        argv += ["--name", name, "--params", *(f"{k}={v}" for k, v in params)]
     elif cmd == "audit":
         mode = draw(st.sampled_from(["general", "exponent2"]))
         argv += ["--mode", mode]
@@ -847,8 +962,10 @@ def _cli_argv(draw):
 )
 @given(argv=_cli_argv())
 def test_cli_fuzz_exit_codes(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("property violation:")
+    if argv[0] == "bounds":  # a value of 0.0, 1.0 or inf, or a usage error
+        assert code != 1 and "NaN" not in out, err

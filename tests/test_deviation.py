@@ -304,6 +304,19 @@ def test_restriction_params_formulas(rnd):
         assert set(draw.t_subset.to_index_list()) <= set(y.to_index_list())
 
 
+@pytest.mark.parametrize("eps", ["1e-80", "1e-100"])
+def test_restriction_sizes_at_tiny_epsilon(eps):
+    # 2000 log N / eps^4 is beyond a double at 1e-80, and eps^4 underflows to
+    # 0 at 1e-100: either way S is all of X, and T is one element
+    g = parse_group("z12")
+    x = GroupSubset.from_indices(g, [0, 1, 2, 3, 5, 8])
+    y = GroupSubset.from_indices(g, [1, 4, 6, 7, 9])
+    draw = restriction_sample(x, y, eps, seed=1)
+    assert (draw.params.x_sample_size, draw.params.y_sample_size) == (6, 1)
+    assert draw.s_subset.to_index_list() == x.to_index_list()
+    assert draw.t_subset.size == 1
+
+
 def test_restriction_checks_need_a():
     g = parse_group("z8")
     x = GroupSubset.full(g)
