@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._record import Record
-from .errors import StructuralError, check, epsilon_in, positive, to_float
+from .errors import StructuralError, epsilon_in, positive, to_float
 
 __all__ = [
     "tail_probability",
@@ -210,28 +210,22 @@ class LowDimCountBound(Record):
 def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBound:
     """e^(2nd) vs the raw count N^d 3^(nd), with the bridging chain checked.
 
-    The chain N^d 3^(nd) < e^((log N + 1.1 n) d) <= e^(2nd) needs n >= 2 log N
-    and d >= 1; threshold_ok reports the first condition, and the chain is
-    asserted whenever both hold.  Where a link is beyond a double, the chain is
-    compared divided by nd, whose terms stay finite.
+    For d >= 1 the chain N^d 3^(nd) < e^((log N + 1.1 n) d) <= e^(2nd) holds
+    exactly when log N <= 0.9 n, since its first link, nd log 3 < 1.1 nd,
+    always holds; chain_ok reports that (and is true for d < 1, where no
+    chain is claimed).  threshold_ok reports n >= 2 log N, which implies it.
     """
     order = positive(order, "order", to_float)
     if not (1 <= n < math.inf and 0 <= d < math.inf):
         raise StructuralError(f"need finite n >= 1 and d >= 0, got n={n}, d={d}")
     log_order = math.log(order)
     n, d = float(n), float(d)
-    log_bound = 2.0 * n * d if d else 0.0  # not inf * 0 where 2n overflows
+    log_bound = 2.0 * d * n  # 2d is exact, so this is 2nd wherever 2nd is a double
     log_intermediate = d * log_order + n * d * math.log(3.0)
     if math.isnan(log_intermediate):  # d log N = -inf against nd log 3 = +inf
         log_intermediate = d * (log_order + n * math.log(3.0))
     threshold_ok = n >= 2.0 * log_order
-    links = (log_intermediate, (log_order + 1.1 * n) * d, log_bound)
-    chain_ok = d < 1 or (  # divided by nd, the first link holds as log 3 < 1.1
-        links[0] < links[1] <= links[2]
-        if all(map(math.isfinite, links)) else log_order / n + 1.1 <= 2.0
-    )
-    if threshold_ok and d >= 1:
-        check(chain_ok, "counting chain must hold above the size threshold")
+    chain_ok = d < 1 or log_order <= 0.9 * n
     # log_bound >= 0 never meets the floor; log_intermediate keeps exp()'s own underflow
     bound = _clipped_exp(log_bound)
     inter = _clipped_exp(log_intermediate, -math.inf)

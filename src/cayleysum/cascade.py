@@ -19,6 +19,10 @@ ledger's 20-significant-digit strings, at the ledger's own precision.
 find_threshold reads nothing but the pass flags, so its probes skip that
 formatting, which dominates at huge exponents.
 
+Each mode is one _MODE_TABLE entry (row function, default constants, the u
+range find_threshold bisects); both entry points check mode, dps and
+constants through _mode_setup.
+
 Ledger determinism: inputs are canonicalized to strings at the ledger's
 precision before parsing, so re-auditing at a ledger's stored inputs
 reproduces every field bit for bit.
@@ -44,7 +48,6 @@ __all__ = [
     "safe_exp",
 ]
 
-MODES = ("general", "exponent2")
 DEFAULT_DPS = 30
 # precision cap: a general-mode threshold search at this dps took 2.2-2.4 s
 # as a CLI process (0.7-0.8 s at the default) on a 2-vCPU x86-64 VM, while
@@ -54,11 +57,6 @@ _NSTR_DIGITS = 20
 # beyond this magnitude the result's own exponent becomes an astronomically
 # long integer; saturate instead of materializing it
 _EXP_ARG_LIMIT = mpf("1e15")
-
-_DEFAULT_CONSTANTS = {
-    "general": {"count_rate": 1.0},
-    "exponent2": {"dim_rate": 1.0},
-}
 
 
 def safe_exp(x: mpf) -> mpf:
@@ -160,25 +158,26 @@ class CascadeLedger(Record):
         raise StructuralError(f"no ledger row named {name!r}")
 
 
-def _merge_constants(mode: str, constants: dict | None) -> dict:
-    merged = dict(_DEFAULT_CONSTANTS[mode])
+def _mode_setup(mode: str, dps: int, constants: dict | None):
+    """Check mode, dps and constants in turn; (row function, constants, bracket)."""
+    if mode not in MODES:
+        raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
+    if dps < 15:
+        raise StructuralError(f"dps must be >= 15, got {dps}")
+    if dps > MAX_DPS:
+        raise GuardError(f"dps {dps} exceeds the cap MAX_DPS = {MAX_DPS}")
+    mode_rows, defaults, bracket = _MODE_TABLE[mode]
+    merged = dict(defaults)
     for key, value in (constants or {}).items():
         if key not in merged:
             raise StructuralError(
                 f"unknown constant {key!r} for mode {mode!r}; known: {sorted(merged)}"
             )
         merged[key] = positive(value, f"constant {key!r}", to_float)
-    return merged
+    return mode_rows, merged, bracket
 
 
-def _check_dps(dps: int) -> None:
-    if dps < 15:
-        raise StructuralError(f"dps must be >= 15, got {dps}")
-    if dps > MAX_DPS:
-        raise GuardError(f"dps {dps} exceeds the cap MAX_DPS = {MAX_DPS}")
-
-
-def _evaluate(mode: str, log_order_str: str, w_str: str, consts: dict):
+def _evaluate(mode_rows, log_order_str: str, w_str: str, consts: dict):
     """Check the canonical inputs and evaluate one cascade at the working precision.
 
     Returns (derived, rows) with raw values; see _row for the row fields.
@@ -190,9 +189,7 @@ def _evaluate(mode: str, log_order_str: str, w_str: str, consts: dict):
         raise StructuralError(f"need log N > e, got {log_order_str}")
     if not wv > 1:
         raise StructuralError(f"need w > 1, got {w_str}")
-    if mode == "general":
-        return _general_rows(logn, wv, consts)
-    return _exponent2_rows(logn, wv, consts)
+    return mode_rows(logn, wv, consts)
 
 
 def cascade_audit(
@@ -203,14 +200,11 @@ def cascade_audit(
     dps: int = DEFAULT_DPS,
 ) -> CascadeLedger:
     """Evaluate one cascade at (log N, w) and return the inequality ledger."""
-    if mode not in MODES:
-        raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_dps(dps)
-    consts = _merge_constants(mode, constants)
+    mode_rows, consts, _ = _mode_setup(mode, dps, constants)
     with mp.workdps(dps):
         log_order_str = _canonical_input(log_order)
         w_str = _canonical_input(w)
-        derived, raw_rows = _evaluate(mode, log_order_str, w_str, consts)
+        derived, raw_rows = _evaluate(mode_rows, log_order_str, w_str, consts)
         rows = tuple(
             LedgerRow(**{**r, "lhs": _fmt(r["lhs"]), "rhs": _fmt(r["rhs"])}) for r in raw_rows
         )
@@ -367,6 +361,14 @@ def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
     return derived, rows
 
 
+# mode -> (row function, default constants, the u range find_threshold bisects)
+_MODE_TABLE = {
+    "general": (_general_rows, {"count_rate": 1.0}, (0.7, 520.0)),
+    "exponent2": (_exponent2_rows, {"dim_rate": 1.0}, (0.2, 12.0)),
+}
+MODES = tuple(_MODE_TABLE)
+
+
 @dataclass(frozen=True)
 class ThresholdSearch(Record):
     """Bisection record for the least all-pass size along logN = exp(w)."""
@@ -382,7 +384,6 @@ class ThresholdSearch(Record):
     passing_log_order: str = field(default="", metadata={"json": "passing_logN"})
 
 
-_BRACKETS = {"general": (0.7, 520.0), "exponent2": (0.2, 12.0)}  # the u range bisected
 _THRESHOLD_TOLERANCE = 1e-3  # bisection stops once the u bracket is this narrow
 
 
@@ -399,11 +400,7 @@ def find_threshold(
     u their pass flags must form a monotone step, which the caller can
     verify.
     """
-    if mode not in MODES:
-        raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
-    lo, hi = _BRACKETS[mode]
-    _check_dps(dps)
-    consts = _merge_constants(mode, constants)
+    mode_rows, consts, (lo, hi) = _mode_setup(mode, dps, constants)
     probes: list[dict] = []
 
     def probe(u: float) -> dict:
@@ -412,9 +409,9 @@ def find_threshold(
             logn = mp.exp(wv * (1 + mpf("1e-15")))
             # the recorded strings are what is audited, so the stored
             # inputs reproduce the ledger; only the pass flags are read
-            w_str = mp.nstr(wv, mp.dps)
-            logn_str = mp.nstr(logn, mp.dps)
-            _, rows = _evaluate(mode, logn_str, w_str, consts)
+            w_str = _canonical_input(wv)
+            logn_str = _canonical_input(logn)
+            _, rows = _evaluate(mode_rows, logn_str, w_str, consts)
         entry = {
             "u": u,
             "w": w_str,

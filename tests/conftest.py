@@ -183,6 +183,39 @@ def oracle_worst_case(moduli, a_idx, floor: int) -> tuple:
     return best, best_x, best_y
 
 
+# --------------------------------------------------------- spectral oracles
+
+def oracle_spectral_radius_f2(order: int, a_idx) -> int:
+    """lambda = max over s != 0 of |sum over a in A of (-1)^popcount(s & a)|.
+
+    On an exponent-2 group an index is its coordinate bit vector, so these
+    sums are the nontrivial Fourier coefficients of A.
+    """
+    return max(
+        (abs(sum(-1 if bin(s & a).count("1") & 1 else 1 for a in a_idx)) for s in range(1, order)),
+        default=0,
+    )
+
+
+def oracle_mixing_lemma(moduli, a_idx, x_size: int, y_size: int, edges: int) -> dict:
+    """The expander mixing lemma for e = #{(x, y) in X x Y : x + y in A}, in integers.
+
+    N e - |A||X||Y| is the sum over nontrivial characters of A^ X^ Y^, so it is
+    at most lambda N sqrt(|X||Y|), and lambda^4 <= N E(A) - |A|^4 by Parseval:
+    "energy" on every group, and "spectral" with lambda itself when every
+    modulus is 2.
+    """
+    order = math.prod(moduli)
+    size = len(a_idx)
+    gap = order * edges - size * x_size * y_size
+    energy = oracle_energy(moduli, a_idx, a_idx)
+    holds = {"energy": gap**4 <= order**4 * (order * energy - size**4) * (x_size * y_size) ** 2}
+    if set(moduli) == {2}:
+        lam = oracle_spectral_radius_f2(order, a_idx)
+        holds["spectral"] = gap**2 <= order**2 * lam**2 * x_size * y_size
+    return holds
+
+
 # ---------------------------------------------------------- finder oracles
 
 def oracle_greedy_finder(moduli, a_idx, b_idx) -> list:

@@ -5,6 +5,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleysum import bounds
 from cayleysum.errors import PropertyError, StructuralError
@@ -178,6 +180,24 @@ def test_count_chain_sweep():
         # independent chain check in logs
         ln = math.log(order)
         assert d * ln + n * d * math.log(3.0) < (ln + 1.1 * n) * d <= 2 * n * d + 1e-9
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(order=_POSITIVE, n=st.floats(min_value=1, max_value=1.7e308),
+       d=st.floats(min_value=1, max_value=1.7e308))
+def test_count_chain_matches_its_links(order, n, d):
+    # chain_ok against both links of N^d 3^(nd) < e^((log N + 1.1 n) d) <= e^(2nd)
+    # at 50 digits, away from the boundary log N = 0.9 n where rounding decides
+    with mp.workdps(50):
+        log_order, n_, d_ = mp.log(order), mp.mpf(n), mp.mpf(d)
+        margin = abs(log_order - mp.mpf(9) / 10 * n_)
+        assume(margin >= mp.mpf("1e-9") * max(abs(log_order), n_))
+        middle = (log_order + mp.mpf(11) / 10 * n_) * d_
+        chain = d_ * log_order + n_ * d_ * mp.log(3) < middle <= 2 * n_ * d_
+    assert bounds.low_dimension_count_bound(order, n, d).chain_ok == chain
 
 
 def test_count_chain_below_threshold_not_asserted():

@@ -153,10 +153,79 @@ def test_numpy_float_input_matches_float():
     assert a.to_json() == cascade.cascade_audit("general", 230.0, 5.438).to_json()
 
 
+def _exponent2_bracket(monkeypatch, bracket):
+    rows, constants, _ = cascade._MODE_TABLE["exponent2"]
+    monkeypatch.setitem(cascade._MODE_TABLE, "exponent2", (rows, constants, bracket))
+
+
 def test_find_threshold_bad_bracket(monkeypatch):
-    monkeypatch.setitem(cascade._BRACKETS, "exponent2", (0.1, 0.2))
-    with pytest.raises(GuardError):
+    _exponent2_bracket(monkeypatch, (0.1, 0.2))
+    with pytest.raises(GuardError) as info:
         cascade.find_threshold("exponent2")
+    assert str(info.value) == "bracket high end u=0.2 still fails; widen upward"
+
+
+def test_find_threshold_low_end_already_passes(monkeypatch):
+    _exponent2_bracket(monkeypatch, (11.0, 12.0))
+    with pytest.raises(GuardError) as info:
+        cascade.find_threshold("exponent2")
+    assert str(info.value) == "bracket low end u=11.0 already passes; widen downward"
+
+
+# both entry points check mode, dps and constants, in that order, with one message each
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mode, **kw: cascade.cascade_audit(mode, 230, 5.0, **kw),
+        lambda mode, **kw: cascade.find_threshold(mode, **kw),
+    ],
+    ids=["cascade_audit", "find_threshold"],
+)
+@pytest.mark.parametrize(
+    "mode,kwargs,error,message",
+    [
+        ("nope", {}, StructuralError, "mode must be one of ('general', 'exponent2'), got 'nope'"),
+        ("nope", {"dps": 14}, StructuralError,
+         "mode must be one of ('general', 'exponent2'), got 'nope'"),
+        ("general", {"dps": 14}, StructuralError, "dps must be >= 15, got 14"),
+        ("general", {"dps": 1001}, GuardError, "dps 1001 exceeds the cap MAX_DPS = 1000"),
+        ("exponent2", {"dps": 14, "constants": {"count_rate": 2}}, StructuralError,
+         "dps must be >= 15, got 14"),
+        ("exponent2", {"constants": {"count_rate": 2}}, StructuralError,
+         "unknown constant 'count_rate' for mode 'exponent2'; known: ['dim_rate']"),
+    ],
+)
+def test_entry_checks(entry, mode, kwargs, error, message):
+    with pytest.raises(error) as info:
+        entry(mode, **kwargs)
+    assert str(info.value) == message
+
+
+def test_ledger_row_unknown_name():
+    led = cascade.cascade_audit("exponent2", 2000, 40)
+    with pytest.raises(StructuralError) as info:
+        led.row("nope")
+    assert str(info.value) == "no ledger row named 'nope'"
+
+
+# the stored (logN, w) of a probe re-audit to that probe's pass flag
+@pytest.mark.parametrize("dim_rate", [1.0, 0.5, 2.0])
+def test_exponent2_probes_reaudit_to_their_flags(dim_rate):
+    constants = {"dim_rate": dim_rate}
+    search = cascade.find_threshold("exponent2", constants)
+    for p in search.probes:
+        led = cascade.cascade_audit("exponent2", p["logN"], p["w"], constants)
+        assert led.all_pass == p["all_pass"], p["u"]
+
+
+def test_general_probes_nearest_the_threshold_reaudit_to_their_flags():
+    # each general ledger formats numbers near 10^(10^213), so only the last
+    # failing and the first passing probe are re-audited
+    probes = sorted(cascade.find_threshold("general").probes, key=lambda p: p["u"])
+    step = [p["all_pass"] for p in probes].index(True)
+    for p in probes[step - 1 : step + 1]:
+        led = cascade.cascade_audit("general", p["logN"], p["w"])
+        assert led.all_pass == p["all_pass"], p["u"]
 
 
 def test_safe_exp_extremes():

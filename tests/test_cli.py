@@ -702,6 +702,12 @@ def test_infinite_bound_param_is_usage_error(capsys, params):
         # 2n = inf, but 2nd = 0 at d = 0
         (("low-dim-count", "order=0.5", "n=1.7e308", "d=0"),
          {"log_bound": 0.0, "bound": 1.0}),
+        # 2n = inf, but 2nd = 3.4e208 is a double
+        (("low-dim-count", "order=1e20", "n=1.7e308", "d=1e-100"),
+         {"log_bound": 3.4e208, "bound": math.inf}),
+        # d log N + nd log 3 = -inf + inf; d (log N + n log 3) = inf
+        (("low-dim-count", "order=1e-300", "n=1e300", "d=1e306"),
+         {"log_intermediate": math.inf, "intermediate": math.inf, "chain_ok": True}),
     ],
 )
 def test_bound_beyond_the_double_range(capsys, params, expected):

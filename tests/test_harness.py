@@ -27,7 +27,14 @@ from cayleysum.harness import (
 )
 from cayleysum.subsets import GroupSubset
 
-from conftest import oracle_restriction, oracle_sigma_tail, oracle_worst_case
+from conftest import (
+    oracle_add,
+    oracle_fair_coins,
+    oracle_mixing_lemma,
+    oracle_restriction,
+    oracle_sigma_tail,
+    oracle_worst_case,
+)
 
 
 def test_wilson_interval_basics():
@@ -371,3 +378,45 @@ def test_mc_runners_skip_per_trial_set_work(monkeypatch):
     calls.clear()
     run_sigma_tail_mc("4,4,4,4", tiers=((4, 4), (8, 8)), trials=20, seed=1)
     assert not calls
+
+
+# a spectral certificate for reported edge counts: each obeys the expander
+# mixing lemma, with E(A) and lambda from oracles that share no subsets code
+_MODULI = {
+    "z64": (64,), "f2^6": (2,) * 6, "4,4,4": (4, 4, 4), "2,8": (2, 8),
+    "f2^4": (2,) * 4, "z16": (16,),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    group=st.sampled_from(["z64", "f2^6", "4,4,4", "2,8"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_scan_edges_obey_the_mixing_lemma(group, seed, data):
+    moduli = _MODULI[group]
+    order = math.prod(moduli)
+    x_size, y_size = (data.draw(st.integers(1, order)) for _ in range(2))
+    res = run_deviation_scan(group, seed=seed, x_size=x_size, y_size=y_size).results
+    a = oracle_fair_coins(seed, order)
+    assert res["a_size"] == len(a)
+    sigma = res["sigma"]
+    holds = oracle_mixing_lemma(moduli, a, sigma["x_size"], sigma["y_size"], sigma["edges"])
+    assert all(holds.values()), holds
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    group=st.sampled_from(["f2^4", "z16", "2,8"]),
+    seed=st.integers(0, 2**32 - 1),
+    floor=st.integers(1, 16),
+)
+def test_worst_case_witness_obeys_the_mixing_lemma(group, seed, floor):
+    moduli = _MODULI[group]
+    res = run_worst_case_scan(group, floor=floor, seed=seed).results
+    a, x, y = set(res["a"]), res["x_witness"], res["y_witness"]
+    assert res["a"] == oracle_fair_coins(seed, 16)
+    edges = sum(oracle_add(moduli, i, j) in a for i in x for j in y)
+    holds = oracle_mixing_lemma(moduli, res["a"], len(x), len(y), edges)
+    assert all(holds.values()), holds
