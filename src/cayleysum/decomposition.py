@@ -134,7 +134,8 @@ def find_structured_subset(
                 best_dim, subset, chosen_energy = dim_value, candidate, sub_energy
         dim_value, dim_exact = best_dim, True  # |S| <= 12 < EXACT_DIMENSION_GUARD
     elif mode == "greedy":
-        e_ab = additive_energy(a, b)
+        cover = np.bincount(translates.ravel(), minlength=g.order)  # r_{A+B}
+        e_ab = int(cover @ cover)  # E(A, B) <= N^3 <= 2^60 under DENSE_CAP: no int64 overflow
         rep = np.zeros(g.order, dtype=np.int64)
         taken = np.zeros(len(b_idx), dtype=bool)
         energy = 0

@@ -55,6 +55,9 @@ __all__ = [
     "restriction_sample",
 ]
 
+# a restriction draw, and so run_restriction_mc, takes any epsilon in (0, 1]
+_RESTRICTION_EPSILON_MAX = Fraction(1)
+
 
 def random_subset(group: GroupSpec, seed: int) -> GroupSubset:
     """The vertex-label set A, sampled by independent fair coins, one per element.
@@ -276,8 +279,8 @@ def _packing_pipeline(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: F
     n = x.size
     ratio = Fraction(n**2 * y.size, additive_energy(x, y))
 
+    # nonempty: with |sigma| >= eps, _deviating_rows asserts at least eps |Y| > 0 rows
     rows = _deviating_rows(counts, x, y, eps)
-    check(rows.size > 0, "a deviating pair must produce at least one deviating row")
     packing = greedy_low_overlap_packing(x, rows, eps / 2)
     row_ratio = packing.energy_ratio  # |X|^2 |rows| / E(X, rows)
     check(row_ratio >= eps * ratio, "extracted rows must keep an eps fraction of the energy ratio")
@@ -345,7 +348,7 @@ def restriction_sample(
     clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).  This is
     the one-draw case of the batched draws run_restriction_mc makes.
     """
-    eps = epsilon_in(epsilon, Fraction(1))
+    eps = epsilon_in(epsilon, _RESTRICTION_EPSILON_MAX)
     if a is not None and a.group != x.group:
         raise StructuralError("A, X, Y must share one group")
     plan = _restriction_plan(x, y, eps)

@@ -9,15 +9,16 @@ config reproduces it byte for byte.  Wall-clock data lives in a separate
 Tail-bound experiments take their theoretical reference values from the
 bounds module; nothing here re-derives a formula.
 
-The Monte Carlo runners process trials in chunks of about _MC_BITS bits of
-A, as bit_matrix unpacks them: 64 ceil(N / 64) bytes per trial.  A chunk
-derives all its trial seeds in array passes and draws all its A rows with
-one bit_matrix call.  The sampled-set runners then take one stacked count
-r_t = r_{X_t + Y_t} per trial and read every quantity off it as an inner
-product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The joint-deviation
-rows and the scan rows c(y) = |A ∩ (X + y)| come from subsets._row_counts, on
-a chunk's stack of A rows and on one A.  The X, Y, S and T draws are one
-seeded random.Random sample per set.
+Every Monte Carlo runner walks its trials with one loop, _trial_chunks: it
+cuts the trials into chunks of about _MC_BITS bits of A, as bit_matrix
+unpacks them (64 ceil(N / 64) bytes per trial), and hands each chunk its
+trial seeds derive_seed(master, first + t) from one array pass.  A chunk
+draws all its A rows with one bit_matrix call and all its X, Y, S and T sets
+with one rng.sample_rows call per set.  The sampled-set runners then take one
+stacked count r_t = r_{X_t + Y_t} per trial and read every quantity off it
+as an inner product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The
+joint-deviation rows and the scan rows c(y) = |A ∩ (X + y)| come from
+subsets._row_counts, on a chunk's stack of A rows and on one A.
 """
 
 from __future__ import annotations
@@ -130,24 +131,18 @@ def _subgroup_prefix(g: GroupSpec, n: int) -> GroupSubset:
     return GroupSubset.from_indices(g, np.arange(_set_size(g, "n", n)))
 
 
-def _chunks(trials: int, order: int):
-    """Trial ranges [lo, hi) whose A rows unpack to at most _MC_BITS bytes.
+def _trial_chunks(trials: int, order: int, master: int, first: int = 0):
+    """The Monte Carlo trial loop: per chunk, (lo, hi, seeds) for trials [lo, hi).
 
-    bit_matrix unpacks whole 64-bit words, one byte per bit, so a trial costs
-    64 ceil(order / 64) bytes; a range holds at least one trial.
+    seeds[t - lo] = derive_seed(master, first + t).  bit_matrix unpacks whole
+    64-bit words, one byte per bit, so a trial's A row costs
+    64 ceil(order / 64) bytes; a chunk holds at most _MC_BITS of them, and at
+    least one trial.
     """
     step = max(1, _MC_BITS // (64 * -(-order // 64)))
     for lo in range(0, trials, step):
-        yield lo, min(lo + step, trials)
-
-
-def _trial_seeds(master: int, lo: int, hi: int, streams: int) -> np.ndarray:
-    """derive_seed(derive_seed(master, t), j) at row t - lo and column j.
-
-    t runs over [lo, hi) and j over [0, streams).
-    """
-    bases = rng.derive_seed_array(master, np.arange(lo, hi))
-    return rng.derive_seed_array(bases[:, None], np.arange(streams))
+        hi = min(lo + step, trials)
+        yield lo, hi, rng.derive_seed_array(master, np.arange(first + lo, first + hi))
 
 
 def _independence_shifts(g: GroupSpec) -> np.ndarray:
@@ -204,8 +199,7 @@ def run_joint_deviation_mc(
     successes = {k: 0 for k in ks}
     indep_hits = 0
     pair_x, pair_shifts = np.arange(2), _independence_shifts(g)
-    for lo, hi in _chunks(trials, g.order):
-        seeds = rng.derive_seed_array(seed, np.arange(lo, hi))
+    for _, _, seeds in _trial_chunks(trials, g.order, seed):
         bits = rng.bit_matrix(seeds, g.order)
         counts = subsets._row_counts(g, bits, x.indices, row_targets)
         events = deviation._row_deviates(counts, n, row_eps)
@@ -297,8 +291,8 @@ def run_sigma_tail_mc(
     for i, (sx, sy) in enumerate(tiers):
         pairs = sx * sy
         spread = np.empty(trials, dtype=np.int64)  # |2 edges - |X||Y||
-        for lo, hi in _chunks(trials, g.order):
-            seeds = _trial_seeds(rng.derive_seed(seed, 1000 + i), lo, hi, 3)
+        for lo, hi, bases in _trial_chunks(trials, g.order, rng.derive_seed(seed, 1000 + i)):
+            seeds = rng.derive_seed_array(bases[:, None], np.arange(3))
             bits = rng.bit_matrix(seeds[:, 0], g.order)
             xs = rng.sample_rows(range(g.order), sx, seeds[:, 1])
             ys = rng.sample_rows(range(g.order), sy, seeds[:, 2])
@@ -355,7 +349,7 @@ def run_restriction_mc(
     """
     started = time.monotonic()
     g = parse_group(group)
-    eps = epsilon_in(epsilon)
+    eps = epsilon_in(epsilon, deviation._RESTRICTION_EPSILON_MAX)
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     x = _sampled_set(g, "x_size", x_size, rng.derive_seed(seed, 1))
@@ -364,8 +358,8 @@ def run_restriction_mc(
     energy_ok = 0
     deviation_ok = 0
     joint = 0
-    for lo, hi in _chunks(trials, g.order):
-        seeds = _trial_seeds(seed, 100 + lo, 100 + hi, 2)
+    for _, _, bases in _trial_chunks(trials, g.order, seed, first=100):
+        seeds = rng.derive_seed_array(bases[:, None], np.arange(2))
         bits = rng.bit_matrix(seeds[:, 0], g.order)
         _, _, energy_checks, deviation_checks = deviation._restriction_draws(
             x, y, plan, seeds[:, 1], bits

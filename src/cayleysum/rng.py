@@ -12,9 +12,9 @@ contract, stated once here and relied on everywhere:
   ``derive_seed(master, t)``; nested streams derive again with small tags.
 * ``bernoulli_bits(seed, n)``: bit ``e`` (0-based) is bit ``e mod 64`` of
   ``splitmix64((seed + (e // 64 + 1) * GAMMA) mod 2^64)``.
-
-Subsampling without replacement goes through ``random.Random(seed).sample``,
-which is stable for a fixed seed.
+* ``sample_rows(pool, k, seeds)``: row i is the entries of pool at positions
+  ``Random(seeds[i]).sample(range(len(pool)), k)``, sorted ascending.  It is
+  the one sampler; ``sample_without_replacement`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 
 import numpy as np
+
+from .errors import StructuralError
 
 __all__ = [
     "GAMMA",
@@ -50,7 +52,7 @@ def splitmix64(z: int) -> int:
 def derive_seed(master: int, index: int) -> int:
     """Child seed for stream `index` of a master seed."""
     if index < 0:
-        raise ValueError("stream index must be nonnegative")
+        raise StructuralError(f"stream index must be nonnegative, got {index}")
     return splitmix64((master + splitmix64(((index + 1) * GAMMA) & _MASK)) & _MASK)
 
 
@@ -81,13 +83,9 @@ def bernoulli_bits(seed: int, n_bits: int) -> np.ndarray:
 def derive_seed_array(master, indices) -> np.ndarray:
     """derive_seed(master, t), broadcast over masters and indices.
 
-    master is a seed or an array of seeds; indices is a count (meaning
-    0, 1, ..., count - 1) or an index array.
+    master is a seed or an array of seeds; indices is an index or an index array.
     """
-    if isinstance(indices, (int, np.integer)):
-        idx = np.arange(1, int(indices) + 1, dtype=np.uint64)
-    else:
-        idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
+    idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
     if isinstance(master, (int, np.integer)):
         master = np.uint64(int(master) & _MASK)
     else:
@@ -97,22 +95,23 @@ def derive_seed_array(master, indices) -> np.ndarray:
         return _splitmix64_np(master + inner)
 
 
-def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
-    """k distinct entries of pool, sorted ascending, chosen by a seeded partial shuffle.
+def sample_rows(pool: np.ndarray | range, k: int, seeds) -> np.ndarray:
+    """k distinct entries of pool per seed, each row ascending; shape (len(seeds), k).
 
     pool is an integer array or a range; a range is never materialized, its
     chosen positions map straight to values.
     """
     if k > len(pool):
-        raise ValueError(f"cannot sample {k} items from a pool of {len(pool)}")
-    rnd = random.Random(seed)
-    chosen = np.array(rnd.sample(range(len(pool)), k), dtype=np.int64)
+        raise StructuralError(f"cannot sample {k} items from a pool of {len(pool)}")
+    seeds = np.asarray(seeds).tolist()
+    positions = np.array(
+        [random.Random(seed).sample(range(len(pool)), k) for seed in seeds], dtype=np.int64
+    ).reshape(len(seeds), k)
     if isinstance(pool, range):
-        return np.sort(pool.start + pool.step * chosen)
-    return np.sort(np.asarray(pool)[chosen])
+        return np.sort(pool.start + pool.step * positions, axis=1)
+    return np.sort(np.asarray(pool, dtype=np.int64)[positions], axis=1)
 
 
-def sample_rows(pool: np.ndarray | range, k: int, seeds: np.ndarray) -> np.ndarray:
-    """sample_without_replacement(pool, k, seed), one row per seed; shape (len(seeds), k)."""
-    rows = [sample_without_replacement(pool, k, seed) for seed in np.asarray(seeds).tolist()]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
+    """k distinct entries of pool, sorted ascending: the one-row case of sample_rows."""
+    return sample_rows(pool, k, [seed])[0]

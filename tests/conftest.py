@@ -299,6 +299,39 @@ def oracle_restriction(moduli, x_size: int, y_size: int, eps: Fraction, trials: 
     return (s, t, ratio), draws
 
 
+def oracle_joint_deviation(moduli, n: int, eps: Fraction, ks, trials: int, seed: int):
+    """(rows used, {k: successes}, independence hits, per-trial (A, row counts)).
+
+    X = {0, ..., n - 1} and the rows are the first max(ks) of its greedy
+    packing in G at eps.  Trial t's A is keyed by derive_seed(seed, t); a row
+    count c = |A ∩ (X + y)| deviates when |2c - |X|| >= 2 eps |X|.  Trial t
+    succeeds at k when its first k rows all deviate.  The independence arm
+    asks the same of X = {0, 1} at the shifts 2 and 4 (0 and 2 when N < 5).
+    """
+    order = math.prod(moduli)
+    rows = oracle_packing(moduli, range(n), range(order), eps)[0][: max(ks)]
+    pair_rows = (2, 4) if order >= 5 else (0, 2)
+
+    def counts(a, size, ys):
+        return [sum(oracle_add(moduli, x, y) in a for x in range(size)) for y in ys]
+
+    def deviates(c, size):
+        return abs(2 * c - size) * eps.denominator >= 2 * eps.numerator * size
+
+    successes = {k: 0 for k in ks}
+    indep_hits = 0
+    per_trial = []
+    for trial in range(trials):
+        a = oracle_fair_coins(derive_seed(seed, trial), order)
+        members = set(a)
+        row_counts = counts(members, n, rows)
+        for k in ks:
+            successes[k] += all(deviates(c, n) for c in row_counts[:k])
+        indep_hits += all(deviates(c, 2) for c in counts(members, 2, pair_rows))
+        per_trial.append((a, row_counts))
+    return rows, successes, indep_hits, per_trial
+
+
 # ------------------------------------------------------------------ sampling
 
 def random_subset_indices(rnd: random.Random, order: int, size: int) -> list:

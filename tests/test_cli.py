@@ -239,6 +239,27 @@ def test_mc_restriction_at_tiny_epsilon(capsys):
     assert (params["x_sample_size"], params["y_sample_size"]) == (64, 1)
 
 
+def test_restriction_draw_and_mc_share_one_epsilon_range(capsys):
+    g = parse_group("f2^4")
+    x, y = (GroupSubset.from_indices(g, range(lo, lo + 8)) for lo in (0, 4))
+    draws = (
+        lambda eps: restriction_sample(x, y, eps, seed=1),
+        lambda eps: harness.run_restriction_mc("f2^4", 8, 8, eps, trials=2),
+    )
+    for eps in ("3/4", 1):
+        for draw in draws:
+            draw(eps)
+    for eps in (0, "1.000000001"):
+        for draw in draws:
+            with pytest.raises(StructuralError) as info:
+                draw(eps)
+            assert str(info.value) == f"epsilon must lie in (0, 1], got {eps}"
+    code, out, _ = run_cli(
+        capsys, "mc", "--kind", "restriction", "--epsilon", "3/4", "--trials", "5"
+    )
+    assert code == 0 and json.loads(out)["config"]["epsilon"] == "3/4"
+
+
 @pytest.mark.parametrize(
     "argv,stray",
     [

@@ -30,6 +30,7 @@ from cayleysum.subsets import GroupSubset
 from conftest import (
     oracle_add,
     oracle_fair_coins,
+    oracle_joint_deviation,
     oracle_mixing_lemma,
     oracle_restriction,
     oracle_sigma_tail,
@@ -316,6 +317,15 @@ def test_batched_mc_matches_per_trial_oracles(case):
     g, group, tiers, (x_size, y_size), eps, trials, seed = case
     sigma_tail = oracle_sigma_tail(g.moduli, tiers, trials, seed)
     (s, t, ratio), draws = oracle_restriction(g.moduli, x_size, y_size, eps, trials, seed)
+    ks = (1,)
+    joint_rows, successes, indep_hits, joint_trials = oracle_joint_deviation(
+        g.moduli, x_size, eps, ks, trials, seed
+    )
+    # each trial's edge count between X and the first k rows obeys the mixing lemma
+    for a, row_counts in joint_trials:
+        for k in ks:
+            holds = oracle_mixing_lemma(g.moduli, a, x_size, k, sum(row_counts[:k]))
+            assert all(holds.values()), holds
     restriction_draws = deviation._restriction_draws
     seen = []
 
@@ -338,7 +348,7 @@ def test_batched_mc_matches_per_trial_oracles(case):
             tail = run_sigma_tail_mc(group, tiers=tiers, trials=trials, seed=seed)
             restriction = run_restriction_mc(group, x_size, y_size, eps, trials=trials, seed=seed)
             joint = run_joint_deviation_mc(
-                group, n=x_size, epsilon=eps, ks=(1,), trials=trials, seed=seed
+                group, n=x_size, epsilon=eps, ks=ks, trials=trials, seed=seed
             )
         assert [
             (Fraction(row["median_abs_sigma_exact"]), Fraction(row["max_abs_sigma_exact"]))
@@ -352,6 +362,10 @@ def test_batched_mc_matches_per_trial_oracles(case):
         assert res["energy_check_freq"] == sum(d[3] for d in draws) / trials
         assert res["deviation_check_freq"] == sum(d[4] for d in draws) / trials
         assert res["joint_freq"] == sum(d[3] and d[4] for d in draws) / trials
+        res = joint.results
+        assert res["rows_used"] == joint_rows
+        assert {row["k"]: row["successes"] for row in res["per_k"]} == successes
+        assert res["independence_arm"]["empirical"] == indep_hits / trials
         digests.update(rep.canonical_bytes() for rep in (tail, restriction, joint))
     assert sorted(digests.values()) == [12, 12, 12]
 

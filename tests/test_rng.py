@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from cayleysum import rng
+from cayleysum.errors import StructuralError
+
+from conftest import oracle_sample
 
 
 def test_splitmix_reference_values():
@@ -25,14 +28,14 @@ def test_derive_seed_deterministic_and_spread():
 
 
 def test_derive_seed_array_matches_scalar():
-    arr = rng.derive_seed_array(7, 50)
+    arr = rng.derive_seed_array(7, np.arange(50))
     assert [int(v) for v in arr] == [rng.derive_seed(7, i) for i in range(50)]
     offset = rng.derive_seed_array(7, np.arange(10, 20))
     assert [int(v) for v in offset] == [rng.derive_seed(7, i) for i in range(10, 20)]
 
 
 def test_derive_seed_array_broadcasts_masters():
-    masters = rng.derive_seed_array(11, 6)
+    masters = rng.derive_seed_array(11, np.arange(6))
     grid = rng.derive_seed_array(masters[:, None], np.arange(3))
     assert grid.shape == (6, 3)
     assert [[int(v) for v in row] for row in grid] == [
@@ -46,15 +49,19 @@ def test_derive_seed_array_broadcasts_masters():
 
 
 def test_sample_rows_matches_scalar_draws():
-    seeds = rng.derive_seed_array(2, 4)
-    rows = rng.sample_rows(range(10, 40), 5, seeds)
-    assert rows.shape == (4, 5) and rows.dtype == np.int64
-    for row, seed in zip(rows, seeds):
-        assert np.array_equal(row, rng.sample_without_replacement(range(10, 40), 5, int(seed)))
+    seeds = rng.derive_seed_array(2, np.arange(4))
+    pools = (range(10, 40), range(40, 10, -3), np.array([9, 2, 7, 30, 4, 11, 5]))
+    for pool in pools:
+        rows = rng.sample_rows(pool, 5, seeds)
+        assert rows.shape == (4, 5) and rows.dtype == np.int64
+        for row, seed in zip(rows, seeds):
+            assert row.tolist() == oracle_sample(pool, 5, int(seed))
+            assert np.array_equal(row, rng.sample_without_replacement(pool, 5, int(seed)))
+    assert rng.sample_rows(range(5), 2, seeds[:0]).shape == (0, 2)
 
 
 def test_bit_matrix_rows_match_bernoulli_bits():
-    seeds = rng.derive_seed_array(3, 5)
+    seeds = rng.derive_seed_array(3, np.arange(5))
     mat = rng.bit_matrix(seeds, 130)
     assert mat.shape == (5, 130)
     for i, s in enumerate(seeds):
@@ -86,3 +93,12 @@ def test_sample_without_replacement():
     assert np.array_equal(got, again)
     with pytest.raises(ValueError):
         rng.sample_without_replacement(np.arange(3), 4, seed=0)
+
+
+def test_rng_refusals_are_structural_errors():
+    with pytest.raises(StructuralError, match="nonnegative"):
+        rng.derive_seed(0, -1)
+    with pytest.raises(StructuralError, match="cannot sample 4 items from a pool of 3"):
+        rng.sample_without_replacement(np.arange(3), 4, seed=0)
+    with pytest.raises(StructuralError, match="cannot sample 6 items from a pool of 5"):
+        rng.sample_rows(range(5), 6, [1, 2])
