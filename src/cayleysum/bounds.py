@@ -7,7 +7,9 @@ values (0.0, 1.0, or inf for a vacuous unnormalized bound).
 
 Unnamed absolute constants default to 1 and are explicit keyword arguments;
 callers that care can override them.  Exact combinatorial checks live in the
-set-level modules, not here: this module is float arithmetic by design.
+set-level modules, not here: this module is float arithmetic by design.  The
+one exception is a flag that compares a rounded log N with its boundary:
+within 4 ulps of it, mpmath at 50 digits decides.
 """
 
 from __future__ import annotations
@@ -207,6 +209,23 @@ class LowDimCountBound(Record):
     chain_ok: bool
 
 
+def _log_order_at_most(order: float, log_order: float, tenths: int, n: float) -> bool:
+    """log N <= (tenths / 10) n, given log_order = math.log(order).
+
+    The rounded log decides unless it lies within 4 ulps of the boundary,
+    where 50 digits do; order and n are doubles, so only the log is rounded.
+    """
+    bound = tenths / 10 * n
+    if abs(log_order - bound) > 4 * math.ulp(bound):
+        return log_order <= bound
+    # imported here: importing mpmath ahead of the CLI's other modules raised
+    # its peak RSS by about 1.2 MB
+    from mpmath import mp
+
+    with mp.workdps(50):
+        return bool(10 * mp.log(order) <= tenths * mp.mpf(n))
+
+
 def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBound:
     """e^(2nd) vs the raw count N^d 3^(nd), with the bridging chain checked.
 
@@ -224,8 +243,8 @@ def low_dimension_count_bound(order: float, n: float, d: float) -> LowDimCountBo
     log_intermediate = d * log_order + n * d * math.log(3.0)
     if math.isnan(log_intermediate):  # d log N = -inf against nd log 3 = +inf
         log_intermediate = d * (log_order + n * math.log(3.0))
-    threshold_ok = n >= 2.0 * log_order
-    chain_ok = d < 1 or log_order <= 0.9 * n
+    threshold_ok = _log_order_at_most(order, log_order, 5, n)
+    chain_ok = d < 1 or _log_order_at_most(order, log_order, 9, n)
     # log_bound >= 0 never meets the floor; log_intermediate keeps exp()'s own underflow
     bound = _clipped_exp(log_bound)
     inter = _clipped_exp(log_intermediate, -math.inf)

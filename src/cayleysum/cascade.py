@@ -16,8 +16,14 @@ magnitude must be saturated (safe_exp).
 Evaluation and formatting are separate steps.  The cascade formulas compute
 raw mpf values and pass flags; only cascade_audit turns them into the
 ledger's 20-significant-digit strings, at the ledger's own precision.
-find_threshold reads nothing but the pass flags, so its probes skip that
-formatting, which dominates at huge exponents.
+find_threshold reads nothing but the pass flags.  Its probes evaluate the
+mpf inputs they hold rather than parsing back the strings they record, and
+from j0 = 300 on the ladder row 10^j0 > nt1 is decided from binary
+magnitudes.  Near the general threshold j0 has about 700 bits, so the power
+is costly; it is a thunk that only a ledger resolves.  A recorded string
+differs from its raw input by a relative 10^-(dps - 1) at most, so a probe
+whose rows or ceil/floor arguments sit within a relative 10^-(dps - 10) of
+a tie (_clear_of_ties) re-evaluates on its parsed strings instead.
 
 Each mode is one _MODE_TABLE entry (row function, default constants, the u
 range find_threshold bisects); both entry points check mode, dps and
@@ -49,8 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_DPS = 30
-# precision cap: a general-mode threshold search at this dps took 2.2-2.4 s
-# as a CLI process (0.7-0.8 s at the default) on a 2-vCPU x86-64 VM, while
+# precision cap: a general-mode threshold search at this dps took 0.8-1.3 s
+# as a CLI process (0.4-0.6 s at the default) on a 2-vCPU x86-64 VM, while
 # 10^8 digits did not finish in a minute
 MAX_DPS = 1000
 _NSTR_DIGITS = 20
@@ -69,7 +75,10 @@ def safe_exp(x: mpf) -> mpf:
 
 def _fmt(x) -> str:
     """A ledger field; mpf(x) rounds to the working precision, so call it under
-    the ledger's workdps.  Ints (a step count) print exactly."""
+    the ledger's workdps.  Ints (a step count) print exactly, and a thunk (a
+    power only a ledger prints) is resolved first."""
+    if callable(x):
+        x = x()
     if isinstance(x, int):
         return str(x)
     return mp.nstr(mpf(x), _NSTR_DIGITS)
@@ -127,15 +136,18 @@ _RELATIONS = {
 }
 
 
-def _row(name, anchor, lhs, relation, rhs, constant_dependent, note="") -> dict:
-    """LedgerRow fields for lhs <relation> rhs, with the raw sides compared once."""
+def _row(name, anchor, lhs, relation, rhs, constant_dependent, note="", passed=None) -> dict:
+    """LedgerRow fields for lhs <relation> rhs, with the raw sides compared once
+    unless the caller decided the flag already."""
+    if passed is None:
+        passed = _RELATIONS[relation](lhs, rhs)
     return dict(
         name=name,
         anchor=anchor,
         lhs=lhs,
         rhs=rhs,
         relation=relation,
-        passed=bool(_RELATIONS[relation](lhs, rhs)),
+        passed=bool(passed),
         constant_dependent=constant_dependent,
         note=note,
     )
@@ -177,19 +189,58 @@ def _mode_setup(mode: str, dps: int, constants: dict | None):
     return mode_rows, merged, bracket
 
 
-def _evaluate(mode_rows, log_order_str: str, w_str: str, consts: dict):
-    """Check the canonical inputs and evaluate one cascade at the working precision.
-
-    Returns (derived, rows) with raw values; see _row for the row fields.
-    The caller holds mp.workdps(dps) for the ledger's dps.
-    """
-    logn = _parse_input(log_order_str, "logN")
-    wv = _parse_input(w_str, "w")
+def _check_domain(logn: mpf, wv: mpf, log_order_str: str, w_str: str) -> None:
     if not logn > mp.e:
         raise StructuralError(f"need log N > e, got {log_order_str}")
     if not wv > 1:
         raise StructuralError(f"need w > 1, got {w_str}")
+
+
+def _evaluate(mode_rows, log_order_str: str, w_str: str, consts: dict):
+    """Check the canonical inputs and evaluate one cascade at the working precision.
+
+    Returns (derived, rows, rounded) with raw values; see _row for the row
+    fields and _clear_of_ties for rounded.  The caller holds mp.workdps(dps)
+    for the ledger's dps.
+    """
+    logn = _parse_input(log_order_str, "logN")
+    wv = _parse_input(w_str, "w")
+    _check_domain(logn, wv, log_order_str, w_str)
     return mode_rows(logn, wv, consts)
+
+
+def _near(x: mpf, y: mpf) -> bool:
+    """|x - y| <= 10^-(dps - 10) max(|x|, |y|).
+
+    Magnitudes settle most pairs: mag(v) - 1 <= log2|v| < mag(v), and log2
+    of the factor is below -3 (dps - 10), so a near pair has mag(x - y) <=
+    max(mag(x), mag(y)) - 3 (dps - 10).
+    """
+    gap = x - y
+    if mp.mag(gap) > max(mp.mag(x), mp.mag(y)) - 3 * (mp.dps - 10):
+        return False
+    return abs(gap) <= mp.power(10, 10 - mp.dps) * max(abs(x), abs(y))
+
+
+def _clear_of_ties(rows, rounded) -> bool:
+    """Whether inputs within a relative 10^-(dps - 10) give the same flags.
+
+    A row trips when its sides are _near (the == row: when its gap is within
+    a factor 100 of its own tolerance), and so does a ceil/floor argument in
+    rounded that has a fraction (|x| < 2^prec) and is _near an integer.  A
+    ladder thunk, decided by more than 4 bits of magnitude, never trips.
+    """
+    for r in rows:
+        a, b = r["lhs"], r["rhs"]
+        if callable(a):
+            continue
+        if r["relation"] == "==":
+            gap, tol = abs(a - b), abs(b) * mp.power(10, -(mp.dps - 5))
+            if tol / 100 <= gap <= tol * 100:
+                return False
+        elif _near(a, b):
+            return False
+    return not any(abs(x) < 2**mp.prec and _near(x, mp.nint(x)) for x in rounded)
 
 
 def cascade_audit(
@@ -204,7 +255,7 @@ def cascade_audit(
     with mp.workdps(dps):
         log_order_str = _canonical_input(log_order)
         w_str = _canonical_input(w)
-        derived, raw_rows = _evaluate(mode_rows, log_order_str, w_str, consts)
+        derived, raw_rows, _ = _evaluate(mode_rows, log_order_str, w_str, consts)
         rows = tuple(
             LedgerRow(**{**r, "lhs": _fmt(r["lhs"]), "rhs": _fmt(r["rhs"])}) for r in raw_rows
         )
@@ -220,18 +271,37 @@ def cascade_audit(
     )
 
 
+def _ladder_top(j0: mpf, cap: mpf):
+    """(10^j0, whether it exceeds cap) for integers j0 >= 1 and cap > 0.
+
+    From j0 = 300 on the flag is read off binary magnitudes: 2^(mag - 1) <= cap
+    < 2^mag, and j0 log2 10 carries 30 bits beyond j0's own, so a gap of more
+    than 4 bits decides the comparison exactly.  The power is then a thunk,
+    resolved only when a ledger prints it.
+    """
+    if j0 >= 300:
+        mag = mp.mag(cap)
+        with mp.workprec(int(j0).bit_length() + 30):
+            bits = j0 * mp.log(10, 2)
+            if not mag - 4 <= bits <= mag + 4:
+                return (lambda: mp.power(10, j0)), bits > mag
+    top = mp.power(10, j0)
+    return top, top > cap
+
+
 def _general_rows(logn: mpf, wv: mpf, consts: dict):
     ll = mp.log(logn)
     ll_shifted = _loglog_shifted(logn)
     w1 = mp.sqrt(wv)
     eps = mp.power(wv, mpf(-1) / 13)
     eps_t = eps / 4
-    nt0 = mp.ceil(w1 * logn * ll**2)
+    rounded = (w1 * logn * ll**2, ll / 2, mp.log(2 * ll / eps_t, 2))
+    nt0 = mp.ceil(rounded[0])
     nt1 = 2 * nt0
     m = wv * logn * ll**10
-    j0 = mp.ceil(ll / 2)
+    j0 = mp.ceil(rounded[1])
     n0 = eps_t * w1 * logn * ll
-    nu0 = int(mp.floor(mp.log(2 * ll / eps_t, 2)))
+    nu0 = int(mp.floor(rounded[2]))
     ratio_floor0 = n0**2 / (4 * w1**2 * logn**2 * ll**4)
     budget = w1 * logn * ll**4
     rate = mpf(consts["count_rate"])
@@ -257,11 +327,12 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
         note="both printed forms of the per-level energy-ratio floor, at level 0",
     ))
 
-    ladder_top = mp.power(10, j0)
+    ladder_top, exhausted = _ladder_top(j0, nt1)
     rows.append(_row(
         "ratio_ladder_exhaustion", "10^ceil(llN/2) > 2 ceil(sqrt(w) logN llN^2)",
         ladder_top, ">", nt1, constant_dependent=False,
         note="top of the energy-ratio ladder exceeds any admissible |X|",
+        passed=exhausted,
     ))
 
     count_exp = 2 * rate * w1 * logn * ll**4
@@ -306,7 +377,7 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
         "ratio_floor_level0": ratio_floor0,
         "level_budget": budget,
     }
-    return derived, rows
+    return derived, rows, rounded
 
 
 def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
@@ -358,7 +429,7 @@ def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
         "surviving_size": n_prime,
         "span_log": span_log,
     }
-    return derived, rows
+    return derived, rows, ()
 
 
 # mode -> (row function, default constants, the u range find_threshold bisects)
@@ -399,6 +470,12 @@ def find_threshold(
     sweeps both inputs.  Probes are recorded in evaluation order; sorted by
     u their pass flags must form a monotone step, which the caller can
     verify.
+
+    Each probe records w and logN as strings and evaluates its rows on the
+    raw mpf values behind them, so nothing is parsed back and no ladder
+    power is built.  The recorded strings still re-audit to the recorded
+    flag: a probe whose flags could differ on inputs a relative 10^-(dps -
+    10) away (_clear_of_ties) evaluates its parsed strings instead.
     """
     mode_rows, consts, (lo, hi) = _mode_setup(mode, dps, constants)
     probes: list[dict] = []
@@ -407,11 +484,14 @@ def find_threshold(
         with mp.workdps(dps):
             wv = mp.exp(mpf(repr(u)))
             logn = mp.exp(wv * (1 + mpf("1e-15")))
-            # the recorded strings are what is audited, so the stored
-            # inputs reproduce the ledger; only the pass flags are read
+            # the recorded strings re-audit to the flags of the raw values
+            # unless one sits near a tie; only the flags are read
             w_str = _canonical_input(wv)
             logn_str = _canonical_input(logn)
-            _, rows = _evaluate(mode_rows, logn_str, w_str, consts)
+            _check_domain(logn, wv, logn_str, w_str)
+            _, rows, rounded = mode_rows(logn, wv, consts)
+            if not _clear_of_ties(rows, rounded):
+                _, rows, _ = _evaluate(mode_rows, logn_str, w_str, consts)
         entry = {
             "u": u,
             "w": w_str,

@@ -115,7 +115,8 @@ def high_deviation_elements(
     fraction of Y survives; that lower bound is asserted.
     """
     eps = epsilon_in(epsilon)
-    return _deviating_rows(row_edge_counts(a, x, y), x, y, eps)
+    counts = row_edge_counts(a, x, y)
+    return _deviating_rows(counts, x, y, eps, _deviation_report(counts, x, y).sigma)
 
 
 def _row_deviates(counts: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
@@ -124,9 +125,12 @@ def _row_deviates(counts: np.ndarray, n: int, eps: Fraction) -> np.ndarray:
     return np.abs(2 * counts - n) >= -(-eps.numerator * n // eps.denominator)
 
 
-def _deviating_rows(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction):
+def _deviating_rows(
+    counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction, sigma: Fraction
+):
+    """The deviating rows of Y, given sigma_A(X, Y) read off the same counts."""
     result = GroupSubset.from_indices(y.group, y.indices[_row_deviates(counts, x.size, eps)])
-    if abs(_deviation_report(counts, x, y).sigma) >= eps:
+    if abs(sigma) >= eps:
         check(
             result.size >= eps * y.size,
             "high-deviation rows must cover an eps fraction of Y when the pair deviates",
@@ -264,11 +268,13 @@ def deviation_packing_pipeline(
 ) -> PipelineResult:
     """Extract deviating rows, then pack their translates at eps/2."""
     eps = epsilon_in(epsilon)
-    return _packing_pipeline(row_edge_counts(a, x, y), x, y, eps)
+    counts = row_edge_counts(a, x, y)
+    return _packing_pipeline(counts, x, y, eps, _deviation_report(counts, x, y).sigma)
 
 
-def _packing_pipeline(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction):
-    sigma = _deviation_report(counts, x, y).sigma
+def _packing_pipeline(
+    counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction, sigma: Fraction
+):
     if abs(sigma) < eps:
         return PipelineResult(
             ok=False,
@@ -280,7 +286,7 @@ def _packing_pipeline(counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: F
     ratio = Fraction(n**2 * y.size, additive_energy(x, y))
 
     # nonempty: with |sigma| >= eps, _deviating_rows asserts at least eps |Y| > 0 rows
-    rows = _deviating_rows(counts, x, y, eps)
+    rows = _deviating_rows(counts, x, y, eps, sigma)
     packing = greedy_low_overlap_packing(x, rows, eps / 2)
     row_ratio = packing.energy_ratio  # |X|^2 |rows| / E(X, rows)
     check(row_ratio >= eps * ratio, "extracted rows must keep an eps fraction of the energy ratio")

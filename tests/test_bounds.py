@@ -200,6 +200,26 @@ def test_count_chain_matches_its_links(order, n, d):
     assert bounds.low_dimension_count_bound(order, n, d).chain_ok == chain
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.floats(min_value=1, max_value=780), steps=st.integers(-4, 4),
+       flag=st.sampled_from(["chain_ok", "threshold_ok"]))
+def test_count_flags_at_their_boundaries_match_50_digits(n, steps, flag):
+    # an order a few ulps from e^(0.9 n) or e^(n/2), where a rounded log N
+    # alone cannot tell the side; both flags against 50 digits
+    with mp.workdps(50):
+        scale = mp.mpf(9) / 10 if flag == "chain_ok" else mp.mpf(1) / 2
+        order = float(mp.exp(scale * n))
+    for _ in range(abs(steps)):
+        order = math.nextafter(order, math.copysign(math.inf, steps))
+    with mp.workdps(50):
+        log_order, n_ = mp.log(order), mp.mpf(n)
+        if flag == "chain_ok":
+            expected = (log_order + mp.mpf(11) / 10 * n_) <= 2 * n_
+        else:
+            expected = n_ >= 2 * log_order
+    assert getattr(bounds.low_dimension_count_bound(order, n, 1.0), flag) == expected
+
+
 def test_count_chain_below_threshold_not_asserted():
     res = bounds.low_dimension_count_bound(1 << 16, 4.0, 2.0)
     assert not res.threshold_ok  # n < 2 log N here; no assertion fired

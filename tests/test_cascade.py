@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleysum import cascade
 from cayleysum.errors import GuardError, StructuralError
@@ -226,6 +228,96 @@ def test_general_probes_nearest_the_threshold_reaudit_to_their_flags():
     for p in probes[step - 1 : step + 1]:
         led = cascade.cascade_audit("general", p["logN"], p["w"])
         assert led.all_pass == p["all_pass"], p["u"]
+
+
+@pytest.mark.parametrize("mode", cascade.MODES)
+def test_every_probe_reaudits_to_its_flag(mode):
+    # the ledger's flags without its formatting: parse each probe's stored
+    # strings and evaluate them, as cascade_audit does
+    mode_rows, consts, _ = cascade._mode_setup(mode, cascade.DEFAULT_DPS, None)
+    search = cascade.find_threshold(mode)
+    with mp.workdps(search.dps):
+        for p in search.probes:
+            _, rows, _ = cascade._evaluate(mode_rows, p["logN"], p["w"], consts)
+            assert all(r["passed"] for r in rows) == p["all_pass"], p["u"]
+
+
+@pytest.mark.parametrize("mode", cascade.MODES)
+def test_probes_that_fall_back_to_their_strings_match(monkeypatch, mode):
+    raw = cascade.find_threshold(mode).to_json()
+    monkeypatch.setattr(cascade, "_clear_of_ties", lambda rows, rounded: False)
+    assert cascade.find_threshold(mode).to_json() == raw
+
+
+def test_general_probes_parse_nothing(monkeypatch):
+    calls = []
+    parse = cascade._parse_input
+
+    def counting_parse(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(cascade, "_parse_input", counting_parse)
+    cascade.find_threshold("general")
+    assert calls == []
+
+
+def test_clear_of_ties_trips_near_a_tie():
+    def row(lhs, relation, rhs):
+        return {"lhs": lhs, "relation": relation, "rhs": rhs}
+
+    with mp.workdps(30):
+        one, near = mp.mpf(1), mp.mpf(1) + mp.mpf("1e-25")
+        assert cascade._clear_of_ties([row(one, "<", mp.mpf(2))], ())
+        assert not cascade._clear_of_ties([row(one, "<", near)], ())
+        assert not cascade._clear_of_ties([row(one, ">=", one)], ())
+        assert cascade._clear_of_ties([row(one, "<", one + mp.mpf("1e-19"))], ())
+        # the == row trips only when its gap is within 100x of its tolerance
+        # (tolerance 1e-25 at 30 digits)
+        for gap, clear in (("1e-29", True), ("1e-26", False), ("1e-24", False), ("1e-20", True)):
+            assert cascade._clear_of_ties([row(one + mp.mpf(gap), "==", one)], ()) == clear
+        assert cascade._clear_of_ties([row(one, "==", one)], ())
+        # a ceil/floor argument trips near an integer, unless it has no fraction bits
+        assert cascade._clear_of_ties([], (mp.mpf("2.5"),))
+        assert not cascade._clear_of_ties([], (mp.mpf(3) - mp.mpf("1e-22"),))
+        assert cascade._clear_of_ties([], (mp.mpf(2) ** 200,))
+        # a ladder thunk is decided by magnitudes and never trips
+        assert cascade._clear_of_ties([row(lambda: one, ">", one)], ())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dps=st.sampled_from([15, 30, 50, 1000]), mantissa=st.integers(1, 2**64),
+       exponent=st.integers(-(2**700), 2**700), digits=st.floats(-12, 12),
+       sign=st.sampled_from([-1, 1]))
+def test_near_matches_its_definition(dps, mantissa, exponent, digits, sign):
+    # pairs a relative 10^-(dps - 10 + digits) apart, at any magnitude
+    with mp.workdps(dps):
+        x = sign * mp.mpf((mantissa, exponent))
+        y = x * (1 + mp.power(10, -(dps - 10) - digits))
+        exact = abs(x - y) <= mp.power(10, 10 - dps) * max(abs(x), abs(y))
+        assert cascade._near(x, y) == exact
+        assert cascade._near(y, x) == exact
+
+
+@st.composite
+def _ladders(draw):
+    """(j0, cap): j0 up to 2^720, cap within 8 bits of 10^j0's magnitude."""
+    j0 = draw(st.one_of(st.integers(1, 400), st.integers(1, 2**720)))
+    with mp.workprec(j0.bit_length() + 40):
+        top_bits = int(mp.floor(j0 * mp.log(10, 2)))
+    mantissa = draw(st.integers(2**52, 2**53 - 1))
+    offset = draw(st.integers(-8, 8))
+    return mp.mpf(j0), mp.mpf((mantissa, top_bits + offset - 53))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ladder=_ladders())
+def test_ladder_flag_matches_the_power(ladder):
+    j0, cap = ladder
+    with mp.workdps(cascade.DEFAULT_DPS):
+        top, exceeds = cascade._ladder_top(j0, cap)
+        assert exceeds == (mp.power(10, j0) > cap)
+        assert cascade._fmt(top) == cascade._fmt(mp.power(10, j0))
 
 
 def test_safe_exp_extremes():

@@ -642,12 +642,22 @@ FROZEN_STDOUT_TABLES = [
      "ab586fe581ac522dd8367e265920c6a0a42922cbe9db7d1f198314f0f61bdb76"),
 ]
 
+# both threshold searches at a second precision, where the probes' exactness
+# margin is a different 10^-(dps - 10); last, so the ids above keep their positions
+FROZEN_STDOUT_THRESHOLD_DPS50 = [
+    (("audit", "--mode", "general", "--find-threshold", "--dps", "50"),
+     "bf3aed804c10a56e85cb8f19d5308a053c22c4f312d05790dad7b2508fec9bfb"),
+    (("audit", "--mode", "exponent2", "--find-threshold", "--dps", "50",
+      "--constant", "dim_rate=0.5"),
+     "b28aa0d8046d0b739a86dbe065eca8db583bb7872ec950338d49dc4be3d55d64"),
+]
+
 
 @pytest.mark.parametrize(
     "argv,digest",
     FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
     + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED
-    + FROZEN_STDOUT_TABLES,
+    + FROZEN_STDOUT_TABLES + FROZEN_STDOUT_THRESHOLD_DPS50,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16 + FROZEN_CANONICAL_SAMPLED:
