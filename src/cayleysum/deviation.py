@@ -269,12 +269,19 @@ def deviation_packing_pipeline(
     """Extract deviating rows, then pack their translates at eps/2."""
     eps = epsilon_in(epsilon)
     counts = row_edge_counts(a, x, y)
-    return _packing_pipeline(counts, x, y, eps, _deviation_report(counts, x, y).sigma)
+    sigma = _deviation_report(counts, x, y).sigma
+    return _packing_pipeline(counts, x, y, eps, sigma, _deviating_rows(counts, x, y, eps, sigma))
 
 
 def _packing_pipeline(
-    counts: np.ndarray, x: GroupSubset, y: GroupSubset, eps: Fraction, sigma: Fraction
+    counts: np.ndarray,
+    x: GroupSubset,
+    y: GroupSubset,
+    eps: Fraction,
+    sigma: Fraction,
+    rows: GroupSubset,
 ):
+    """The pipeline on the row counts, their sigma and their deviating rows."""
     if abs(sigma) < eps:
         return PipelineResult(
             ok=False,
@@ -286,7 +293,6 @@ def _packing_pipeline(
     ratio = Fraction(n**2 * y.size, additive_energy(x, y))
 
     # nonempty: with |sigma| >= eps, _deviating_rows asserts at least eps |Y| > 0 rows
-    rows = _deviating_rows(counts, x, y, eps, sigma)
     packing = greedy_low_overlap_packing(x, rows, eps / 2)
     row_ratio = packing.energy_ratio  # |X|^2 |rows| / E(X, rows)
     check(row_ratio >= eps * ratio, "extracted rows must keep an eps fraction of the energy ratio")

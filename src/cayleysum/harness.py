@@ -511,17 +511,16 @@ def run_deviation_scan(
     else:
         size = y_size if y_size is not None else max(x.size, g.order // 4)
         y = _sampled_set(g, "y_size", size, rng.derive_seed(seed, 2))
-    # one row-count pass and one sigma feed the report, the extracted rows
-    # and the pipeline
+    # one row-count pass, one sigma and one row extraction feed the report,
+    # the extracted rows and the pipeline
     counts = deviation.row_edge_counts(a, x, y)
     report = deviation._deviation_report(counts, x, y)
+    rows = deviation._deviating_rows(counts, x, y, eps, report.sigma)
     results = {
         "a_size": a.size,
         "sigma": report.to_json(),
-        "high_deviation_rows": deviation._deviating_rows(
-            counts, x, y, eps, report.sigma
-        ).to_index_list(),
-        "pipeline": deviation._packing_pipeline(counts, x, y, eps, report.sigma).to_json(),
+        "high_deviation_rows": rows.to_index_list(),
+        "pipeline": deviation._packing_pipeline(counts, x, y, eps, report.sigma, rows).to_json(),
     }
     config = {
         "group": group,

@@ -348,6 +348,20 @@ def rnd() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def sample_calls(monkeypatch) -> list:
+    """(len(population), k) of each random.Random.sample call in the test."""
+    sample = random.Random.sample
+    shapes = []
+
+    def counted(self, population, k, **kwargs):
+        shapes.append((len(population), k))
+        return sample(self, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    return shapes
+
+
 @pytest.fixture(params=["z12", "f2^4", "3,5"])
 def small_group(request):
     return parse_group(request.param)

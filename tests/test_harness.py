@@ -291,6 +291,14 @@ def test_deviation_scan_counts_rows_once(monkeypatch, group, seed, sizes, ok, co
         assert calls["additive_energy"] <= 2
 
 
+def test_deviation_scan_extracts_rows_once(monkeypatch):
+    calls = _count_calls(monkeypatch, deviation._deviating_rows)
+    rep = run_deviation_scan("f2^6", seed=1, epsilon="1/8", x_size=3, y_size=4)
+    assert rep.results["pipeline"]["ok"] is True
+    assert rep.results["pipeline"]["extracted"] == rep.results["high_deviation_rows"]
+    assert calls == Counter({"_deviating_rows": 1})
+
+
 @st.composite
 def _mc_inputs(draw):
     group = draw(st.sampled_from(["z5", "z12", "f2^4", "2,4", "3,5", "4,4,4"]))
@@ -392,6 +400,18 @@ def test_mc_runners_skip_per_trial_set_work(monkeypatch):
     calls.clear()
     run_sigma_tail_mc("4,4,4,4", tiers=((4, 4), (8, 8)), trials=20, seed=1)
     assert not calls
+
+
+def test_mc_set_mode_rows_never_reach_random_sample(sample_calls):
+    # only pool-mode rows with 0 < k < n may take Random.sample: set-mode rows
+    # are read off the Mersenne Twister words, and k == n draws nothing
+    run_sigma_tail_mc("f2^10", trials=60)
+    assert sample_calls == []
+    for group in ("f2^8", "4,4,4,4"):
+        run_restriction_mc(group, trials=150, seed=1)
+        # X and Y (64 of 256) are pool-mode rows; S = X and T take no call
+        assert sample_calls == [(256, 64), (256, 64)]
+        sample_calls.clear()
 
 
 # a spectral certificate for reported edge counts: each obeys the expander

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleysum import rng
 from cayleysum.errors import StructuralError
@@ -58,6 +60,82 @@ def test_sample_rows_matches_scalar_draws():
             assert row.tolist() == oracle_sample(pool, 5, int(seed))
             assert np.array_equal(row, rng.sample_without_replacement(pool, 5, int(seed)))
     assert rng.sample_rows(range(5), 2, seeds[:0]).shape == (0, 2)
+
+
+def test_sample_rows_reads_each_seed_as_an_exact_int():
+    # a list mixing small seeds with seeds >= 2^63 must not pass through float64
+    rows = rng.sample_rows(range(100), 3, [5, 2**64 - 1])
+    assert rows[1].tolist() == [2, 31, 43] == oracle_sample(range(100), 3, 2**64 - 1)
+    assert rows[0].tolist() == oracle_sample(range(100), 3, 5)
+    assert rng.sample_rows(range(100), 3, [3**50])[0].tolist() == oracle_sample(range(100), 3, 3**50)
+
+
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 3**50)
+
+
+@st.composite
+def _sample_cases(draw):
+    # n on both sides of CPython's pool/set switch: setsize is 21 for k <= 5
+    # and 277 for 22 <= k <= 85
+    n = draw(st.sampled_from([21, 22, 277, 278, 1024]))
+    k = draw(
+        st.one_of(
+            st.sampled_from([0, n]),
+            st.integers(0, 8),
+            st.integers(60, 90).map(lambda k: min(k, n)),
+            st.integers(0, n),
+        )
+    )
+    kind = draw(st.sampled_from(["range", "reversed", "array"]))
+    if kind == "range":
+        pool = range(draw(st.integers(-50, 50)), 10**6, draw(st.integers(1, 5)))[:n]
+    elif kind == "reversed":
+        pool = range(draw(st.integers(-50, 50)), -(10**6), -draw(st.integers(1, 5)))[:n]
+    else:
+        pool = np.random.default_rng(draw(st.integers(0, 99))).integers(-(10**6), 10**6, n)
+    seeds = draw(
+        st.lists(st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)), max_size=12)
+    )
+    return pool, k, seeds
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=_sample_cases(), as_array=st.booleans())
+def test_sample_rows_matches_oracle_in_both_modes(case, as_array):
+    pool, k, seeds = case
+    want = [oracle_sample(pool, k, seed) for seed in seeds]
+    given_seeds = seeds
+    if as_array and all(seed < 2**64 for seed in seeds):
+        given_seeds = np.array(seeds, dtype=np.uint64)
+    rows = rng.sample_rows(pool, k, given_seeds)
+    assert rows.shape == (len(seeds), k) and rows.tolist() == want
+    # chunks of 1 check each row against its seed alone
+    for size in (1, 3, 7):
+        chunks = [
+            rng.sample_rows(pool, k, given_seeds[lo : lo + size]) for lo in range(0, len(seeds), size)
+        ]
+        assert np.concatenate(chunks or [rows]).tolist() == want
+
+
+def test_sample_rows_calls_random_sample_only_in_pool_mode(sample_calls):
+    seeds = rng.derive_seed_array(5, np.arange(30))
+    # set mode just past the switch, and k == n, make no call
+    for n, k in ((22, 5), (278, 64), (1046, 86), (64, 64), (277, 0)):
+        rng.sample_rows(range(n), k, seeds)
+    assert sample_calls == []
+    # pool mode just inside the switch calls once per row
+    for n, k in ((21, 5), (277, 64), (1045, 86)):
+        rng.sample_rows(range(n), k, seeds[:2])
+    assert sample_calls == [(21, 5)] * 2 + [(277, 64)] * 2 + [(1045, 86)] * 2
+
+
+def test_sample_rows_rows_out_of_words_take_random_sample(monkeypatch):
+    # with one spare word most rows run short and must fall back row by row
+    monkeypatch.setattr(rng, "_word_budget", lambda n, k, b: k + 1)
+    seeds = rng.derive_seed_array(4, np.arange(40))
+    for n, k in ((22, 5), (278, 64), (1024, 3)):
+        rows = rng.sample_rows(range(n), k, seeds)
+        assert rows.tolist() == [oracle_sample(range(n), k, int(seed)) for seed in seeds]
 
 
 def test_bit_matrix_rows_match_bernoulli_bits():
