@@ -16,7 +16,9 @@ import sys
 from pathlib import Path
 
 from . import bounds, cascade, harness
-from .decomposition import DEFAULT_DIMENSION_CONSTANT, energy_partition, find_structured_subset
+from .decomposition import (
+    DEFAULT_DIMENSION_CONSTANT, FINDER_MODES, energy_partition, find_structured_subset,
+)
 from .deviation import greedy_low_overlap_packing
 from .dissociation import additive_dimension
 from .errors import GuardError, PropertyError, StructuralError, to_float, to_int
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target-ratio", "-M", "--M", dest="target_ratio",
         help="energy-ratio target M of the partition loop, e.g. 8 or 17/2",
     )
-    p.add_argument("--finder", choices=("exhaustive", "greedy"), default="exhaustive")
+    p.add_argument("--finder", choices=FINDER_MODES, default="exhaustive")
     p.add_argument("--dim-constant", default=DEFAULT_DIMENSION_CONSTANT)
     p.add_argument("--single-step", action="store_true",
                    help="run one structured-subset extraction instead of the loop")

@@ -7,12 +7,12 @@ E(A, B_*) >= E(A,B) / 32 (hard postcondition) and reports whether the
 witness dimension stays below dim_constant * K * log|A| (soft check, the
 guarantee's shape, with a configurable constant).
 
-Every subset energy in the finder is one quadratic form: with b_1..b_m the
-elements of B and overlap[j, k] = |(A + b_j) ∩ (A + b_k)| (diagonal |A|),
-E(A, S) = sum_{j,k in S} |(A + b_j) ∩ (A + b_k)| = 1_S' overlap 1_S.
-Exhaustive mode evaluates it for all 2^m - 1 subsets in one product, E(A, B)
-being the full set's entry; greedy mode reads every candidate's gain
-2 (overlap 1_S)_j + |A| off one gather.
+Every energy here is a sum over B's overlap matrix: with b_1..b_m the
+elements of B, O[j, k] = |(A + b_j) ∩ (A + b_k)| = |A ∩ (A + b_k - b_j)|
+(diagonal |A|), so E(A, S) = 1_S' O 1_S and E(A, B) is the sum of O.  O is
+counted once per partition, by one _row_counts call over the m^2 differences.
+Exhaustive mode evaluates the form for all 2^m - 1 subsets in one product;
+greedy mode keeps O 1_S and takes each candidate's gain 2 (O 1_S)_j + |A|.
 
 energy_partition iterates the finder: while the residual part keeps energy
 ratio at most M, extract a structured piece and continue.  Each extraction
@@ -36,6 +36,7 @@ from .subsets import GroupSubset, _row_counts, additive_energy
 __all__ = [
     "ENERGY_KEEP_DENOMINATOR",
     "EXHAUSTIVE_SUBSET_GUARD",
+    "FINDER_MODES",
     "DEFAULT_DIMENSION_CONSTANT",
     "StructuredSubsetReport",
     "DecompositionStep",
@@ -44,6 +45,8 @@ __all__ = [
     "energy_partition",
 ]
 
+# the structured-subset finder's modes
+FINDER_MODES = ("exhaustive", "greedy")
 # the finder must keep at least 1/32 of the input energy
 ENERGY_KEEP_DENOMINATOR = 32
 # exhaustive mode enumerates all subsets of B: refuse above this size
@@ -79,35 +82,47 @@ def find_structured_subset(
     Greedy mode grows B_* by the element with the largest energy gain until
     the threshold is met.
     """
+    overlap = _overlap_matrix(a, b, mode, min_size=1)
+    dim_constant = positive(dim_constant, "dim_constant", to_float)
+    return _find(a, b.indices, overlap, mode, dim_constant)
+
+
+def _overlap_matrix(a: GroupSubset, b: GroupSubset, mode: str, min_size: int) -> np.ndarray:
+    """The entry check both public functions share, then B's overlap matrix.
+
+    overlap[j, k] = |A ∩ (A + b_k - b_j)|: the row counts |S ∩ (X + y)| for
+    S = X = A and y over the |B|^2 differences, in one _row_counts call.
+    """
     if a.group != b.group:
         raise StructuralError("A and B live in different groups")
-    if b.size == 0:
-        raise StructuralError("B must be nonempty")
+    if b.size < min_size:
+        raise StructuralError(
+            "B must be nonempty" if min_size == 1 else f"need |B| >= {min_size}, got {b.size}"
+        )
     if a.size < b.size:
         raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
-    dim_constant = positive(dim_constant, "dim_constant", to_float)
+    if mode not in FINDER_MODES:
+        raise StructuralError(f"unknown finder mode {mode!r}")
+    diffs = a.group._combine(b.indices[None, :], b.indices[:, None], -1)  # b_k - b_j
+    return _row_counts(a.group, a.bits, a.indices, diffs.ravel()).reshape(diffs.shape)
 
+
+def _find(
+    a: GroupSubset, b_idx: np.ndarray, overlap: np.ndarray, mode: str, dim_constant: float
+) -> StructuredSubsetReport:
+    """find_structured_subset on B = b_idx (ascending), given B's overlap matrix."""
     g = a.group
-    n_a = a.size
-    b_idx = [int(y) for y in b.indices]
-    translates = g.pairsum_matrix(b.indices, a.indices)  # row j is A + b_j
-
+    m = len(b_idx)
+    e_ab = int(overlap.sum())  # E(A, B) <= N^3 <= 2^60 under DENSE_CAP: no int64 overflow
     if mode == "exhaustive":
-        if b.size > EXHAUSTIVE_SUBSET_GUARD:
+        if m > EXHAUSTIVE_SUBSET_GUARD:
             raise GuardError(
-                f"exhaustive mode over {b.size} elements exceeds the guard "
+                f"exhaustive mode over {m} elements exceeds the guard "
                 f"{EXHAUSTIVE_SUBSET_GUARD}; use mode='greedy'"
             )
-        # overlap[j, k] = |(A + b_j) ∩ (A + b_k)|, the row counts of the stacked
-        # translates A + b_j against X = A and Y = B, so E(A, S) = 1_S' overlap 1_S
-        m = len(b_idx)
-        member = np.zeros((m, g.order), dtype=bool)
-        member[np.arange(m)[:, None], translates] = True
-        overlap = _row_counts(g, member, a.indices, b.indices)
         masks = np.arange(1, 1 << m, dtype=np.int64)
         bits = (masks[:, None] >> np.arange(m)) & 1
         energies = ((bits @ overlap) * bits).sum(axis=1)
-        e_ab = int(energies[-1])  # the full mask: E(A, B)
         keep = ENERGY_KEEP_DENOMINATOR * energies >= e_ab
         # b_idx ascends, so ordering local masks orders the subsets' global
         # bitmasks too: this is the tie-break order (size, bitmask), in which a
@@ -123,8 +138,7 @@ def find_structured_subset(
             # and sizes only grow, so once 3|S| > 3^best_dim no candidate left wins
             if 3 * local_mask.bit_count() > 3**best_dim:
                 break
-            members = [b_idx[j] for j in range(m) if local_mask >> j & 1]
-            candidate = GroupSubset.from_indices(g, members)
+            candidate = GroupSubset.from_indices(g, b_idx[bits[local_mask - 1] == 1])
             # the exact dim is at least the greedy one, so once some candidate
             # has won, one whose greedy dim is best_dim or more cannot win
             if best_dim <= m and additive_dimension(candidate, mode="greedy").value >= best_dim:
@@ -133,32 +147,24 @@ def find_structured_subset(
             if dim_value < best_dim:
                 best_dim, subset, chosen_energy = dim_value, candidate, sub_energy
         dim_value, dim_exact = best_dim, True  # |S| <= 12 < EXACT_DIMENSION_GUARD
-    elif mode == "greedy":
-        cover = np.bincount(translates.ravel(), minlength=g.order)  # r_{A+B}
-        e_ab = int(cover @ cover)  # E(A, B) <= N^3 <= 2^60 under DENSE_CAP: no int64 overflow
-        rep = np.zeros(g.order, dtype=np.int64)
-        taken = np.zeros(len(b_idx), dtype=bool)
-        energy = 0
-        chosen: list[int] = []
-        while ENERGY_KEEP_DENOMINATOR * energy < e_ab:
+    else:
+        inner = np.zeros(m, dtype=np.int64)  # overlap 1_S
+        taken = np.zeros(m, dtype=bool)
+        chosen_energy = 0
+        while ENERGY_KEEP_DENOMINATOR * chosen_energy < e_ab:
             check(not taken.all(), "greedy ran out of elements before reaching the threshold")
-            # adding b_j adds 2 sum_{k in S} overlap[j, k] + |A| to E(A, S), and
-            # rep counts the chosen translates covering each point
-            gains = 2 * rep[translates].sum(axis=1) + n_a
+            # adding b_j adds 2 (overlap 1_S)_j + |A| to E(A, S)
+            gains = 2 * inner + a.size
             gains[taken] = -1
             j = int(np.argmax(gains))  # the first j on ties
             taken[j] = True
-            chosen.append(b_idx[j])
-            rep[translates[j]] += 1
-            energy += int(gains[j])
-        subset = GroupSubset.from_indices(g, chosen)
-        chosen_energy = energy
+            inner += overlap[j]
+            chosen_energy += int(gains[j])
+        subset = GroupSubset.from_indices(g, b_idx[taken])
         exact = g.is_exponent_two or subset.size <= EXACT_DIMENSION_GUARD
         dim = additive_dimension(subset, mode="exact" if exact else "greedy")
         dim_value, dim_exact = dim.value, dim.exact
-    else:
-        raise StructuralError(f"unknown finder mode {mode!r}")
-    K = Fraction(a.size * b.size**2, e_ab)  # E(A, B) >= |A||B| > 0
+    K = Fraction(a.size * m**2, e_ab)  # E(A, B) >= |A||B| > 0
 
     check(
         ENERGY_KEEP_DENOMINATOR * chosen_energy >= e_ab,
@@ -218,46 +224,37 @@ def energy_partition(
     extraction, asserted exactly.  Stops when the residual is empty or
     E(A, residual) < |A| |residual|^2 / M.
     """
-    if a.group != b.group:
-        raise StructuralError("A and B live in different groups")
-    if b.size < 2:
-        raise StructuralError(f"need |B| >= 2, got {b.size}")
-    if a.size < b.size:
-        raise StructuralError(f"need |A| >= |B|, got {a.size} < {b.size}")
+    overlap = _overlap_matrix(a, b, mode, min_size=2)
     M = positive(target_ratio, "target_ratio")
     dim_constant = positive(dim_constant, "dim_constant", to_float)
 
-    g = a.group
-    initial_energy = additive_energy(a, b)
+    initial_energy = int(overlap.sum())
     K = Fraction(a.size * b.size**2, initial_energy)
 
-    structured = GroupSubset.empty(g)
-    residual = b
+    structured = GroupSubset.empty(a.group)
+    at = np.arange(b.size)  # the residual's positions in B
+    sub = overlap  # the residual's overlap matrix
     steps: list[DecompositionStep] = []
     residual_energy = initial_energy
-    while residual.size > 0:
+    while at.size > 0:
         # halt when E(A, residual) < |A| |residual|^2 / M, compared exactly
-        if residual_energy * M.numerator < a.size * residual.size**2 * M.denominator:
+        if residual_energy * M.numerator < a.size * at.size**2 * M.denominator:
             break
-        report = find_structured_subset(a, residual, mode=mode, dim_constant=dim_constant)
-        extracted = report.subset
-        steps.append(
-            DecompositionStep(
-                extracted=extracted,
-                residual_energy_before=residual_energy,
-                dim_value=report.dim_value,
-                dim_exact=report.dim_exact,
-            )
-        )
-        structured = structured.union(extracted)
-        residual = residual.difference(extracted)
-        next_energy = additive_energy(a, residual)
+        report = _find(a, b.indices[at], sub, mode, dim_constant)
+        steps.append(DecompositionStep(
+            report.subset, residual_energy, report.dim_value, report.dim_exact
+        ))
+        structured = structured.union(report.subset)
+        at = at[~structured.bits[b.indices[at]]]
+        sub = overlap[np.ix_(at, at)]
+        next_energy = int(sub.sum())
         check(
             ENERGY_KEEP_DENOMINATOR * next_energy
             <= (ENERGY_KEEP_DENOMINATOR - 1) * residual_energy,
             "extraction failed to shave a 1/32 energy fraction off the residual",
         )
         residual_energy = next_energy
+    residual = GroupSubset.from_indices(a.group, b.indices[at])
 
     if M >= K:
         # log(|B| M / K) via integer logs so huge rationals cannot overflow

@@ -182,6 +182,7 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
     its row is not counted: the admission needs its translate anyway.
     """
     eps = epsilon_in(epsilon)
+    x._require_same_group(y)
     if x.size == 0:
         raise StructuralError("X must be nonempty")
     g = x.group

@@ -134,7 +134,9 @@ def span(s: GroupSubset) -> GroupSubset:
     span_bits[0] = True
     tables: dict = {}
     for e in s.indices:
-        _closure_insert(g, span_bits, int(e), tables)
+        # on exponent 2 the span is a subgroup: at most log2 N elements grow it
+        if not (g.is_exponent_two and span_bits[e]):
+            _closure_insert(g, span_bits, int(e), tables)
     return GroupSubset(g, span_bits)
 
 

@@ -21,7 +21,8 @@ Representation counts come from one function, _rep_rows, which counts a
 whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
 its one-row case, and the Monte Carlo runners take one stack per chunk of
 trials.  Row counts |S ∩ (X + y)| come from one function, _row_counts, for
-one indicator row S or a stack: the scan, joint-deviation and finder counts,
+one indicator row S or a stack: the scan and joint-deviation counts, the
+decomposition's overlap matrix |A ∩ (A + b' - b)| (S = X = A, Y = B - B),
 and the packing's refreshes of its overlap bounds (S = the union so far).
 
 _transform_cheaper, a cost model measured on the kernels themselves, picks

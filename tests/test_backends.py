@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleysum import subsets
-from cayleysum.decomposition import find_structured_subset
+from cayleysum.decomposition import energy_partition, find_structured_subset
 from cayleysum.deviation import (
     edge_count,
     greedy_low_overlap_packing,
@@ -157,12 +157,22 @@ def test_joint_deviation_bytes_equal_under_both_backends(group, n, ks):
     "group, sizes", [("z12", (8, 5)), ("3,5", (9, 6)), ("2,4,8", (20, 8)), ("16,16", (40, 9))]
 )
 def test_exhaustive_finder_report_equal_under_both_backends(group, sizes):
-    # the finder's overlap matrix is the stacked count of the translates A + b
+    # both finders and the partition loop read every energy off B's overlap
+    # matrix |A ∩ (A + b' - b)|, one row count of A over the differences b' - b
     g, (a, b) = _sets(group, sizes, seed=1)
-    pairwise, transform = _under_each_backend(lambda: find_structured_subset(a, b).to_json())
-    assert pairwise == transform
-    chosen = pairwise["subset"]
-    assert pairwise["energy"] == oracle_energy(g.moduli, a.to_index_list(), chosen)
+    for mode in ("exhaustive", "greedy"):
+        pairwise, transform = _under_each_backend(
+            lambda: find_structured_subset(a, b, mode=mode).to_json()
+        )
+        assert pairwise == transform
+        chosen = pairwise["subset"]
+        assert pairwise["energy"] == oracle_energy(g.moduli, a.to_index_list(), chosen)
+        pairwise, transform = _under_each_backend(
+            lambda: energy_partition(a, b, 64, mode=mode).to_json()
+        )
+        assert pairwise == transform
+        e_ab = oracle_energy(g.moduli, a.to_index_list(), b.to_index_list())
+        assert pairwise["initial_energy"] == e_ab
 
 
 def _sets(name, sizes, seed=0):

@@ -599,6 +599,28 @@ FROZEN_STDOUT_STRUCTURE = [
      "cbb4d7a78b0d182312097acd9669d129d75785b1ae9cdb99e6911853c001346e"),
 ]
 
+# stdout digests of the partition loop with both finders on an exponent-2 and a
+# cyclic group, with a greedy |B| at which the overlap matrix |A ∩ (A + b' - b)|
+# is counted by the transform; last, so the ids above keep their positions
+_A_F2 = "[0,1,2,3,4,5,6,7,16,17,18,19,20,21,22,23,9,26,35,44,53,62,40,41,42,43,45,46,47,58,60,63]"
+_A_Z64 = "[0,3,6,9,12,15,18,21,24,27,30,33,36,39,42,45,1,5,11,22,29,40,50,55,61,62]"
+FROZEN_STDOUT_PARTITION = [
+    (("decompose", "--group", "f2^6", "--set-a", _A_F2,
+      "--set-b", "[0,1,2,3,16,17,18,19,9,26,35]", "-M", "64", "--finder", "exhaustive"),
+     "d5a91081975e59dfa673bdefb10e0492df4b0f707bec47deae232f6ce09bda32"),
+    (("decompose", "--group", "f2^6", "--set-a", _A_F2,
+      "--set-b", "[0,1,2,3,4,5,6,7,16,17,18,19,20,21,22,23,9,26,35,44]", "-M", "64",
+      "--finder", "greedy"),
+     "81f87c3aef17a97371d88a143ae855939d86ed7d00621d84d993eb18a3847393"),
+    (("decompose", "--group", "z64", "--set-a", _A_Z64,
+      "--set-b", "[0,3,6,9,12,15,18,5,11,22,50]", "-M", "64", "--finder", "exhaustive"),
+     "72dd66a6d379a45588f563a94574be1068a06efa7b13059c9d8493ff5d467de2"),
+    (("decompose", "--group", "z64", "--set-a", _A_Z64,
+      "--set-b", "[0,3,6,9,12,15,18,21,24,27,30,33,36,5,11,22,50,61]", "-M", "64",
+      "--finder", "greedy"),
+     "fbe62ce6a98950c92fbbacc13a212671db8fb52f7de1f5093eca036107f27370"),
+]
+
 # canonical digest of a sigma-tail run, which draws its X and Y by seeded
 # sampling; last, so the ids above keep their positions
 FROZEN_CANONICAL_SAMPLED = [
@@ -657,7 +679,7 @@ FROZEN_STDOUT_THRESHOLD_DPS50 = [
     "argv,digest",
     FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
     + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED
-    + FROZEN_STDOUT_TABLES + FROZEN_STDOUT_THRESHOLD_DPS50,
+    + FROZEN_STDOUT_TABLES + FROZEN_STDOUT_THRESHOLD_DPS50 + FROZEN_STDOUT_PARTITION,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16 + FROZEN_CANONICAL_SAMPLED:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cayleysum import decomposition, subsets
 from cayleysum.decomposition import (
     ENERGY_KEEP_DENOMINATOR,
     EXHAUSTIVE_SUBSET_GUARD,
@@ -144,6 +145,54 @@ def test_small_b_rejected():
     a = GroupSubset.full(g)
     with pytest.raises(StructuralError):
         energy_partition(a, GroupSubset.from_indices(g, [1]), 4)
+
+
+def test_unknown_mode_rejected_before_any_step():
+    # M = 1/1000 stops the loop before its first extraction
+    g = parse_group("z12")
+    a, b = GroupSubset.full(g), GroupSubset.from_indices(g, [0, 1, 2])
+    with pytest.raises(StructuralError, match="unknown finder mode 'bogus'"):
+        energy_partition(a, b, "1/1000", mode="bogus")
+    with pytest.raises(StructuralError, match="unknown finder mode 'bogus'"):
+        find_structured_subset(a, b, mode="bogus")
+
+
+# A: a subspace of dimension 4 and 16 more points of f2^6; B: 20 points of A,
+# which the partition loop splits in several steps
+_SPY_A = GroupSubset.from_indices(parse_group("f2^6"), [
+    0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23,
+    9, 26, 35, 44, 53, 62, 40, 41, 42, 43, 45, 46, 47, 58, 60, 63,
+])
+_SPY_B = GroupSubset.from_indices(_SPY_A.group, [
+    0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 9, 26, 35, 44, 20, 21, 22, 23,
+])
+
+
+@pytest.mark.parametrize("mode, b", [("exhaustive", _SPY_B.to_index_list()[:11]),
+                                     ("greedy", _SPY_B.to_index_list())])
+def test_overlap_matrix_counted_once_per_call(monkeypatch, mode, b):
+    # every energy comes from one overlap matrix; additive_energy only rechecks
+    # each step's extraction and the final structured part
+    b = GroupSubset.from_indices(_SPY_A.group, b)
+    calls = {"_row_counts": 0, "additive_energy": 0}
+
+    def spy(name):
+        fn = getattr(subsets, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        for module in (subsets, decomposition):
+            monkeypatch.setattr(module, name, counted)
+
+    spy("_row_counts")
+    spy("additive_energy")
+    find_structured_subset(_SPY_A, b, mode=mode)
+    assert calls == {"_row_counts": 1, "additive_energy": 1}
+    calls.update(_row_counts=0, additive_energy=0)
+    res = energy_partition(_SPY_A, b, 64, mode=mode)
+    assert res.step_count >= 3
+    assert calls == {"_row_counts": 1, "additive_energy": res.step_count + 1}
 
 
 FINDER_GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "4,4,4")}

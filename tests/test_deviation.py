@@ -238,6 +238,17 @@ def test_packing_empty_y():
     assert res.k == 0 and res.ys == []
 
 
+@pytest.mark.parametrize(
+    "x_group, x_idx, y_group, y_idx",
+    [("f2^3", [0, 1, 2], "f2^6", [3, 40, 60]), ("z8", [0, 1], "z64", [])],
+)
+def test_packing_refuses_sets_of_different_groups(x_group, x_idx, y_group, y_idx):
+    x = GroupSubset.from_indices(parse_group(x_group), x_idx)
+    y = GroupSubset.from_indices(parse_group(y_group), y_idx)
+    with pytest.raises(StructuralError, match="different groups"):
+        greedy_low_overlap_packing(x, y, Fraction(1, 2))
+
+
 def test_pipeline_inequalities(rnd):
     ran = 0
     for name in ("f2^6", "z16"):

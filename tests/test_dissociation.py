@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -214,13 +215,22 @@ def test_gather_closure_equals_scatter(text):
     assert {e: len(tables[e]) for e in elems} == {e: 1 + (g.neg_index(e) != e) for e in elems}
 
 
-@pytest.mark.parametrize("text", _CLOSURE_GROUPS)
+@pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("f2^3", "f2^6", "2,2,2,2,2"))
 def test_span_equals_signed_sums(text):
     g = parse_group(text)
     rng = np.random.default_rng(g.order)
     for size in range(1, 8):
         idx = sorted(rng.choice(g.order, size, replace=False).tolist())
         assert set(span(GroupSubset.from_indices(g, idx)).to_index_list()) == oracle_span(g.moduli, idx)
+
+
+def test_span_of_a_full_exponent_two_group_is_fast():
+    # the span is a subgroup, so only elements outside it are inserted
+    g = parse_group("f2^16")
+    start = time.perf_counter()
+    sp = span(GroupSubset.full(g))
+    assert time.perf_counter() - start < 0.5
+    assert sp.size == g.order
 
 
 @pytest.mark.parametrize("text", ["16,16,16", "z8192"])
