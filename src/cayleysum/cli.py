@@ -334,7 +334,10 @@ def _emit(args, doc, report) -> None:
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise StructuralError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
     except PropertyError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
-    except (StructuralError, GuardError, ValueError) as exc:
+    except (StructuralError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect: keep exit 1 for PropertyError alone

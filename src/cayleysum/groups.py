@@ -11,7 +11,8 @@ All index arithmetic goes through one method, `GroupSpec._combine`, with
 the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
 equal to 2) an element's index is its coordinate vector read as a bitmask,
 addition is XOR, and negation is the identity; in a cyclic group addition is
-integer addition mod N.
+integer addition mod N; otherwise coordinate c of index i is read as
+`i // strides[c] % moduli[c]`, so a GroupSpec holds no state of size N.
 """
 
 from __future__ import annotations
@@ -90,17 +91,6 @@ class GroupSpec:
             raise StructuralError(f"index {index} out of range for order {self.order}")
         return index
 
-    @cached_property
-    def _coord_tables(self) -> tuple[np.ndarray, ...]:
-        idx = np.arange(self.order, dtype=np.int64)
-        return tuple(idx // s % m for m, s in zip(self.moduli, self.strides))
-
-    def _coord(self, v, c: int):
-        """Coordinate c of index v: a cached table lookup for arrays, int math otherwise."""
-        if not isinstance(v, np.ndarray):
-            return (v // self.strides[c]) % self.moduli[c]
-        return self._coord_tables[c][v]
-
     def _combine(self, a, b, sign: int = 1):
         """Index of coords(a) + sign * coords(b); broadcasts over index arrays."""
         if self.is_exponent_two:  # index is a bitmask, and -x = x
@@ -108,9 +98,9 @@ class GroupSpec:
         if self.rank == 1:
             return (a + b if sign == 1 else a - b) % self.order
         out = 0
-        for c, (m, s) in enumerate(zip(self.moduli, self.strides)):
-            ca, cb = self._coord(a, c), self._coord(b, c)
-            t = ca + cb if sign == 1 else ca - cb  # a fresh array or an int, so in place is safe
+        for m, s in zip(self.moduli, self.strides):
+            # v // s is v's digit at stride s, mod m; a fresh array or an int, so in place is safe
+            t = a // s + b // s if sign == 1 else a // s - b // s
             t %= m
             t *= s
             out += t

@@ -405,7 +405,8 @@ def run_worst_case_scan(
     The witness is the first X in Gray order that reaches the maximum and,
     within it, the first of (largest rows, then smallest rows; each in
     ascending m) that does; its Y is a prefix of the stable argsort of the
-    deviations.  The witness is re-verified by direct recomputation.
+    deviations.  The witness is re-verified by direct recomputation, and its
+    edge count is checked against the expander mixing lemma.
     """
     started = time.monotonic()
     g = parse_group(group)
@@ -462,9 +463,17 @@ def run_worst_case_scan(
     best_y = sorted(int(v) for v in order[: floor + offset])
     x_w = GroupSubset.from_indices(g, best_x)
     y_w = GroupSubset.from_indices(g, best_y)
-    recomputed = abs(edge_density_deviation(a, x_w, y_w).sigma)
+    witness = edge_density_deviation(a, x_w, y_w)
     claimed = Fraction(best_key, scale)
-    check(recomputed == claimed, "witness recomputation must match the scan maximum")
+    check(abs(witness.sigma) == claimed, "witness recomputation must match the scan maximum")
+    # expander mixing lemma: |N e - |A||X||Y|| <= lambda N sqrt(|X||Y|), and by Parseval
+    # lambda^4 <= sum_{chi != 1} |A^(chi)|^4 = N E(A) - |A|^4; fourth powers stay integers
+    gap = n_total * witness.edges - a.size * x_w.size * y_w.size
+    fourth_moment = n_total * subsets.additive_energy(a, a) - a.size**4
+    check(
+        gap**4 <= n_total**4 * fourth_moment * (x_w.size * y_w.size) ** 2,
+        "witness edge count must obey the expander mixing lemma",
+    )
 
     results = {
         "a": a.to_index_list(),

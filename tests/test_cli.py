@@ -334,14 +334,16 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):
-    def broken(args):
-        raise RuntimeError("boom")
+    # a bare ValueError is a defect too: every refused input raises StructuralError
+    for kind in (RuntimeError, ValueError):
+        def broken(args):
+            raise kind("boom")
 
-    monkeypatch.setattr("cayleysum.cli._dispatch", broken)
-    code, out, err = run_cli(capsys, "group", "--group", "z6")
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: RuntimeError: boom")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+        monkeypatch.setattr("cayleysum.cli._dispatch", broken)
+        code, out, err = run_cli(capsys, "group", "--group", "z6")
+        assert code == 3 and out == ""
+        assert err.startswith(f"internal error: {kind.__name__}: boom")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_out_writes_json(capsys, tmp_path):
@@ -352,6 +354,14 @@ def test_out_writes_json(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["order"] == 6
+
+
+@pytest.mark.parametrize("where", ["missing-dir/out.json", "."])
+def test_out_unwritable_exits_two(capsys, tmp_path, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "group", "--group", "z6", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out ") and str(target) in err
 
 
 @pytest.mark.parametrize(

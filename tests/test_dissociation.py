@@ -253,7 +253,6 @@ def test_one_pass_scan_builds_no_tables(text):
 def test_memory_bound_at_the_dense_cap(text):
     g = parse_group(text)
     s = GroupSubset.from_indices(g, np.random.default_rng(0).choice(g.order, 12, replace=False))
-    g._coord_tables  # the group's own codec tables (16 MB at rank 2) outlive any one search
     tracemalloc.start()
     try:
         additive_dimension(s, "exact")

@@ -1,5 +1,7 @@
 """Group arithmetic against an independent coordinate-level oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,12 +36,9 @@ def test_mixed_group_codec_frozen():
 def test_codec_roundtrip_full(small_group):
     # indices are laid out row-major by strides: i = sum_c coord_c(i) * stride_c
     g = small_group
-    tables = [g._coord(np.arange(g.order), c) for c in range(g.rank)]
     for i in range(g.order):
         coords = coords_of(g.moduli, i)
         assert sum(c * s for c, s in zip(coords, g.strides)) == i
-        assert tuple(g._coord(i, c) for c in range(g.rank)) == coords
-        assert tuple(int(t[i]) for t in tables) == coords
 
 
 def test_group_axioms(small_group, rnd):
@@ -60,6 +59,11 @@ def test_group_axioms(small_group, rnd):
         assert g.neg_index(a) == oracle_neg(g.moduli, a)
 
 
+# 2,3,4 puts a digit at a middle stride, which rank 2 never does
+_WITH_RANK_THREE = ["z12", "f2^4", "3,5", "2,3,4"]
+
+
+@pytest.mark.parametrize("small_group", _WITH_RANK_THREE, indirect=True)
 def test_vector_ops_match_scalar(small_group, rnd):
     g = small_group
     idx = np.array(sorted(rnd.sample(range(g.order), min(7, g.order))))
@@ -82,6 +86,7 @@ def test_scalar_ops_reject_indices_out_of_range(literal):
     assert g.neg_index(np.int64(g.order - 1)) == oracle_neg(g.moduli, g.order - 1)
 
 
+@pytest.mark.parametrize("small_group", _WITH_RANK_THREE, indirect=True)
 def test_pairsum_matrix_matches_oracle(small_group, rnd):
     g = small_group
     x = np.array(sorted(rnd.sample(range(g.order), 5)))
@@ -91,6 +96,24 @@ def test_pairsum_matrix_matches_oracle(small_group, rnd):
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             assert mat[i, j] == oracle_add(g.moduli, int(xi), int(yj))
+
+
+@pytest.mark.parametrize("literal", ["1024,1024", "4,4,4,4,4,4,4,4,4,4"])
+def test_group_holds_no_state_of_size_n(literal):
+    # at the dense cap, rank x N coordinate tables would take 16 or 80 MB
+    g = parse_group(literal)
+    idx = np.arange(8, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        g.pairsum_matrix(idx, idx + 8)
+        g.translate_array(idx, g.order - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for value in vars(g).values():
+        inner = value if isinstance(value, tuple) else (value,)
+        assert not any(isinstance(v, np.ndarray) for v in inner)
 
 
 def test_exponent_two_pairsum_is_xor():

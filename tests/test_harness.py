@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleysum import deviation, harness, subsets
-from cayleysum.errors import StructuralError
+from cayleysum.errors import PropertyError, StructuralError
 from cayleysum.deviation import edge_density_deviation, random_subset
 from cayleysum.groups import parse_group
 from cayleysum.harness import (
@@ -140,6 +140,14 @@ def test_worst_case_witness_recomputes():
     val = abs(edge_density_deviation(a, x, y).sigma)
     assert Fraction(rep.results["max_abs_sigma"]) == val
     assert x.size >= 2 and y.size >= 2
+
+
+def test_worst_case_checks_the_mixing_lemma(monkeypatch):
+    # E(A) = |A|^4 / N zeroes the lemma's right side, while the z4 witness of
+    # A = {0, 1} has |sigma| = 1/2, so N e - |A||X||Y| = +-2|X||Y| != 0
+    monkeypatch.setattr(subsets, "additive_energy", lambda x, y: x.size**4 // x.group.order)
+    with pytest.raises(PropertyError, match="mixing lemma"):
+        run_worst_case_scan("z4", a_indices=[0, 1], floor=1)
 
 
 @st.composite
