@@ -25,6 +25,12 @@ differs from its raw input by a relative 10^-(dps - 1) at most, so a probe
 whose rows or ceil/floor arguments sit within a relative 10^-(dps - 10) of
 a tie (_clear_of_ties) re-evaluates on its parsed strings instead.
 
+Numbers print through _nstr, which equals mp.nstr byte for byte.  For an
+mpf near 10^(10^213) it mirrors mpmath 1.3's to_digits_exp but builds that
+function's power of ten as exp(b ln 10) instead of by repeated squaring; a
+hypothesis test holds it equal to mp.nstr, so an mpmath upgrade that moves
+mp.nstr fails there rather than changing a ledger.
+
 Each mode is one _MODE_TABLE entry (row function, default constants, the u
 range find_threshold bisects); both entry points check mode, dps and
 constants through _mode_setup.
@@ -36,10 +42,28 @@ reproduces every field bit for bit.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    bin_to_radix,
+    bitcount,
+    from_int,
+    from_man_exp,
+    ften,
+    mpf_div,
+    mpf_exp,
+    mpf_ln2,
+    mpf_ln10,
+    mpf_mul,
+    mpf_pow_int,
+    numeral,
+    round_down,
+    to_fixed,
+    to_int,
+)
 
 from ._record import Record
 from .errors import GuardError, StructuralError, positive, to_float
@@ -55,8 +79,8 @@ __all__ = [
 ]
 
 DEFAULT_DPS = 30
-# precision cap: a general-mode threshold search at this dps took 0.8-1.3 s
-# as a CLI process (0.4-0.6 s at the default) on a 2-vCPU x86-64 VM, while
+# precision cap: a general-mode threshold search at this dps took 0.4-0.7 s
+# as a CLI process (0.2-0.4 s at the default) on a 2-vCPU x86-64 VM, while
 # 10^8 digits did not finish in a minute
 MAX_DPS = 1000
 _NSTR_DIGITS = 20
@@ -73,6 +97,69 @@ def safe_exp(x: mpf) -> mpf:
     return mp.exp(x)
 
 
+# _nstr builds 10^b by exp(b ln 10) from this b on; below it mpf_pow_int is cheap
+_FAST_POW10_MIN = 10**6
+# a truncation closer than this many units of 2^-64 ulp is left to mpf_pow_int
+_GUARD_UNITS = 4
+
+
+def _pow10(b: int, prec: int) -> tuple:
+    """10^b truncated to prec bits, the raw mpf that mpf_pow_int(ften, b, prec) returns.
+
+    Round-down mpf_pow_int carries prec + 4 bitcount(b) + 4 bits through about
+    2 bitcount(b) products, so it returns 10^b truncated to prec bits unless
+    10^b lies within its tiny error above a truncation boundary.  exp(b ln 10)
+    at 64 + bitcount(b) + 10 bits beyond prec is off by far less than one unit
+    of the 64 bits below prec; where those bits lie within _GUARD_UNITS of a
+    boundary, the truncation is left to mpf_pow_int itself.
+    """
+    wp = prec + 64 + bitcount(b) + 10
+    _, man, exp, bc = mpf_exp(mpf_mul(from_int(b), mpf_ln10(wp), wp), wp)
+    shift = bc - prec - 64
+    top = man >> shift if shift >= 0 else man << -shift
+    guard = top & (2**64 - 1)
+    if min(guard, 2**64 - guard) <= _GUARD_UNITS:
+        return mpf_pow_int(ften, b, prec)
+    return from_man_exp(top >> 64, exp + shift + 64, prec, round_down)
+
+
+def _nstr(x, digits: int) -> str:
+    """mp.nstr(x, digits), byte for byte, without mpmath's costly power of ten.
+
+    mpmath 1.3's to_digits_exp cuts an mpf with |exp + bc| > 3500 down by
+    10^b, b = int(exp log 2 / log 10), built by mpf_pow_int; near the general
+    threshold b has about 700 bits and that power costs milliseconds.  For
+    b >= _FAST_POW10_MIN this mirrors the cut-down step with _pow10, then
+    to_digits_exp's round-down division and digit conversion and to_str's
+    rounding and layout.  Every other value goes to mp.nstr.
+    """
+    s = getattr(x, "_mpf_", None)
+    if s is None or not s[1] or abs(s[2] + s[3]) <= 3500:
+        return mp.nstr(x, digits)
+    sign, man, exp, bc = s
+    expprec = bitcount(abs(exp)) + 5
+    b = to_int(mpf_div(mpf_mul(from_int(exp), mpf_ln2(expprec)), mpf_ln10(expprec), expprec))
+    if b < _FAST_POW10_MIN:
+        return mp.nstr(x, digits)
+    dps = digits + 3  # to_str asks to_digits_exp for 3 digits more
+    bitprec = int(dps * math.log(10, 2)) + 10
+    s = mpf_div((0, man, exp, bc), _pow10(b, bitprec), bitprec)
+    fixprec = max(bitprec - s[2] - s[3], 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    text = numeral(bin_to_radix(to_fixed(s, fixprec), fixprec, 10, fixdps), base=10, size=dps)
+    exponent = b + len(text) - fixdps - 1
+    head = text[:digits]
+    if len(text) > digits and text[digits] in "56789":
+        head = str(int(head) + 1).zfill(digits)
+        if len(head) > digits:
+            head, exponent = head[:digits], exponent + 1
+    mantissa = (head[0] + "." + head[1:]).rstrip("0")
+    if mantissa.endswith("."):
+        mantissa += "0"
+    # an exponent near b >= 10^6 lies far beyond to_str's fixed-point range
+    return ("-" if sign else "") + mantissa + "e+" + str(exponent)
+
+
 def _fmt(x) -> str:
     """A ledger field; mpf(x) rounds to the working precision, so call it under
     the ledger's workdps.  Ints (a step count) print exactly, and a thunk (a
@@ -81,7 +168,7 @@ def _fmt(x) -> str:
         x = x()
     if isinstance(x, int):
         return str(x)
-    return mp.nstr(mpf(x), _NSTR_DIGITS)
+    return _nstr(mpf(x), _NSTR_DIGITS)
 
 
 def _canonical_input(value) -> str:
@@ -93,7 +180,7 @@ def _canonical_input(value) -> str:
         return str(value)
     if isinstance(value, float):
         return repr(float(value))  # a numpy float64's own repr names its type
-    return mp.nstr(value, mp.dps)
+    return _nstr(value, mp.dps)
 
 
 def _parse_input(text: str, name: str) -> mpf:

@@ -2,6 +2,8 @@
 
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -129,15 +131,77 @@ def test_find_threshold_formats_only_probe_inputs(monkeypatch):
     # each probe records its w and logN strings; the ledger values it
     # evaluates are never formatted
     calls = []
-    nstr = cascade.mp.nstr
+    nstr = cascade._nstr
 
-    def counting_nstr(*args, **kwargs):
+    def counting_nstr(*args):
         calls.append(args)
-        return nstr(*args, **kwargs)
+        return nstr(*args)
 
-    monkeypatch.setattr(cascade.mp, "nstr", counting_nstr)
+    monkeypatch.setattr(cascade, "_nstr", counting_nstr)
     search = cascade.find_threshold("general")
     assert len(calls) == 2 * len(search.probes)
+
+
+# binary exponents whose to_digits_exp power of ten 10^b has b = 10^6 - 1,
+# 10^6 (cascade._FAST_POW10_MIN) and 10^6 + 1
+_CUTOFF_EXPS = {3321928: False, 3321929: True, 3321932: True}
+
+
+@st.composite
+def _huge_mpf(draw):
+    """(digits, x): an mpf at one of the tested dps with a random odd
+    mantissa, placed at the cut-down edge |exp + bc| = 3500 or 3501, at the
+    fast-power cutoff, above it up to the general threshold's magnitude, or
+    as far below 1."""
+    dps = draw(st.sampled_from([15, 20, 30, 50, 1000]))
+    prec = mp.libmp.dps_to_prec(dps)
+    man = draw(st.integers(1, 2**prec - 1)) | 1
+    where = draw(st.one_of(
+        st.sampled_from([3500, 3501, -3500, -3501]).map(lambda mag: mag - man.bit_length()),
+        st.sampled_from(sorted(_CUTOFF_EXPS)),
+        st.integers(min(_CUTOFF_EXPS), 10**230),
+        st.integers(-(10**230), -3502),
+    ))
+    x = mp.mp.make_mpf(mp.libmp.from_man_exp(man if draw(st.booleans()) else -man, where))
+    return draw(st.sampled_from([dps, cascade._NSTR_DIGITS])), x
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["guarded", "forced-fallback"])
+@given(sample=_huge_mpf())
+@settings(max_examples=100, deadline=None)
+def test_nstr_equals_mpmath(forced, sample):
+    # the formatter mirrors mpmath 1.3's to_digits_exp; an mpmath upgrade
+    # that changes mp.nstr fails here
+    digits, x = sample
+    guard = 2**63 + 1 if forced else cascade._GUARD_UNITS  # forced: every guard trips
+    with mock.patch.object(cascade, "_GUARD_UNITS", guard):
+        assert cascade._nstr(x, digits) == mp.nstr(x, digits)
+
+
+@given(b=st.integers(cascade._FAST_POW10_MIN, 10**230), dps=st.sampled_from([15, 30, 1000]))
+@settings(max_examples=60, deadline=None)
+def test_pow10_is_the_truncated_power(b, dps):
+    prec = int((dps + 3) * math.log(10, 2)) + 10
+    assert cascade._pow10(b, prec) == mp.libmp.mpf_pow_int(mp.libmp.ften, b, prec)
+
+
+@pytest.mark.parametrize("exp,fast", sorted(_CUTOFF_EXPS.items()))
+def test_nstr_takes_the_exp_route_from_the_cutoff(monkeypatch, exp, fast):
+    calls = []
+    pow10 = cascade._pow10
+    monkeypatch.setattr(cascade, "_pow10", lambda *args: calls.append(args) or pow10(*args))
+    x = mp.ldexp(mp.mpf(3), exp)
+    assert cascade._nstr(x, 20) == mp.nstr(x, 20)
+    assert bool(calls) == fast
+
+
+@pytest.mark.parametrize("dps", [15, 30, 50])
+def test_general_search_needs_no_power_fallback(monkeypatch, dps):
+    def refuse(*args):
+        raise AssertionError("mpf_pow_int fallback")
+
+    monkeypatch.setattr(cascade, "mpf_pow_int", refuse)
+    assert cascade.find_threshold("general", dps=dps).passing_log_order
 
 
 def test_mpf_input_keeps_ledger_precision():
@@ -153,6 +217,13 @@ def test_mpf_input_keeps_ledger_precision():
 def test_numpy_float_input_matches_float():
     a = cascade.cascade_audit("general", np.float64(230.0), np.float64(5.438))
     assert a.to_json() == cascade.cascade_audit("general", 230.0, 5.438).to_json()
+
+
+@pytest.mark.parametrize("log_order", [np.int64(230), Fraction(460, 2)], ids=["int64", "Fraction"])
+def test_integer_valued_inputs_match_int(log_order):
+    a = cascade.cascade_audit("general", log_order, 5.438)
+    assert a.inputs["logN"] == "230"
+    assert a.to_json() == cascade.cascade_audit("general", 230, 5.438).to_json()
 
 
 def _exponent2_bracket(monkeypatch, bracket):
@@ -220,12 +291,10 @@ def test_exponent2_probes_reaudit_to_their_flags(dim_rate):
         assert led.all_pass == p["all_pass"], p["u"]
 
 
-def test_general_probes_nearest_the_threshold_reaudit_to_their_flags():
-    # each general ledger formats numbers near 10^(10^213), so only the last
-    # failing and the first passing probe are re-audited
-    probes = sorted(cascade.find_threshold("general").probes, key=lambda p: p["u"])
-    step = [p["all_pass"] for p in probes].index(True)
-    for p in probes[step - 1 : step + 1]:
+def test_general_probes_reaudit_to_their_flags():
+    # every probe through the full ledger, which formats numbers up to
+    # 10^(10^213) and resolves the ladder thunk
+    for p in cascade.find_threshold("general").probes:
         led = cascade.cascade_audit("general", p["logN"], p["w"])
         assert led.all_pass == p["all_pass"], p["u"]
 

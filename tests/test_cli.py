@@ -631,6 +631,25 @@ FROZEN_STDOUT_PARTITION = [
      "fbe62ce6a98950c92fbbacc13a212671db8fb52f7de1f5093eca036107f27370"),
 ]
 
+# stdout digests of outputs that print numbers near 10^(10^213): the general
+# threshold search at the lowest and the highest dps, and the dps-30 general
+# ledger at the default search's passing (logN, w), whose ladder top is a
+# thunk; last, so the ids above keep their positions
+_LOGN_AT_THRESHOLD = (
+    "8.11559589803750654152743330301e+30238532864229904979228065538740091107797060883013"
+    "2805371971695757786707953919842724414650198789740589257341617733194369481586401328822"
+    "3913092880195807403341766909331143065382284155429303543906430606368596517962074"
+)
+FROZEN_STDOUT_HUGE = [
+    (("audit", "--mode", "general", "--find-threshold", "--dps", "15"),
+     "4ded8ea11406e595c94c8dc758721f1708ad89d25a4b6311f8d573100dca25f2"),
+    (("audit", "--mode", "general", "--find-threshold", "--dps", "1000"),
+     "9e2ca13b5ebb63ce7f274c20cfb653a09a4b0c9238f74b42a51e1a270008e04a"),
+    (("audit", "--mode", "general", "--logN", _LOGN_AT_THRESHOLD,
+      "--w", "6.96267950071862527236760364133e+213"),
+     "5fadaae1ffde20d22072b0e0b9f92925fe163405194284f4f13115e3013bf2cf"),
+]
+
 # canonical digest of a sigma-tail run, which draws its X and Y by seeded
 # sampling; last, so the ids above keep their positions
 FROZEN_CANONICAL_SAMPLED = [
@@ -689,7 +708,8 @@ FROZEN_STDOUT_THRESHOLD_DPS50 = [
     "argv,digest",
     FROZEN_STDOUT + FROZEN_CANONICAL + FROZEN_STDOUT_COORD + FROZEN_STDOUT_THRESHOLD
     + FROZEN_CANONICAL_ORDER16 + FROZEN_STDOUT_STRUCTURE + FROZEN_CANONICAL_SAMPLED
-    + FROZEN_STDOUT_TABLES + FROZEN_STDOUT_THRESHOLD_DPS50 + FROZEN_STDOUT_PARTITION,
+    + FROZEN_STDOUT_TABLES + FROZEN_STDOUT_THRESHOLD_DPS50 + FROZEN_STDOUT_PARTITION
+    + FROZEN_STDOUT_HUGE,
 )
 def test_report_bytes_frozen(capsys, argv, digest):
     if (argv, digest) in FROZEN_CANONICAL + FROZEN_CANONICAL_ORDER16 + FROZEN_CANONICAL_SAMPLED:
