@@ -16,14 +16,15 @@ magnitude must be saturated (safe_exp).
 Evaluation and formatting are separate steps.  The cascade formulas compute
 raw mpf values and pass flags; only cascade_audit turns them into the
 ledger's 20-significant-digit strings, at the ledger's own precision.
-find_threshold reads nothing but the pass flags.  Its probes evaluate the
-mpf inputs they hold rather than parsing back the strings they record, and
-from j0 = 300 on the ladder row 10^j0 > nt1 is decided from binary
-magnitudes.  Near the general threshold j0 has about 700 bits, so the power
-is costly; it is a thunk that only a ledger resolves.  A recorded string
-differs from its raw input by a relative 10^-(dps - 1) at most, so a probe
-whose rows or ceil/floor arguments sit within a relative 10^-(dps - 10) of
-a tie (_clear_of_ties) re-evaluates on its parsed strings instead.
+find_threshold reads nothing but the pass flags.  Each probe evaluates the
+w and logN strings it records, exactly as a ledger of them would, so a probe
+re-audits to its flag by construction.  From j0 = 300 on the ladder row
+10^j0 > nt1 is decided from binary magnitudes: near the general threshold
+j0 has about 700 bits, so the power is costly, and it is a thunk that only
+a ledger resolves.  Reading a logN near 10^(10^213) back costs no such
+power either: for a decimal exponent of at least _FAST_POW10_MIN,
+_parse_input mirrors mpmath 1.3's from_str with its power of ten from
+_pow10.
 
 Numbers print through _nstr, which equals mp.nstr byte for byte.  For an
 mpf near 10^(10^213) it mirrors mpmath 1.3's to_digits_exp but builds that
@@ -61,6 +62,8 @@ from mpmath.libmp import (
     mpf_pow_int,
     numeral,
     round_down,
+    round_nearest,
+    str_to_man_exp,
     to_fixed,
     to_int,
 )
@@ -97,7 +100,8 @@ def safe_exp(x: mpf) -> mpf:
     return mp.exp(x)
 
 
-# _nstr builds 10^b by exp(b ln 10) from this b on; below it mpf_pow_int is cheap
+# _nstr and _parse_input build 10^b by exp(b ln 10) from this b on; below it
+# mpf_pow_int is cheap
 _FAST_POW10_MIN = 10**6
 # a truncation closer than this many units of 2^-64 ulp is left to mpf_pow_int
 _GUARD_UNITS = 4
@@ -184,7 +188,20 @@ def _canonical_input(value) -> str:
 
 
 def _parse_input(text: str, name: str) -> mpf:
-    """mpf(text), which also reads "p/q"; a bad or non-finite text names its input."""
+    """mpf(text), which also reads "p/q"; a bad or non-finite text names its input.
+
+    mpmath 1.3's from_str reads a decimal man e exp with exp > 400 as man
+    times mpf_pow_int(ften, exp, prec + 10), rounded to nearest.  From exp >=
+    _FAST_POW10_MIN that power comes from _pow10, which returns the same
+    truncated power; every other text goes to mpf(text).
+    """
+    try:
+        man, exp = str_to_man_exp(text.strip())
+    except ValueError:  # "p/q", "inf", "nan" or a bad text: mpf(text) decides
+        man, exp = 0, 0
+    if exp >= _FAST_POW10_MIN:
+        prec = mp.prec + 10
+        return mp.make_mpf(mpf_mul(from_int(man, prec), _pow10(exp, prec), mp.prec, round_nearest))
     try:
         value = mpf(text)
         if mp.isfinite(value):
@@ -276,58 +293,19 @@ def _mode_setup(mode: str, dps: int, constants: dict | None):
     return mode_rows, merged, bracket
 
 
-def _check_domain(logn: mpf, wv: mpf, log_order_str: str, w_str: str) -> None:
+def _evaluate(mode_rows, log_order_str: str, w_str: str, consts: dict):
+    """Check the canonical inputs and evaluate one cascade at the working precision.
+
+    Returns (derived, rows) with raw values; see _row for the row fields.
+    The caller holds mp.workdps(dps) for the ledger's dps.
+    """
+    logn = _parse_input(log_order_str, "logN")
+    wv = _parse_input(w_str, "w")
     if not logn > mp.e:
         raise StructuralError(f"need log N > e, got {log_order_str}")
     if not wv > 1:
         raise StructuralError(f"need w > 1, got {w_str}")
-
-
-def _evaluate(mode_rows, log_order_str: str, w_str: str, consts: dict):
-    """Check the canonical inputs and evaluate one cascade at the working precision.
-
-    Returns (derived, rows, rounded) with raw values; see _row for the row
-    fields and _clear_of_ties for rounded.  The caller holds mp.workdps(dps)
-    for the ledger's dps.
-    """
-    logn = _parse_input(log_order_str, "logN")
-    wv = _parse_input(w_str, "w")
-    _check_domain(logn, wv, log_order_str, w_str)
     return mode_rows(logn, wv, consts)
-
-
-def _near(x: mpf, y: mpf) -> bool:
-    """|x - y| <= 10^-(dps - 10) max(|x|, |y|).
-
-    Magnitudes settle most pairs: mag(v) - 1 <= log2|v| < mag(v), and log2
-    of the factor is below -3 (dps - 10), so a near pair has mag(x - y) <=
-    max(mag(x), mag(y)) - 3 (dps - 10).
-    """
-    gap = x - y
-    if mp.mag(gap) > max(mp.mag(x), mp.mag(y)) - 3 * (mp.dps - 10):
-        return False
-    return abs(gap) <= mp.power(10, 10 - mp.dps) * max(abs(x), abs(y))
-
-
-def _clear_of_ties(rows, rounded) -> bool:
-    """Whether inputs within a relative 10^-(dps - 10) give the same flags.
-
-    A row trips when its sides are _near (the == row: when its gap is within
-    a factor 100 of its own tolerance), and so does a ceil/floor argument in
-    rounded that has a fraction (|x| < 2^prec) and is _near an integer.  A
-    ladder thunk, decided by more than 4 bits of magnitude, never trips.
-    """
-    for r in rows:
-        a, b = r["lhs"], r["rhs"]
-        if callable(a):
-            continue
-        if r["relation"] == "==":
-            gap, tol = abs(a - b), abs(b) * mp.power(10, -(mp.dps - 5))
-            if tol / 100 <= gap <= tol * 100:
-                return False
-        elif _near(a, b):
-            return False
-    return not any(abs(x) < 2**mp.prec and _near(x, mp.nint(x)) for x in rounded)
 
 
 def cascade_audit(
@@ -342,7 +320,7 @@ def cascade_audit(
     with mp.workdps(dps):
         log_order_str = _canonical_input(log_order)
         w_str = _canonical_input(w)
-        derived, raw_rows, _ = _evaluate(mode_rows, log_order_str, w_str, consts)
+        derived, raw_rows = _evaluate(mode_rows, log_order_str, w_str, consts)
         rows = tuple(
             LedgerRow(**{**r, "lhs": _fmt(r["lhs"]), "rhs": _fmt(r["rhs"])}) for r in raw_rows
         )
@@ -382,13 +360,12 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
     w1 = mp.sqrt(wv)
     eps = mp.power(wv, mpf(-1) / 13)
     eps_t = eps / 4
-    rounded = (w1 * logn * ll**2, ll / 2, mp.log(2 * ll / eps_t, 2))
-    nt0 = mp.ceil(rounded[0])
+    nt0 = mp.ceil(w1 * logn * ll**2)
     nt1 = 2 * nt0
     m = wv * logn * ll**10
-    j0 = mp.ceil(rounded[1])
+    j0 = mp.ceil(ll / 2)
     n0 = eps_t * w1 * logn * ll
-    nu0 = int(mp.floor(rounded[2]))
+    nu0 = int(mp.floor(mp.log(2 * ll / eps_t, 2)))
     ratio_floor0 = n0**2 / (4 * w1**2 * logn**2 * ll**4)
     budget = w1 * logn * ll**4
     rate = mpf(consts["count_rate"])
@@ -464,7 +441,7 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
         "ratio_floor_level0": ratio_floor0,
         "level_budget": budget,
     }
-    return derived, rows, rounded
+    return derived, rows
 
 
 def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
@@ -516,7 +493,7 @@ def _exponent2_rows(logn: mpf, wv: mpf, consts: dict):
         "surviving_size": n_prime,
         "span_log": span_log,
     }
-    return derived, rows, ()
+    return derived, rows
 
 
 # mode -> (row function, default constants, the u range find_threshold bisects)
@@ -558,11 +535,8 @@ def find_threshold(
     u their pass flags must form a monotone step, which the caller can
     verify.
 
-    Each probe records w and logN as strings and evaluates its rows on the
-    raw mpf values behind them, so nothing is parsed back and no ladder
-    power is built.  The recorded strings still re-audit to the recorded
-    flag: a probe whose flags could differ on inputs a relative 10^-(dps -
-    10) away (_clear_of_ties) evaluates its parsed strings instead.
+    Each probe records w and logN as strings and evaluates those strings as
+    a ledger does, so they re-audit to its flag; no ladder power is built.
     """
     mode_rows, consts, (lo, hi) = _mode_setup(mode, dps, constants)
     probes: list[dict] = []
@@ -570,15 +544,9 @@ def find_threshold(
     def probe(u: float) -> dict:
         with mp.workdps(dps):
             wv = mp.exp(mpf(repr(u)))
-            logn = mp.exp(wv * (1 + mpf("1e-15")))
-            # the recorded strings re-audit to the flags of the raw values
-            # unless one sits near a tie; only the flags are read
             w_str = _canonical_input(wv)
-            logn_str = _canonical_input(logn)
-            _check_domain(logn, wv, logn_str, w_str)
-            _, rows, rounded = mode_rows(logn, wv, consts)
-            if not _clear_of_ties(rows, rounded):
-                _, rows, _ = _evaluate(mode_rows, logn_str, w_str, consts)
+            logn_str = _canonical_input(mp.exp(wv * (1 + mpf("1e-15"))))
+            _, rows = _evaluate(mode_rows, logn_str, w_str, consts)
         entry = {
             "u": u,
             "w": w_str,

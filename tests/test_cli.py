@@ -634,7 +634,9 @@ FROZEN_STDOUT_PARTITION = [
 # stdout digests of outputs that print numbers near 10^(10^213): the general
 # threshold search at the lowest and the highest dps, and the dps-30 general
 # ledger at the default search's passing (logN, w), whose ladder top is a
-# thunk; last, so the ids above keep their positions
+# thunk; then ledgers whose --logN has a decimal exponent of at least 10^6,
+# read without mpmath's power of ten: spaced and upper-case, with a fraction,
+# and in exponent2 mode; last, so the ids above keep their positions
 _LOGN_AT_THRESHOLD = (
     "8.11559589803750654152743330301e+30238532864229904979228065538740091107797060883013"
     "2805371971695757786707953919842724414650198789740589257341617733194369481586401328822"
@@ -648,6 +650,12 @@ FROZEN_STDOUT_HUGE = [
     (("audit", "--mode", "general", "--logN", _LOGN_AT_THRESHOLD,
       "--w", "6.96267950071862527236760364133e+213"),
      "5fadaae1ffde20d22072b0e0b9f92925fe163405194284f4f13115e3013bf2cf"),
+    (("audit", "--mode", "general", "--logN", " 1E+2000000", "--w", "3"),
+     "4c5a9b5f8cb6c833cdf39de1abc1b26289304b0b95de05f6e9335620f336a957"),
+    (("audit", "--mode", "general", "--logN", "2.5e2000001", "--w", "3"),
+     "d2ae8c377b5777aa763880abd5554ca200aeafe4c8f6d35f7075a82c963e733e"),
+    (("audit", "--mode", "exponent2", "--logN", "1e999999999999", "--w", "1e5"),
+     "13f1299a6f87b7cf6d05bbfa8721f3f82ab79e10213c92186cea4bd32ffbb98b"),
 ]
 
 # canonical digest of a sigma-tail run, which draws its X and Y by seeded
