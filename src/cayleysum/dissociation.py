@@ -14,23 +14,16 @@ Three facts drive the implementation:
   exactly when the scan admits every element, so `is_dissociated` and the
   greedy dimension share `_greedy_scan`.  An exact witness is dissociated and
   no smaller than the scan's, so S is dissociated iff dim(S) = |S| in either mode.
-* One closure step, Span + {e, -e}, is either one pair-sum scatter over
-  the span, O(|span|), or span | span[T_-e] | span[T_+e], bool gathers
-  through the translation tables T_-+e = (z -> z -+ e), O(N).  Building the
-  tables costs about a scatter over the whole group, so they pay only for
-  an element inserted again and again, as at the nodes of the exact search;
-  a one-pass scan (`span`, `is_dissociated`, greedy dimension) never
-  builds them.  Per search and element, the scatters are tallied in span
-  entries, each call also counting _SCATTER_CALL_COST for its fixed cost,
-  and once the tally reaches N the tables are built (rent or buy: at most
-  about twice the cheaper choice).  Gathers run only up to order
-  _GATHER_ORDER_LIMIT: a gather costs about 3 ns per group element, which
-  at order 4096 is one scatter's fixed cost (12.7 against 10.4 us on a
-  near-empty span), and above it the sparse spans of a search scatter
-  cheaper (z65536, a span of N/64 entries: 200 us to gather, 50 us to
-  scatter).  The tables are intp (int64) arrays, since numpy casts any
-  other index dtype on every gather (13 against 5 us at N = 4096, numpy
-  2.4), live for one search, and are never stored on the group.
+* One closure step, Span + {e, -e} = span | (span + e) | (span - e), acts on
+  the span held as a Python int bit mask over the indices.  Translating by e
+  takes two masked shifts per coordinate: with m the modulus, s the stride
+  and d e's digit there, the indices whose digit is below m - d move up by
+  d * s and the others down by (m - d) * s.  The mask of a digit below k is
+  (r << k * s) - r, where r marks the indices whose digits at this
+  coordinate and every faster one are all 0; the r are built once per moduli.
+  On exponent-2 groups -e = e, so one translate does.  Membership in a scan
+  reads a bytes view of the mask, refreshed after each admission, since
+  `mask >> e & 1` copies the whole int.
 * In exponent-2 groups, dissociated means linearly independent over the
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
@@ -41,9 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from ._record import Record
 from .bounds import LowDimCountBound, low_dimension_count_bound
@@ -67,10 +59,6 @@ __all__ = [
 SPAN_ENUMERATION_GUARD = 24
 # exact dimension search refuses above this set size (non-exponent-2)
 EXACT_DIMENSION_GUARD = 20
-# span closures gather through cached tables only up to this group order
-_GATHER_ORDER_LIMIT = 4096
-# a pair-sum scatter's fixed cost, counted in span entries
-_SCATTER_CALL_COST = 512
 # count_low_dimension_sets enumerates exhaustively only up to this group order
 _COUNT_ORDER_LIMIT = 32
 # ... and only up to this many candidate sets
@@ -93,33 +81,58 @@ def _gf2_basis_scan(indices) -> list[int]:
     return witness
 
 
-def _closure_insert(g: GroupSpec, span_bits: np.ndarray, e: int, tables: dict) -> None:
-    """Grow a span closure in place by one generator: Span + {e, -e}.
+@lru_cache(maxsize=4)
+def _coordinates(moduli: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(m, s, r) per coordinate: modulus, stride, and the int mask r with one bit
+    per block of m * s indices, at the indices whose digits here and at every
+    faster coordinate are all 0."""
+    n = math.prod(moduli)
+    out = []
+    s = n
+    for m in moduli:
+        s //= m
+        r, width = 1, m * s
+        while width < n:  # 250x faster at f2^20 than (2^n - 1) // (2^(m s) - 1)
+            r |= r << width
+            width *= 2
+        out.append((m, s, r & ((1 << n) - 1)))
+    return tuple(out)
 
-    With T_-e and T_+e the index permutations z -> z - e and z -> z + e,
-    span[T_-e] marks S + e and span[T_+e] marks S - e, and the old span stays
-    set (the zero coefficient).  Per element, `tables` holds for one search
-    either the span entries its scatters have covered so far or its tables:
-    once those scatters have covered g.order entries, about what building
-    the tables costs, the tables are built (up to _GATHER_ORDER_LIMIT).
-    """
-    entry = tables.get(e, 0)
-    if isinstance(entry, int):
-        signed = list({e, g.neg_index(e)})  # one element when e = -e
-        if entry < g.order or g.order > _GATHER_ORDER_LIMIT:
-            members = np.flatnonzero(span_bits)
-            tables[e] = entry + members.size + _SCATTER_CALL_COST
-            span_bits[g.pairsum_matrix(signed, members)] = True
-            return
-        z = np.arange(g.order)  # intp: other index dtypes are cast on every gather
-        entry = tables[e] = tuple(g.translate_array(z, t) for t in signed)
-    for t in entry:
-        span_bits |= span_bits[t]
+
+def _closure_insert(g: GroupSpec, mask: int, e: int) -> int:
+    """The span mask grown by one generator: Span + {e, -e}."""
+    plus = minus = mask
+    for m, s, r in _coordinates(g.moduli):
+        d = e // s % m
+        if d:  # digits below m - d move up by d, the others wrap down by m - d; -e the reverse
+            a, b = d * s, (m - d) * s
+            up = plus & (r << b) - r
+            plus = up << a | (plus ^ up) >> b
+            if not g.is_exponent_two:  # there -e = e
+                up = minus & (r << a) - r
+                minus = up << b | (minus ^ up) >> a
+    return mask | plus | minus
+
+
+def _scan(g: GroupSpec, indices, skip_members: bool) -> tuple[list[int], int]:
+    """Grow a span mask from {0} by indices in order, with skip_members passing
+    over those already in the span; returns the inserted indices and the mask."""
+    mask, nbytes = 1, (g.order + 7) // 8
+    view = mask.to_bytes(nbytes, "little")  # O(1) membership; `mask >> e & 1` copies the int
+    chosen: list[int] = []
+    for e in indices.tolist():
+        if skip_members and view[e >> 3] >> (e & 7) & 1:
+            continue
+        chosen.append(e)
+        mask = _closure_insert(g, mask, e)
+        if skip_members:
+            view = mask.to_bytes(nbytes, "little")
+    return chosen, mask
 
 
 def is_dissociated(s: GroupSubset) -> bool:
     """Whether no nontrivial {-1,0,1} combination of s sums to zero."""
-    return len(_greedy_scan(s, {})) == s.size
+    return len(_greedy_scan(s)) == s.size
 
 
 def span(s: GroupSubset) -> GroupSubset:
@@ -130,14 +143,8 @@ def span(s: GroupSubset) -> GroupSubset:
             f"span over {s.size} elements exceeds the guard {SPAN_ENUMERATION_GUARD} "
             "outside exponent-2 groups"
         )
-    span_bits = np.zeros(g.order, dtype=bool)
-    span_bits[0] = True
-    tables: dict = {}
-    for e in s.indices:
-        # on exponent 2 the span is a subgroup: at most log2 N elements grow it
-        if not (g.is_exponent_two and span_bits[e]):
-            _closure_insert(g, span_bits, int(e), tables)
-    return GroupSubset(g, span_bits)
+    # on exponent 2 the span is a subgroup: at most log2 N elements grow it
+    return GroupSubset.from_mask(g, _scan(g, s.indices, skip_members=g.is_exponent_two)[1])
 
 
 @dataclass
@@ -149,20 +156,12 @@ class DimensionResult(Record):
     exact: bool
 
 
-def _greedy_scan(a: GroupSubset, tables: dict) -> list[int]:
+def _greedy_scan(a: GroupSubset) -> list[int]:
     """Maximal-by-inclusion dissociated subset, scanning indices ascending."""
     g = a.group
     if g.is_exponent_two:
         return _gf2_basis_scan(a.indices)
-    span_bits = np.zeros(g.order, dtype=bool)
-    span_bits[0] = True
-    chosen: list[int] = []
-    for e in a.indices:
-        e = int(e)
-        if not span_bits[e]:
-            chosen.append(e)
-            _closure_insert(g, span_bits, e, tables)
-    return chosen
+    return _scan(g, a.indices, skip_members=True)[0]
 
 
 def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
@@ -173,17 +172,14 @@ def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
     dim <= d tests).
     """
     g = a.group
-    elems = [int(e) for e in a.indices]
+    elems = a.indices.tolist()
     n = len(elems)
-    tables: dict = {}  # one cache for the whole search: its nodes reinsert the same elements
-    best = _greedy_scan(a, tables)
+    best = _greedy_scan(a)
     if stop_at is not None and len(best) >= stop_at:
         return best[:stop_at]
-    root = np.zeros(g.order, dtype=bool)
-    root[0] = True
-    stack = [(0, [], root)]  # (next position, chosen, span of chosen)
+    stack = [(0, [], 1)]  # (next position, chosen, span mask of chosen)
     while stack:
-        i, chosen, span_bits = stack.pop()
+        i, chosen, mask = stack.pop()
         if len(chosen) > len(best):
             best = chosen
             if stop_at is not None and len(best) >= stop_at:
@@ -191,12 +187,10 @@ def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
         if i == n or len(chosen) + (n - i) <= len(best):
             continue
         e = elems[i]
-        stack.append((i + 1, chosen, span_bits))
-        if not span_bits[e]:
-            grown = span_bits.copy()
-            grown[e] = True  # e itself is a one-term signed sum
-            _closure_insert(g, grown, e, tables)
-            stack.append((i + 1, chosen + [e], grown))
+        stack.append((i + 1, chosen, mask))
+        if not mask >> e & 1:
+            # e itself is a one-term signed sum
+            stack.append((i + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e)))
     return best
 
 
@@ -211,7 +205,7 @@ def additive_dimension(a: GroupSubset, mode: str = "exact") -> DimensionResult:
     if mode not in ("greedy", "exact"):
         raise StructuralError(f"unknown dimension mode {mode!r}")
     if mode == "greedy" or g.is_exponent_two:  # exponent 2: a matroid, greedy is maximum
-        chosen = _greedy_scan(a, {})
+        chosen = _greedy_scan(a)
     elif a.size > EXACT_DIMENSION_GUARD:
         raise GuardError(
             f"exact dimension over {a.size} elements exceeds the guard "

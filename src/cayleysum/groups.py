@@ -86,11 +86,6 @@ class GroupSpec:
 
     # ---- index arithmetic ----
 
-    def _check_index(self, index: int) -> int:
-        if not 0 <= index < self.order:
-            raise StructuralError(f"index {index} out of range for order {self.order}")
-        return index
-
     def _combine(self, a, b, sign: int = 1):
         """Index of coords(a) + sign * coords(b); broadcasts over index arrays."""
         if self.is_exponent_two:  # index is a bitmask, and -x = x
@@ -105,9 +100,6 @@ class GroupSpec:
             t *= s
             out += t
         return out
-
-    def neg_index(self, i: int) -> int:
-        return self._combine(0, self._check_index(i), -1)
 
     def translate_array(self, idx: np.ndarray, by: int) -> np.ndarray:
         """Index array of {i + by : i in idx}."""

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleysum.dissociation import (
-    _GATHER_ORDER_LIMIT,
     EXACT_DIMENSION_GUARD,
     SPAN_ENUMERATION_GUARD,
     _closure_insert,
+    _coordinates,
     _dimension_at_most,
-    _greedy_scan,
     additive_dimension,
     count_low_dimension_sets,
     is_dissociated,
@@ -27,9 +26,11 @@ from cayleysum.groups import parse_group
 from cayleysum.subsets import GroupSubset
 
 from conftest import (
+    coords_of,
     oracle_dimension,
     oracle_dissociated,
     oracle_gf2_rank,
+    oracle_neg,
     oracle_span,
     random_nonempty,
 )
@@ -72,7 +73,7 @@ def test_span_properties(small_group, rnd):
         assert sp.bits[0]
         members = set(sp.to_index_list())
         assert set(s.to_index_list()) <= members
-        assert {g.neg_index(i) for i in members} == members
+        assert set(g.neg_array(sp.indices).tolist()) == members
         assert members == oracle_span(g.moduli, s.to_index_list())
 
 
@@ -186,33 +187,32 @@ def test_exponent_two_sizes_unguarded():
 _CLOSURE_GROUPS = ("z101", "4,4,4", "5,5,5", "z1024", "6,6,6", "3,3,3,3", "z12", "3,9")
 
 
-def _scatter_insert(g, bits, e):
-    """Span + {e, -e} by one pair-sum scatter: the closure before gather tables."""
-    bits[g.pairsum_matrix([e, g.neg_index(e)], np.flatnonzero(bits))] = True
-
-
-def _reinsert(g, elems, rounds, seed):
-    """Insert each of elems `rounds` times into random spans; check every result against the scatter."""
-    rng = np.random.default_rng(seed)
-    tables: dict = {}
-    for _ in range(rounds):
-        for e in elems:
-            bits = rng.random(g.order) < rng.uniform(0.005, 0.5)
-            expect = bits.copy()
-            _scatter_insert(g, expect, e)
-            _closure_insert(g, bits, e, tables)
-            assert np.array_equal(bits, expect)
-    return tables
-
-
-@pytest.mark.parametrize("text", _CLOSURE_GROUPS)
-def test_gather_closure_equals_scatter(text):
+@pytest.mark.parametrize("text", ["z12", "2,3,4", "f2^4"])
+def test_coordinate_masks_mark_the_zero_digit_blocks(text):
     g = parse_group(text)
-    involution = max(x for x in range(g.order) if g.neg_index(x) == x)  # 0 at odd order
-    elems = [*np.random.default_rng(g.order).choice(g.order, 3).tolist(), involution]
-    tables = _reinsert(g, elems, 12, g.order)
-    # the early inserts scattered; the tables the later ones gathered through
-    assert {e: len(tables[e]) for e in elems} == {e: 1 + (g.neg_index(e) != e) for e in elems}
+    for c, (m, s, r) in enumerate(_coordinates(g.moduli)):
+        assert (m, s) == (g.moduli[c], g.strides[c])
+        zeros = [i for i in range(g.order) if not any(coords_of(g.moduli, i)[c:])]
+        assert r == sum(1 << i for i in zeros)
+
+
+def _scatter_insert(g, bits, e):
+    """Span + {e, -e} by one pair-sum scatter over the span's members."""
+    bits[g.pairsum_matrix([e, oracle_neg(g.moduli, e)], np.flatnonzero(bits))] = True
+
+
+# 2,6 and 4,8 have unequal moduli, 2,3,5 a digit at a middle stride
+@pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("2,6", "4,8", "2,3,5", "f2^6"))
+def test_mask_closure_equals_scatter(text):
+    g = parse_group(text)
+    rng = np.random.default_rng(g.order)
+    involution = max(x for x in range(g.order) if oracle_neg(g.moduli, x) == x)  # 0 at odd order
+    for e in [0, involution, *rng.choice(g.order, 4).tolist()]:
+        for _ in range(6):
+            bits = rng.random(g.order) < rng.uniform(0.005, 0.5)
+            grown = _closure_insert(g, GroupSubset(g, bits).mask, e)
+            _scatter_insert(g, bits, e)
+            assert np.array_equal(GroupSubset.from_mask(g, grown).bits, bits)
 
 
 @pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("f2^3", "f2^6", "2,2,2,2,2"))
@@ -233,20 +233,15 @@ def test_span_of_a_full_exponent_two_group_is_fast():
     assert sp.size == g.order
 
 
-@pytest.mark.parametrize("text", ["16,16,16", "z8192"])
-def test_tables_only_below_the_order_limit(text):
-    g = parse_group(text)
-    tables = _reinsert(g, [1, 2 * g.order // 3], 12, 5)
-    assert all(isinstance(t, tuple) for t in tables.values()) == (g.order <= _GATHER_ORDER_LIMIT)
-
-
-@pytest.mark.parametrize("text", ["z101", "6,6,6", "z1024"])
-def test_one_pass_scan_builds_no_tables(text):
-    g = parse_group(text)
-    tables: dict = {}
-    s = GroupSubset.from_indices(g, np.random.default_rng(1).choice(g.order, 12, replace=False))
-    _greedy_scan(s, tables)
-    assert tables and all(isinstance(n, int) for n in tables.values())
+def test_greedy_dimension_of_a_large_subgroup_is_fast():
+    # the span of 2, 4, ..., 2^k is the evens below 2^(k+1) up to sign, so it never
+    # fills the group and every one of the 2^19 elements is a membership test
+    g = parse_group("z1048576")
+    evens = GroupSubset.from_indices(g, np.arange(0, g.order, 2))
+    start = time.perf_counter()
+    r = additive_dimension(evens, "greedy")
+    assert time.perf_counter() - start < 2
+    assert r.witness.to_index_list() == [1 << k for k in range(1, 20)]
 
 
 @pytest.mark.parametrize("text", ["z1048576", "1024,1024"])
@@ -260,9 +255,8 @@ def test_memory_bound_at_the_dense_cap(text):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 6.6 and 11.1 MB by the scatter alone; one element's gather tables would add 16 MB,
-    # which the order limit rules out
-    assert peak < 16 << 20
+    # the 1 MB bool input and N-bit span masks of 128 kB, one per open search node
+    assert peak < 4 << 20
 
 
 def test_exact_search_leaves_no_cyclic_garbage():
