@@ -18,13 +18,12 @@ raw mpf values and pass flags; only cascade_audit turns them into the
 ledger's 20-significant-digit strings, at the ledger's own precision.
 find_threshold reads nothing but the pass flags.  Each probe evaluates the
 w and logN strings it records, exactly as a ledger of them would, so a probe
-re-audits to its flag by construction.  From j0 = 300 on the ladder row
-10^j0 > nt1 is decided from binary magnitudes: near the general threshold
-j0 has about 700 bits, so the power is costly, and it is a thunk that only
-a ledger resolves.  Reading a logN near 10^(10^213) back costs no such
-power either: for a decimal exponent of at least _FAST_POW10_MIN,
-_parse_input mirrors mpmath 1.3's from_str with its power of ten from
-_pow10.
+re-audits to its flag by construction.  Near the general threshold the
+ladder top 10^j0 has a j0 of about 700 bits; from j0 = _FAST_POW10_MIN on it
+comes from _pow10, rounded to nearest as mp.power would round it.  Reading a
+logN near 10^(10^213) back costs no mpmath power either: for a decimal
+exponent of at least _FAST_POW10_MIN, _parse_input mirrors mpmath 1.3's
+from_str with its power of ten from _pow10.
 
 Numbers print through _nstr, which equals mp.nstr byte for byte.  For an
 mpf near 10^(10^213) it mirrors mpmath 1.3's to_digits_exp but builds that
@@ -100,31 +99,31 @@ def safe_exp(x: mpf) -> mpf:
     return mp.exp(x)
 
 
-# _nstr and _parse_input build 10^b by exp(b ln 10) from this b on; below it
-# mpf_pow_int is cheap
+# 10^b comes from _pow10, as exp(b ln 10), from this b on; below it mpf_pow_int is cheap
 _FAST_POW10_MIN = 10**6
-# a truncation closer than this many units of 2^-64 ulp is left to mpf_pow_int
+# a rounding within this many units of 2^-64 ulp of its boundary goes to mpf_pow_int
 _GUARD_UNITS = 4
 
 
-def _pow10(b: int, prec: int) -> tuple:
-    """10^b truncated to prec bits, the raw mpf that mpf_pow_int(ften, b, prec) returns.
+def _pow10(b: int, prec: int, rnd=round_down) -> tuple:
+    """10^b rounded to prec bits by rnd, the raw mpf that mpf_pow_int(ften, b, prec, rnd) returns.
 
-    Round-down mpf_pow_int carries prec + 4 bitcount(b) + 4 bits through about
-    2 bitcount(b) products, so it returns 10^b truncated to prec bits unless
-    10^b lies within its tiny error above a truncation boundary.  exp(b ln 10)
-    at 64 + bitcount(b) + 10 bits beyond prec is off by far less than one unit
-    of the 64 bits below prec; where those bits lie within _GUARD_UNITS of a
-    boundary, the truncation is left to mpf_pow_int itself.
+    mpf_pow_int carries prec + 4 bitcount(b) + 4 bits through about
+    2 bitcount(b) products, so it returns 10^b rounded by rnd unless 10^b
+    lies within its tiny error of a rounding boundary: a multiple of the ulp
+    for round_down, a half-ulp for round_nearest.  exp(b ln 10) at 64 +
+    bitcount(b) + 10 bits beyond prec is off by far less than one unit of the
+    64 bits below prec; where those bits lie within _GUARD_UNITS of the
+    boundary, the rounding is left to mpf_pow_int itself.
     """
     wp = prec + 64 + bitcount(b) + 10
     _, man, exp, bc = mpf_exp(mpf_mul(from_int(b), mpf_ln10(wp), wp), wp)
     shift = bc - prec - 64
     top = man >> shift if shift >= 0 else man << -shift
-    guard = top & (2**64 - 1)
+    guard = (top - (0 if rnd == round_down else 2**63)) % 2**64
     if min(guard, 2**64 - guard) <= _GUARD_UNITS:
-        return mpf_pow_int(ften, b, prec)
-    return from_man_exp(top >> 64, exp + shift + 64, prec, round_down)
+        return mpf_pow_int(ften, b, prec, rnd)
+    return from_man_exp(top, exp + shift, prec, rnd)
 
 
 def _nstr(x, digits: int) -> str:
@@ -166,10 +165,7 @@ def _nstr(x, digits: int) -> str:
 
 def _fmt(x) -> str:
     """A ledger field; mpf(x) rounds to the working precision, so call it under
-    the ledger's workdps.  Ints (a step count) print exactly, and a thunk (a
-    power only a ledger prints) is resolved first."""
-    if callable(x):
-        x = x()
+    the ledger's workdps.  Ints (a step count) print exactly."""
     if isinstance(x, int):
         return str(x)
     return _nstr(mpf(x), _NSTR_DIGITS)
@@ -240,18 +236,15 @@ _RELATIONS = {
 }
 
 
-def _row(name, anchor, lhs, relation, rhs, constant_dependent, note="", passed=None) -> dict:
-    """LedgerRow fields for lhs <relation> rhs, with the raw sides compared once
-    unless the caller decided the flag already."""
-    if passed is None:
-        passed = _RELATIONS[relation](lhs, rhs)
+def _row(name, anchor, lhs, relation, rhs, constant_dependent, note="") -> dict:
+    """LedgerRow fields for lhs <relation> rhs, with the raw sides compared once."""
     return dict(
         name=name,
         anchor=anchor,
         lhs=lhs,
         rhs=rhs,
         relation=relation,
-        passed=bool(passed),
+        passed=bool(_RELATIONS[relation](lhs, rhs)),
         constant_dependent=constant_dependent,
         note=note,
     )
@@ -336,24 +329,6 @@ def cascade_audit(
     )
 
 
-def _ladder_top(j0: mpf, cap: mpf):
-    """(10^j0, whether it exceeds cap) for integers j0 >= 1 and cap > 0.
-
-    From j0 = 300 on the flag is read off binary magnitudes: 2^(mag - 1) <= cap
-    < 2^mag, and j0 log2 10 carries 30 bits beyond j0's own, so a gap of more
-    than 4 bits decides the comparison exactly.  The power is then a thunk,
-    resolved only when a ledger prints it.
-    """
-    if j0 >= 300:
-        mag = mp.mag(cap)
-        with mp.workprec(int(j0).bit_length() + 30):
-            bits = j0 * mp.log(10, 2)
-            if not mag - 4 <= bits <= mag + 4:
-                return (lambda: mp.power(10, j0)), bits > mag
-    top = mp.power(10, j0)
-    return top, top > cap
-
-
 def _general_rows(logn: mpf, wv: mpf, consts: dict):
     ll = mp.log(logn)
     ll_shifted = _loglog_shifted(logn)
@@ -391,12 +366,14 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
         note="both printed forms of the per-level energy-ratio floor, at level 0",
     ))
 
-    ladder_top, exhausted = _ladder_top(j0, nt1)
+    if j0 >= _FAST_POW10_MIN:
+        ladder_top = mp.make_mpf(_pow10(int(j0), mp.prec, round_nearest))
+    else:
+        ladder_top = mp.power(10, j0)
     rows.append(_row(
         "ratio_ladder_exhaustion", "10^ceil(llN/2) > 2 ceil(sqrt(w) logN llN^2)",
         ladder_top, ">", nt1, constant_dependent=False,
         note="top of the energy-ratio ladder exceeds any admissible |X|",
-        passed=exhausted,
     ))
 
     count_exp = 2 * rate * w1 * logn * ll**4
@@ -536,7 +513,7 @@ def find_threshold(
     verify.
 
     Each probe records w and logN as strings and evaluates those strings as
-    a ledger does, so they re-audit to its flag; no ladder power is built.
+    a ledger does, so they re-audit to its flag.
     """
     mode_rows, consts, (lo, hi) = _mode_setup(mode, dps, constants)
     probes: list[dict] = []

@@ -21,9 +21,8 @@ Three facts drive the implementation:
   d * s and the others down by (m - d) * s.  The mask of a digit below k is
   (r << k * s) - r, where r marks the indices whose digits at this
   coordinate and every faster one are all 0; the r are built once per moduli.
-  On exponent-2 groups -e = e, so one translate does.  Membership in a scan
-  reads a bytes view of the mask, refreshed after each admission, since
-  `mask >> e & 1` copies the whole int.
+  Membership in a scan reads a bytes view of the mask, refreshed after each
+  admission, since `mask >> e & 1` copies the whole int.
 * In exponent-2 groups, dissociated means linearly independent over the
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
@@ -36,6 +35,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from ._record import Record
 from .bounds import LowDimCountBound, low_dimension_count_bound
@@ -108,9 +109,8 @@ def _closure_insert(g: GroupSpec, mask: int, e: int) -> int:
             a, b = d * s, (m - d) * s
             up = plus & (r << b) - r
             plus = up << a | (plus ^ up) >> b
-            if not g.is_exponent_two:  # there -e = e
-                up = minus & (r << a) - r
-                minus = up << b | (minus ^ up) >> a
+            up = minus & (r << a) - r
+            minus = up << b | (minus ^ up) >> a
     return mask | plus | minus
 
 
@@ -138,13 +138,17 @@ def is_dissociated(s: GroupSubset) -> bool:
 def span(s: GroupSubset) -> GroupSubset:
     """All signed subset sums of s (always contains 0, closed under negation)."""
     g = s.group
-    if not g.is_exponent_two and s.size > SPAN_ENUMERATION_GUARD:
+    if g.is_exponent_two:  # every XOR of a basis, doubling the members per basis element
+        members = np.zeros(1, dtype=np.int64)
+        for v in _gf2_basis_scan(s.indices):
+            members = np.concatenate([members, members ^ v])
+        return GroupSubset.from_indices(g, members)
+    if s.size > SPAN_ENUMERATION_GUARD:
         raise GuardError(
             f"span over {s.size} elements exceeds the guard {SPAN_ENUMERATION_GUARD} "
             "outside exponent-2 groups"
         )
-    # on exponent 2 the span is a subgroup: at most log2 N elements grow it
-    return GroupSubset.from_mask(g, _scan(g, s.indices, skip_members=g.is_exponent_two)[1])
+    return GroupSubset.from_mask(g, _scan(g, s.indices, skip_members=False)[1])
 
 
 @dataclass

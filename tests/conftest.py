@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import statistics
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from mpmath import iv, libmp
 
 from cayleysum.groups import parse_group
 from cayleysum.rng import GAMMA, derive_seed, splitmix64
@@ -330,6 +332,100 @@ def oracle_joint_deviation(moduli, n: int, eps: Fraction, ks, trials: int, seed:
         indep_hits += all(deviates(c, 2) for c in counts(members, 2, pair_rows))
         per_trial.append((a, row_counts))
     return rows, successes, indep_hits, per_trial
+
+
+# ----------------------------------------------------------- cascade oracles
+# Both cascades redone in mpmath's interval context from the formulas' anchors;
+# a row is decided when its two sides' intervals do not overlap.
+
+def _iv_read(text: str, prec: int):
+    """The decimal text as an interval, from from_str's floor and ceiling.
+
+    Past a decimal exponent of 400 from_str builds its power of ten rounded
+    down before the directed rounding, so the ends are widened by 2^-prec.
+    """
+    lo, hi = (libmp.from_str(text, prec, rnd) for rnd in (libmp.round_floor, libmp.round_ceiling))
+    x = iv.make_mpf((lo, hi))
+    if abs(libmp.str_to_man_exp(text, base=10)[1]) <= 400:
+        return x
+    return x * (1 + iv.mpf([-1, 1]) * iv.ldexp(1, -prec))
+
+
+def _iv_integer(x, rounding):
+    """floor or ceil of every point of x, as an interval."""
+    return iv.make_mpf(tuple(rounding(end) for end in x._mpi_))
+
+
+def _iv_exp_neg(x):
+    """exp(-x); past x = 10^6 an enclosure [0, e^-10^6], as exp(-x) would need a bignum exponent."""
+    if x > 10**6:
+        return iv.mpf([0, iv.exp(-iv.mpf(10**6)).b])
+    return iv.exp(-x)
+
+
+def _iv_general_rows(logn, w, constants):
+    ll = iv.log(logn)
+    w1 = iv.sqrt(w)
+    eps = iv.exp(-iv.log(w) / 13)
+    n0 = eps / 4 * w1 * logn * ll
+    nt1 = 2 * _iv_integer(w1 * logn * ll**2, libmp.mpf_ceil)
+    j0 = _iv_integer(ll / 2, libmp.mpf_ceil)
+    nu0 = _iv_integer(iv.log(8 * ll / eps) / iv.log(2), libmp.mpf_floor)
+    budget = w1 * logn * ll**4
+    count = 2 * constants["count_rate"] * budget
+    decay = eps**6 * ll**-6 * (w * logn * ll**10) / 2**26
+    # the levels 1 <= j < min(j0, 64); each term lies in [0, its upper end]
+    levels = range(1, min(int(libmp.to_int(j0._mpi_[1])), 64))
+    correction = iv.mpf([0, sum(_iv_exp_neg((10**j - 1) * budget / 2).b for j in levels)])
+    return [
+        ("growth_cap", w, "<=", iv.log(logn + iv.log(1 + 3 * _iv_exp_neg(logn)))),
+        ("packed_bound_applicability", (eps / 4) ** 2 * w1 / 32, ">", iv.mpf(1)),
+        ("ratio_floor_consistency",
+         (n0 / (2 * w1 * logn * ll**2)) ** 2, "==", n0**2 / (4 * w * logn**2 * ll**4)),
+        # 10^j0 > nt1 on the log scale
+        ("ratio_ladder_exhaustion", j0 * iv.log(10), ">", iv.log(nt1)),
+        ("count_vs_decay_margin", count, "<", decay),
+        ("per_level_sum", iv.log(nu0 + 1) + count - decay, "<=", -budget / 2),
+        ("level_total", -budget / 2 + iv.log(1 + correction), "<=", -budget / 3),
+    ]
+
+
+def _iv_exponent2_rows(logn, w, constants):
+    ll = iv.log(logn)
+    eps = iv.exp(-iv.log(w) / 13)
+    d = constants["dim_rate"] * iv.sqrt(logn) * ll
+    n_prime = eps / 2 * w * ll * logn * iv.sqrt(logn)
+    return [
+        ("deviation_floor_condition", eps**7 * w * ll * iv.sqrt(logn), ">=", iv.mpf(2**25)),
+        # min(eps n'/8, n') is eps n'/8, as w > 1 puts eps below 1
+        ("restricted_size_hypothesis",
+         eps * n_prime / 8, ">=", 2000 * (eps / 4) ** -4 * d * iv.log(3)),
+        ("count_vs_decay_margin", eps**2 * n_prime / 160, ">", 2**19 * d**2 / eps**4 + d * logn),
+        ("clean_growth_margin", eps**2 * n_prime, ">=", d**2 / eps**4 + d * logn),
+    ]
+
+
+def oracle_certified_rows(mode: str, log_order: str, w: str, constants: dict, dps: int) -> list:
+    """(row name, flag) per ledger row in interval arithmetic at dps digits.
+
+    The flag is True or False where the row's sides decide it for every
+    point of their intervals, and None where they overlap.  "==" asks that
+    the sides agree to the last 5 of dps digits, as the ledger does.
+    """
+    saved, iv.dps = iv.dps, dps  # the interval context has no workdps
+    try:
+        rows = {"general": _iv_general_rows, "exponent2": _iv_exponent2_rows}[mode](
+            _iv_read(log_order, iv.prec), _iv_read(w, iv.prec), constants
+        )
+        decide = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        flags = []
+        for name, lhs, relation, rhs in rows:
+            if relation == "==":
+                lhs, relation, rhs = abs(lhs - rhs), "<=", abs(rhs) * iv.mpf(10) ** (5 - dps)
+            flags.append((name, decide[relation](lhs, rhs)))
+    finally:
+        iv.dps = saved
+    return flags
 
 
 # ------------------------------------------------------------------ sampling

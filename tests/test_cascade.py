@@ -1,5 +1,6 @@
 """Proof-parameter cascade auditor: ledger rows, thresholds, determinism."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cayleysum import cascade
 from cayleysum.errors import GuardError, StructuralError
+from conftest import oracle_certified_rows
 
 GENERAL_ROWS = (
     "growth_cap",
@@ -178,11 +180,17 @@ def test_nstr_equals_mpmath(forced, sample):
         assert cascade._nstr(x, digits) == mp.nstr(x, digits)
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["guarded", "forced-fallback"])
+@pytest.mark.parametrize(
+    "rnd", [mp.libmp.round_down, mp.libmp.round_nearest], ids=["round_down", "round_nearest"]
+)
 @given(b=st.integers(cascade._FAST_POW10_MIN, 10**230), dps=st.sampled_from([15, 30, 1000]))
 @settings(max_examples=60, deadline=None)
-def test_pow10_is_the_truncated_power(b, dps):
+def test_pow10_is_the_truncated_power(forced, rnd, b, dps):
     prec = int((dps + 3) * math.log(10, 2)) + 10
-    assert cascade._pow10(b, prec) == mp.libmp.mpf_pow_int(mp.libmp.ften, b, prec)
+    guard = 2**63 + 1 if forced else cascade._GUARD_UNITS  # forced: every guard trips
+    with mock.patch.object(cascade, "_GUARD_UNITS", guard):
+        assert cascade._pow10(b, prec, rnd) == mp.libmp.mpf_pow_int(mp.libmp.ften, b, prec, rnd)
 
 
 @pytest.mark.parametrize("exp,fast", sorted(_CUTOFF_EXPS.items()))
@@ -355,7 +363,7 @@ def test_exponent2_probes_reaudit_to_their_flags(dim_rate):
 
 def test_general_probes_reaudit_to_their_flags():
     # every probe through the full ledger, which formats numbers up to
-    # 10^(10^213) and resolves the ladder thunk
+    # 10^(10^213), the ladder top among them
     for p in cascade.find_threshold("general").probes:
         led = cascade.cascade_audit("general", p["logN"], p["w"])
         assert led.all_pass == p["all_pass"], p["u"]
@@ -371,6 +379,39 @@ def test_every_probe_reaudits_to_its_flag(mode):
         for p in search.probes:
             _, rows = cascade._evaluate(mode_rows, p["logN"], p["w"], consts)
             assert all(r["passed"] for r in rows) == p["all_pass"], p["u"]
+
+
+@functools.cache
+def _certified_probes(mode, dps):
+    """(u, ledger rows, interval flags) for each probe of the default search."""
+    search = cascade.find_threshold(mode, dps=dps)
+    return [
+        (
+            p["u"],
+            cascade.cascade_audit(mode, p["logN"], p["w"], dps=dps).rows,
+            oracle_certified_rows(mode, p["logN"], p["w"], search.constants, dps),
+        )
+        for p in search.probes
+    ]
+
+
+@pytest.mark.parametrize("dps", [15, 30])
+@pytest.mark.parametrize("mode", cascade.MODES)
+def test_decided_interval_flags_equal_the_ledger_flags(mode, dps):
+    for u, rows, flags in _certified_probes(mode, dps):
+        assert [name for name, _ in flags] == [r.name for r in rows]
+        for (name, flag), r in zip(flags, rows):
+            assert flag in (None, r.passed), (u, name)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: the probe at u = 493.6293 records w rounded to 15 digits, "
+    "which eats the 1e-15 margin, and growth_cap passes on a tie",
+)
+def test_dps15_general_probes_are_certified():
+    flags = _certified_probes("general", 15)
+    assert [(u, name) for u, _, row_flags in flags for name, f in row_flags if f is None] == []
 
 
 def test_each_probe_parses_its_two_strings_once(monkeypatch):
@@ -403,23 +444,19 @@ def test_each_probe_evaluates_its_rows_once(monkeypatch, mode, dps):
 
 @st.composite
 def _ladders(draw):
-    """(j0, cap): j0 up to 2^720, cap within 8 bits of 10^j0's magnitude."""
-    j0 = draw(st.one_of(st.integers(1, 400), st.integers(1, 2**720)))
-    with mp.workprec(j0.bit_length() + 40):
-        top_bits = int(mp.floor(j0 * mp.log(10, 2)))
-    mantissa = draw(st.integers(2**52, 2**53 - 1))
-    offset = draw(st.integers(-8, 8))
-    return mp.mpf(j0), mp.mpf((mantissa, top_bits + offset - 53))
+    """(dps, j0): j0 from the fast-power cutoff up to 2^720."""
+    dps = draw(st.sampled_from([15, 30, 1000]))
+    return dps, draw(st.one_of(st.sampled_from([_F, _F + 1]), st.integers(_F, 2**720)))
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(ladder=_ladders())
-def test_ladder_flag_matches_the_power(ladder):
-    j0, cap = ladder
-    with mp.workdps(cascade.DEFAULT_DPS):
-        top, exceeds = cascade._ladder_top(j0, cap)
-        assert exceeds == (mp.power(10, j0) > cap)
-        assert cascade._fmt(top) == cascade._fmt(mp.power(10, j0))
+def test_ladder_top_is_the_rounded_power(ladder):
+    # the ladder row's top from j0 = _FAST_POW10_MIN on is mp.power(10, j0)
+    dps, j0 = ladder
+    with mp.workdps(dps):
+        top = mp.mp.make_mpf(cascade._pow10(j0, mp.mp.prec, mp.libmp.round_nearest))
+        assert top == mp.power(10, j0)
 
 
 def test_safe_exp_extremes():

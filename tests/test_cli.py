@@ -633,8 +633,8 @@ FROZEN_STDOUT_PARTITION = [
 
 # stdout digests of outputs that print numbers near 10^(10^213): the general
 # threshold search at the lowest and the highest dps, and the dps-30 general
-# ledger at the default search's passing (logN, w), whose ladder top is a
-# thunk; then ledgers whose --logN has a decimal exponent of at least 10^6,
+# ledger at the default search's passing (logN, w), whose ladder top comes
+# from _pow10; then ledgers whose --logN has a decimal exponent of at least 10^6,
 # read without mpmath's power of ten: spaced and upper-case, with a fraction,
 # and in exponent2 mode; last, so the ids above keep their positions
 _LOGN_AT_THRESHOLD = (

@@ -16,6 +16,7 @@ from cayleysum.dissociation import (
     _closure_insert,
     _coordinates,
     _dimension_at_most,
+    _scan,
     additive_dimension,
     count_low_dimension_sets,
     is_dissociated,
@@ -222,6 +223,19 @@ def test_span_equals_signed_sums(text):
     for size in range(1, 8):
         idx = sorted(rng.choice(g.order, size, replace=False).tolist())
         assert set(span(GroupSubset.from_indices(g, idx)).to_index_list()) == oracle_span(g.moduli, idx)
+
+
+@pytest.mark.parametrize("text", ["f2^1", "f2^4", "f2^6", "f2^10"])
+def test_exponent_two_span_equals_the_closure(text):
+    # a random base plus XORs of its members, so the set has dependent elements
+    g = parse_group(text)
+    rng = np.random.default_rng(g.order)
+    for size in range(1, 6):
+        base = rng.choice(g.order, min(size, g.order), replace=False).tolist()
+        idx = sorted({*base, *(base[0] ^ x for x in rng.choice(base, 2).tolist())})
+        s = GroupSubset.from_indices(g, idx)
+        assert span(s).mask == _scan(g, s.indices, skip_members=True)[1]
+        assert set(span(s).to_index_list()) == oracle_span(g.moduli, idx)
 
 
 def test_span_of_a_full_exponent_two_group_is_fast():
