@@ -70,8 +70,11 @@ def _gf2_basis_scan(indices) -> list[int]:
     """Greedy witness of a family of F_2 vectors given as int bitmasks; its length is the rank."""
     basis: list[int] = []  # kept in echelon form, distinct leading bits
     witness: list[int] = []
+    spanned = 0  # 2^k once the k leading bits are 0 .. k - 1: every v below is in the span
     for raw in indices:
         v = int(raw)
+        if v < spanned:
+            continue
         cur = v
         for b in basis:
             cur = min(cur, cur ^ b)
@@ -79,6 +82,8 @@ def _gf2_basis_scan(indices) -> list[int]:
             basis.append(cur)
             basis.sort(reverse=True)
             witness.append(v)
+            if len(basis) == basis[0].bit_length():
+                spanned = 1 << len(basis)
     return witness
 
 
@@ -188,10 +193,11 @@ def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
             best = chosen
             if stop_at is not None and len(best) >= stop_at:
                 break
-        if i == n or len(chosen) + (n - i) <= len(best):
+        if len(chosen) + (n - i) <= len(best):  # also every i == n, as best >= chosen
             continue
         e = elems[i]
-        stack.append((i + 1, chosen, mask))
+        if len(chosen) + (n - i - 1) > len(best):  # else pruned when popped, as best only grows
+            stack.append((i + 1, chosen, mask))
         if not mask >> e & 1:
             # e itself is a one-term signed sum
             stack.append((i + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e)))

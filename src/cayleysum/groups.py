@@ -8,11 +8,14 @@ capped at N <= DENSE_CAP = 2^20, which keeps every count exact in int64; a
 larger group is refused with work bounded by the cap.
 
 All index arithmetic goes through one method, `GroupSpec._combine`, with
-the exponent-2 and rank-1 branches.  In a group of exponent 2 (all moduli
-equal to 2) an element's index is its coordinate vector read as a bitmask,
-addition is XOR, and negation is the identity; in a cyclic group addition is
-integer addition mod N; otherwise coordinate c of index i is read as
-`i // strides[c] % moduli[c]`, so a GroupSpec holds no state of size N.
+exponent-2, rank-1 and 2-group branches.  In a group of exponent 2 (all
+moduli equal to 2) an element's index is its coordinate vector read as a
+bitmask, addition is XOR, and negation is the identity; in a cyclic group
+addition is integer addition mod N.  In another 2-group (every modulus a
+power of two) the index is one bit field per coordinate, and one masked add
+(SWAR) sums them all: a carry stops at its field's top bit, and a borrow
+never leaves the field.  Otherwise coordinate c of index i is read as
+`i // strides[c] % moduli[c]`.  No branch holds state of size N.
 """
 
 from __future__ import annotations
@@ -73,6 +76,14 @@ class GroupSpec:
     def is_exponent_two(self) -> bool:
         return all(m == 2 for m in self.moduli)
 
+    @cached_property
+    def _field_masks(self) -> tuple[int, int] | None:
+        """(top bit, other bits) of every coordinate's bit field in a 2-group of rank >= 2."""
+        if self.rank == 1 or any(m & (m - 1) for m in self.moduli):
+            return None
+        high = sum(s * (m >> 1) for m, s in zip(self.moduli, self.strides))
+        return high, (self.order - 1) ^ high
+
     @property
     def rank(self) -> int:
         return len(self.moduli)
@@ -92,6 +103,11 @@ class GroupSpec:
             return a ^ b
         if self.rank == 1:
             return (a + b if sign == 1 else a - b) % self.order
+        if self._field_masks is not None:  # a carry stops at the top bit, a borrow at the field
+            high, low = self._field_masks
+            if sign == 1:
+                return ((a & low) + (b & low)) ^ ((a ^ b) & high)
+            return ((a | high) - (b & low)) ^ ((a ^ ~b) & high)
         out = 0
         for m, s in zip(self.moduli, self.strides):
             # v // s is v's digit at stride s, mod m; a fresh array or an int, so in place is safe

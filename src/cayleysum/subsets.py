@@ -72,7 +72,12 @@ _PAIR_BLOCK = 1 << 18
 # reductions), numpy 2.4.6, Python 3.11, 2-vCPU x86-64 VM, minimum of 9 runs:
 # - pairwise: 3-7 ns per pair for XOR (exponent 2), 8-15 ns for rank 1, and
 #   18-53 ns for the coordinate loop of rank 2-5, i.e. about 10 ns per pair
-#   and coordinate;
+#   and coordinate; the masked add of another 2-group takes 3-11 ns per pair
+#   up to order 2^16 (|X| >= 128) and 9-15 ns at 2^20 (|X| >= 1024), with no
+#   trend in the rank.  On 75-85 cells (9 such groups, |X| = |Y| from 16 to
+#   16384, best of 3 or 5), 3 pick the slower backend at 6 ns per coordinate,
+#   4-6 at 10 ns, and 6-8 at a flat 8 ns, which the transform model's price
+#   of short axes (2,2,4,1024) punishes;
 # - transform: about 60 us of call overhead per axis, 4 ns per element and
 #   radix-2 stage (35-80 ns per element for z65536, 16,16,16 and 16,16,16,16),
 #   eight times that on an axis whose length has a prime factor above 7
@@ -86,6 +91,7 @@ _PAIR_BLOCK = 1 << 18
 #   keeps their float64 vectors (8 MB each) out of the peak memory.
 _PAIR_NS_XOR = 5
 _PAIR_NS_PER_COORD = 10
+_PAIR_NS_PER_FIELD = 6
 _FFT_NS_PER_AXIS = 60_000
 _FFT_NS_PER_STAGE = 4
 _FFT_NS_PER_LINE = 220
@@ -280,7 +286,9 @@ def _transform_ns(moduli: tuple[int, ...]) -> float:
 
 
 def _pair_ns(group: GroupSpec) -> int:
-    return _PAIR_NS_XOR if group.is_exponent_two else _PAIR_NS_PER_COORD * group.rank
+    if group.is_exponent_two:
+        return _PAIR_NS_XOR
+    return group.rank * (_PAIR_NS_PER_COORD if group._field_masks is None else _PAIR_NS_PER_FIELD)
 
 
 def _transform_cheaper(group: GroupSpec, pairs: int) -> bool:

@@ -193,6 +193,30 @@ def test_pow10_is_the_truncated_power(forced, rnd, b, dps):
         assert cascade._pow10(b, prec, rnd) == mp.libmp.mpf_pow_int(mp.libmp.ften, b, prec, rnd)
 
 
+@pytest.mark.parametrize(
+    "rnd,boundary", [(mp.libmp.round_down, 0), (mp.libmp.round_nearest, 2**63)],
+    ids=["round_down", "round_nearest"],
+)
+def test_pow10_guard_is_measured_from_the_rounding_boundary(monkeypatch, rnd, boundary):
+    # a fake exp(b ln 10) whose 64 bits below prec are chosen, against a recording mpf_pow_int
+    prec, units = 60, cascade._GUARD_UNITS
+    fallbacks = []
+    monkeypatch.setattr(cascade, "mpf_pow_int", lambda *args: fallbacks.append(args) or "fallback")
+    near = [(boundary + d) % 2**64 for d in (-units, 0, units)]
+    cases = [(low, True) for low in near]
+    cases += [((boundary + d) % 2**64, False) for d in (-units - 1, units + 1)]
+    cases += [((low + 2**63) % 2**64, False) for low in near]  # near the other mode's boundary
+    for low, falls_back in cases:
+        top = (1 << prec - 1 | 12345) << 64 | low
+        monkeypatch.setattr(cascade, "mpf_exp", lambda *args: (0, top, -100, prec + 64))
+        fallbacks.clear()
+        got = cascade._pow10(10**7, prec, rnd)
+        if falls_back:
+            assert got == "fallback" and fallbacks == [(mp.libmp.ften, 10**7, prec, rnd)]
+        else:
+            assert got == mp.libmp.from_man_exp(top, -100, prec, rnd) and not fallbacks
+
+
 @pytest.mark.parametrize("exp,fast", sorted(_CUTOFF_EXPS.items()))
 def test_nstr_takes_the_exp_route_from_the_cutoff(monkeypatch, exp, fast):
     calls = []

@@ -16,6 +16,9 @@ from cayleysum.dissociation import (
     _closure_insert,
     _coordinates,
     _dimension_at_most,
+    _exact_search,
+    _gf2_basis_scan,
+    _greedy_scan,
     _scan,
     additive_dimension,
     count_low_dimension_sets,
@@ -271,6 +274,58 @@ def test_memory_bound_at_the_dense_cap(text):
         tracemalloc.stop()
     # the 1 MB bool input and N-bit span masks of 128 kB, one per open search node
     assert peak < 4 << 20
+
+
+def _search_pruned_on_pop(a, stop_at=None):
+    """The exact search with every exclude child pushed and pruned only when popped."""
+    g, elems = a.group, a.indices.tolist()
+    n, best = len(elems), _greedy_scan(a)
+    if stop_at is not None and len(best) >= stop_at:
+        return best[:stop_at]
+    stack = [(0, [], 1)]
+    while stack:
+        i, chosen, mask = stack.pop()
+        if len(chosen) > len(best):
+            best = chosen
+            if stop_at is not None and len(best) >= stop_at:
+                break
+        if i == n or len(chosen) + (n - i) <= len(best):
+            continue
+        e = elems[i]
+        stack.append((i + 1, chosen, mask))
+        if not mask >> e & 1:
+            stack.append((i + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e)))
+    return best
+
+
+@pytest.mark.parametrize("text", ["z101", "6,6,6", "3,3,3,3"])
+def test_push_time_pruning_keeps_the_witness(text, rnd):
+    g = parse_group(text)
+    for _ in range(100):
+        a = random_nonempty(rnd, g, 12)
+        stop_at = rnd.choice([None, rnd.randint(1, 6)])
+        assert _exact_search(a, stop_at) == _search_pruned_on_pop(a, stop_at)
+
+
+def _gf2_scan_unskipped(indices):
+    basis, witness = [], []
+    for v in indices:
+        cur = v
+        for b in basis:
+            cur = min(cur, cur ^ b)
+        if cur:
+            basis = sorted(basis + [cur], reverse=True)
+            witness.append(v)
+    return witness
+
+
+def test_gf2_complete_basis_skip_keeps_the_witness(rnd):
+    for k in range(1, 13):
+        for _ in range(20):  # dense sets complete their basis early, sparse ones late or never
+            size = rnd.randint(1, 1 << k)
+            idx = sorted(rnd.sample(range(1 << k), size))
+            assert _gf2_basis_scan(idx) == _gf2_scan_unskipped(idx)
+            assert _gf2_basis_scan(np.array(idx)) == _gf2_scan_unskipped(idx)
 
 
 def test_exact_search_leaves_no_cyclic_garbage():

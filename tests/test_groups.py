@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleysum.errors import StructuralError
 from cayleysum.groups import DENSE_CAP, GroupSpec, parse_group
@@ -106,6 +108,52 @@ def test_group_holds_no_state_of_size_n(literal):
     for value in vars(g).values():
         inner = value if isinstance(value, tuple) else (value,)
         assert not any(isinstance(v, np.ndarray) for v in inner)
+
+
+# 2-groups with bit fields of mixed widths; a field of width 1 has no bits in L
+_TWO_GROUPS = ["2,8", "8,2", "4,1024", "2,2,4", "8,2,4,2", "1024,1024", "16,16,16,16"]
+
+
+@st.composite
+def _two_group_pairs(draw):
+    g = parse_group(draw(st.sampled_from(_TWO_GROUPS)))
+    n = draw(st.integers(1, 12))
+    a, b = (draw(st.lists(st.integers(0, g.order - 1), min_size=n, max_size=n)) for _ in "ab")
+    return g, a, b
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=_two_group_pairs())
+def test_two_group_masked_add_matches_oracle(case):
+    g, a, b = case
+    assert g._field_masks is not None
+    diffs = [oracle_add(g.moduli, i, oracle_neg(g.moduli, j)) for i, j in zip(a, b)]
+    for i, j, d in zip(a, b, diffs):  # ints stay int: callers format them
+        total, diff = g._combine(i, j), g._combine(i, j, -1)
+        assert type(total) is int and total == oracle_add(g.moduli, i, j)
+        assert type(diff) is int and diff == d
+    av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert g._combine(av, bv).tolist() == [oracle_add(g.moduli, i, j) for i, j in zip(a, b)]
+    assert g._combine(av, bv, -1).tolist() == diffs
+    # neg_array's mixed case: the int 0 minus an index array
+    neg = g._combine(0, bv, -1)
+    assert neg.dtype == np.int64 and neg.tolist() == [oracle_neg(g.moduli, j) for j in b]
+
+
+def test_field_masks_mark_each_field():
+    # 2,8: one 1-bit field at bit 3 (all H), one 3-bit field at bits 0-2 (H bit 2)
+    assert parse_group("2,8")._field_masks == (0b1100, 0b0011)
+    assert parse_group("16,16,16,16")._field_masks == (0x8888, 0x7777)
+    assert parse_group("z16")._field_masks is None  # a cyclic group adds mod N
+
+
+@pytest.mark.parametrize("literal", ["6,6,6", "3,9", "2,3"])
+def test_non_two_groups_take_the_digit_loop(literal, rnd):
+    g = parse_group(literal)
+    assert g._field_masks is None
+    a, b = rnd.randrange(g.order), rnd.randrange(g.order)
+    assert g._combine(a, b) == oracle_add(g.moduli, a, b)
+    assert g._combine(a, b, -1) == oracle_add(g.moduli, a, oracle_neg(g.moduli, b))
 
 
 def test_exponent_two_pairsum_is_xor():

@@ -280,7 +280,7 @@ def _count_calls(monkeypatch, *functions):
     [
         ("f2^4", 0, {}, True, 0),
         ("f2^4", 1, {}, False, 0),
-        ("16,16,16", 3, {"x_size": 160, "y_size": 160}, False, 1),
+        ("16,16,16", 3, {"x_size": 192, "y_size": 192}, False, 1),
     ],
 )
 def test_deviation_scan_counts_rows_once(monkeypatch, group, seed, sizes, ok, convolutions):
