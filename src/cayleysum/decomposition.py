@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._record import Record
-from .dissociation import EXACT_DIMENSION_GUARD, additive_dimension
+from .dissociation import EXACT_DIMENSION_GUARD, _exact_search, additive_dimension
 from .errors import GuardError, StructuralError, check, positive, to_float
 from .subsets import GroupSubset, _row_counts, additive_energy
 
@@ -138,14 +138,12 @@ def _find(
             # and sizes only grow, so once 3|S| > 3^best_dim no candidate left wins
             if 3 * local_mask.bit_count() > 3**best_dim:
                 break
-            candidate = GroupSubset.from_indices(g, b_idx[bits[local_mask - 1] == 1])
-            # the exact dim is at least the greedy one, so once some candidate
-            # has won, one whose greedy dim is best_dim or more cannot win
-            if best_dim <= m and additive_dimension(candidate, mode="greedy").value >= best_dim:
-                continue
-            dim_value = additive_dimension(candidate, mode="exact").value
+            elems = b_idx[bits[local_mask - 1] == 1].tolist()
+            # a candidate wins only below best_dim, so its search stops on reaching it
+            dim_value = len(_exact_search(g, elems, stop_at=best_dim))
             if dim_value < best_dim:
-                best_dim, subset, chosen_energy = dim_value, candidate, sub_energy
+                best_dim, winner, chosen_energy = dim_value, elems, sub_energy
+        subset = GroupSubset.from_indices(g, winner)
         dim_value, dim_exact = best_dim, True  # |S| <= 12 < EXACT_DIMENSION_GUARD
     else:
         inner = np.zeros(m, dtype=np.int64)  # overlap 1_S

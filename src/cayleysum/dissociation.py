@@ -27,6 +27,10 @@ Three facts drive the implementation:
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
   selection is exact (independence is a matroid).
+
+The exact dimension is one include-first recursive walk from the greedy
+witness.  Its one early exit, `stop_at`, ends it once the best set reaches the
+size a caller asks about: d + 1 for dim <= d, or the finder's best so far.
 """
 
 from __future__ import annotations
@@ -119,13 +123,13 @@ def _closure_insert(g: GroupSpec, mask: int, e: int) -> int:
     return mask | plus | minus
 
 
-def _scan(g: GroupSpec, indices, skip_members: bool) -> tuple[list[int], int]:
-    """Grow a span mask from {0} by indices in order, with skip_members passing
+def _scan(g: GroupSpec, indices: list[int], skip_members: bool) -> tuple[list[int], int]:
+    """Grow a span mask from {0} by the indices in order, with skip_members passing
     over those already in the span; returns the inserted indices and the mask."""
     mask, nbytes = 1, (g.order + 7) // 8
     view = mask.to_bytes(nbytes, "little")  # O(1) membership; `mask >> e & 1` copies the int
     chosen: list[int] = []
-    for e in indices.tolist():
+    for e in indices:
         if skip_members and view[e >> 3] >> (e & 7) & 1:
             continue
         chosen.append(e)
@@ -137,7 +141,7 @@ def _scan(g: GroupSpec, indices, skip_members: bool) -> tuple[list[int], int]:
 
 def is_dissociated(s: GroupSubset) -> bool:
     """Whether no nontrivial {-1,0,1} combination of s sums to zero."""
-    return len(_greedy_scan(s)) == s.size
+    return len(_greedy_scan(s.group, s.indices.tolist())) == s.size
 
 
 def span(s: GroupSubset) -> GroupSubset:
@@ -153,7 +157,7 @@ def span(s: GroupSubset) -> GroupSubset:
             f"span over {s.size} elements exceeds the guard {SPAN_ENUMERATION_GUARD} "
             "outside exponent-2 groups"
         )
-    return GroupSubset.from_mask(g, _scan(g, s.indices, skip_members=False)[1])
+    return GroupSubset.from_mask(g, _scan(g, s.indices.tolist(), skip_members=False)[1])
 
 
 @dataclass
@@ -165,74 +169,64 @@ class DimensionResult(Record):
     exact: bool
 
 
-def _greedy_scan(a: GroupSubset) -> list[int]:
-    """Maximal-by-inclusion dissociated subset, scanning indices ascending."""
-    g = a.group
+def _greedy_scan(g: GroupSpec, elems: list[int]) -> list[int]:
+    """Maximal-by-inclusion dissociated subset of the ascending index list elems."""
     if g.is_exponent_two:
-        return _gf2_basis_scan(a.indices)
-    return _scan(g, a.indices, skip_members=True)[0]
+        return _gf2_basis_scan(elems)
+    return _scan(g, elems, skip_members=True)[0]
 
 
-def _exact_search(a: GroupSubset, stop_at: int | None = None) -> list[int]:
-    """Largest dissociated subset by branch and bound over indices ascending.
-
-    A depth-first search, taking e before leaving it out.  With stop_at set,
-    returns early once a dissociated subset of that size is found (used for
-    dim <= d tests).
-    """
-    g = a.group
-    elems = a.indices.tolist()
-    n = len(elems)
-    best = _greedy_scan(a)
-    if stop_at is not None and len(best) >= stop_at:
-        return best[:stop_at]
-    stack = [(0, [], 1)]  # (next position, chosen, span mask of chosen)
-    while stack:
-        i, chosen, mask = stack.pop()
-        if len(chosen) > len(best):
-            best = chosen
-            if stop_at is not None and len(best) >= stop_at:
-                break
-        if len(chosen) + (n - i) <= len(best):  # also every i == n, as best >= chosen
-            continue
-        e = elems[i]
-        if len(chosen) + (n - i - 1) > len(best):  # else pruned when popped, as best only grows
-            stack.append((i + 1, chosen, mask))
-        if not mask >> e & 1:
-            # e itself is a one-term signed sum
-            stack.append((i + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e)))
+def _walk(g: GroupSpec, elems, i, chosen, mask, best, stop) -> list[int]:
+    """best, or a longer dissociated extension of chosen (span mask `mask`) by elems[i:]:
+    each later element outside the span, in index order, is walked before the next
+    is tried, until best reaches stop or the elements left cannot beat it."""
+    if len(chosen) > len(best):
+        best = chosen
+    for j in range(i, len(elems)):
+        if len(best) >= stop or len(chosen) + len(elems) - j <= len(best):
+            break
+        e = elems[j]
+        if not mask >> e & 1:  # e itself is a one-term signed sum
+            best = _walk(
+                g, elems, j + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e), best, stop
+            )
     return best
+
+
+def _exact_search(g: GroupSpec, elems: list[int], stop_at: int | None = None) -> list[int]:
+    """Largest dissociated subset of the ascending index list elems, or the first one
+    of size stop_at: the greedy witness, cut, when it is long enough, and always in
+    exponent-2 groups (independence is a matroid, greedy is maximum)."""
+    stop_at = len(elems) if stop_at is None else stop_at
+    best = _greedy_scan(g, elems)
+    if len(best) >= stop_at or g.is_exponent_two:
+        return best[:stop_at]
+    return _walk(g, elems, 0, [], 1, best, stop_at)
 
 
 def additive_dimension(a: GroupSubset, mode: str = "exact") -> DimensionResult:
     """Largest dissociated subset of a, exact or greedy lower bound.
 
     Greedy mode returns a maximal-by-inclusion witness and is flagged inexact.
-    Exact mode uses F_2 rank in exponent-2 groups and a branch-and-bound
-    search elsewhere, refusing above EXACT_DIMENSION_GUARD elements.
+    Exact mode is `_exact_search`, F_2 rank in exponent-2 groups, and refuses
+    above EXACT_DIMENSION_GUARD elements elsewhere.
     """
     g = a.group
     if mode not in ("greedy", "exact"):
         raise StructuralError(f"unknown dimension mode {mode!r}")
-    if mode == "greedy" or g.is_exponent_two:  # exponent 2: a matroid, greedy is maximum
-        chosen = _greedy_scan(a)
-    elif a.size > EXACT_DIMENSION_GUARD:
+    if mode == "exact" and a.size > EXACT_DIMENSION_GUARD and not g.is_exponent_two:
         raise GuardError(
             f"exact dimension over {a.size} elements exceeds the guard "
             f"{EXACT_DIMENSION_GUARD}; use mode='greedy'"
         )
-    else:
-        chosen = _exact_search(a)
+    chosen = (_exact_search if mode == "exact" else _greedy_scan)(g, a.indices.tolist())
     return DimensionResult(
         len(chosen), GroupSubset.from_indices(g, chosen), exact=(mode == "exact")
     )
 
 
 def _dimension_at_most(g: GroupSpec, indices: tuple[int, ...], d: int) -> bool:
-    if g.is_exponent_two:
-        return len(_gf2_basis_scan(indices)) <= d
-    found = _exact_search(GroupSubset.from_indices(g, indices), stop_at=d + 1)
-    return len(found) <= d
+    return len(_exact_search(g, indices, d + 1)) <= d
 
 
 @dataclass(frozen=True)

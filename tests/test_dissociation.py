@@ -180,6 +180,22 @@ def test_dissociation_above_the_span_guard_is_the_greedy_scan(data):
     assert is_dissociated(s) == (additive_dimension(s, mode="greedy").value == s.size)
 
 
+# groups where 2e is 0 or -e, so marking e before its closure adds nothing (ROADMAP item 1)
+_ORACLE_GROUPS = {name: parse_group(name) for name in ("f2^3", "f2^4", "f2^5", "3,3", "3,3,3")}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_dimension_of_larger_sets_matches_the_oracle(data):
+    g = _ORACLE_GROUPS[data.draw(st.sampled_from(sorted(_ORACLE_GROUPS)))]
+    idx = sorted(data.draw(st.sets(st.integers(0, g.order - 1), min_size=7, max_size=8)))
+    dim = oracle_dimension(g.moduli, idx)
+    assert additive_dimension(GroupSubset.from_indices(g, idx), "exact").value == dim
+    assert [_dimension_at_most(g, tuple(idx), d) for d in range(len(idx) + 1)] == [
+        dim <= d for d in range(len(idx) + 1)
+    ]
+
+
 def test_exponent_two_sizes_unguarded():
     g = parse_group("f2^6")
     s = GroupSubset.full(g)
@@ -237,7 +253,7 @@ def test_exponent_two_span_equals_the_closure(text):
         base = rng.choice(g.order, min(size, g.order), replace=False).tolist()
         idx = sorted({*base, *(base[0] ^ x for x in rng.choice(base, 2).tolist())})
         s = GroupSubset.from_indices(g, idx)
-        assert span(s).mask == _scan(g, s.indices, skip_members=True)[1]
+        assert span(s).mask == _scan(g, s.indices.tolist(), skip_members=True)[1]
         assert set(span(s).to_index_list()) == oracle_span(g.moduli, idx)
 
 
@@ -276,10 +292,10 @@ def test_memory_bound_at_the_dense_cap(text):
     assert peak < 4 << 20
 
 
-def _search_pruned_on_pop(a, stop_at=None):
-    """The exact search with every exclude child pushed and pruned only when popped."""
-    g, elems = a.group, a.indices.tolist()
-    n, best = len(elems), _greedy_scan(a)
+def _search_pruned_on_pop(g, elems, stop_at=None):
+    """The exact search as an explicit stack, every exclude child pushed and
+    pruned only when popped, with no exponent-2 shortcut."""
+    n, best = len(elems), _greedy_scan(g, elems)
     if stop_at is not None and len(best) >= stop_at:
         return best[:stop_at]
     stack = [(0, [], 1)]
@@ -298,13 +314,22 @@ def _search_pruned_on_pop(a, stop_at=None):
     return best
 
 
-@pytest.mark.parametrize("text", ["z101", "6,6,6", "3,3,3,3"])
+# sets whose walk beats the greedy witness by two, so stop_at = greedy + 1 ends inside the walk
+_GREEDY_PLUS_TWO = {
+    "5,5,5": [5, 25, 46, 48, 51, 89, 106, 122],
+    "6,6,6": [43, 56, 67, 74, 91, 111, 134, 171, 179, 205],
+    "z1024": [37, 182, 252, 345, 534, 662, 740, 796, 934],
+}
+
+
+@pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("f2^6",))
 def test_push_time_pruning_keeps_the_witness(text, rnd):
+    # the recursive walk, its stop_at exit and the exponent-2 shortcut against the stack
     g = parse_group(text)
-    for _ in range(100):
-        a = random_nonempty(rnd, g, 12)
-        stop_at = rnd.choice([None, rnd.randint(1, 6)])
-        assert _exact_search(a, stop_at) == _search_pruned_on_pop(a, stop_at)
+    frozen = [_GREEDY_PLUS_TWO[text]] if text in _GREEDY_PLUS_TWO else []
+    for elems in frozen + [random_nonempty(rnd, g, 16).to_index_list() for _ in range(30)]:
+        for stop_at in (None, *range(1, 8)):
+            assert _exact_search(g, elems, stop_at) == _search_pruned_on_pop(g, elems, stop_at)
 
 
 def _gf2_scan_unskipped(indices):
