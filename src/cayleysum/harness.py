@@ -13,12 +13,14 @@ Every Monte Carlo runner walks its trials with one loop, _trial_chunks: it
 cuts the trials into chunks of about _MC_BITS bits of A, as bit_matrix
 unpacks them (64 ceil(N / 64) bytes per trial), and hands each chunk its
 trial seeds derive_seed(master, first + t) from one array pass.  A chunk
-draws all its A rows with one bit_matrix call and all its X, Y, S and T sets
-with one rng.sample_rows call per set.  The sampled-set runners then take one
-stacked count r_t = r_{X_t + Y_t} per trial and read every quantity off it
-as an inner product: edges_A(X, Y) = <1_A, r> and E(X, Y) = <r, r>.  The
-joint-deviation rows and the scan rows c(y) = |A ∩ (X + y)| come from
-subsets._row_counts, on a chunk's stack of A rows and on one A.
+draws all its A rows with one rng call and all its X, Y, S and T sets with
+one rng.sample_rows call per set.  The sampled-set runners unpack their A
+rows with bit_matrix, take one stacked count r_t = r_{X_t + Y_t} per trial
+and read every quantity off it as an inner product: edges_A(X, Y) = <1_A, r>
+and E(X, Y) = <r, r>.  The joint-deviation rows c(y) = |A ∩ (X + y)| are
+popcounts of a chunk's packed A words, rng._bit_words, against the packed
+translates (subsets._packed_row_counts); the scan rows of one A come from
+subsets._row_counts.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
-# unpacked bits of A per Monte Carlo chunk: 8192 trials at N = 256
+# bits of A per Monte Carlo chunk, one byte each when unpacked: 8192 trials at N = 256
 _MC_BITS = 1 << 21
 _WORST_CASE_BLOCK = 1 << 9  # Gray-code subsets per bit-matrix product
 _WORST_CASE_ORDER_CAP = 16
@@ -137,7 +139,8 @@ def _trial_chunks(trials: int, order: int, master: int, first: int = 0):
     seeds[t - lo] = derive_seed(master, first + t).  bit_matrix unpacks whole
     64-bit words, one byte per bit, so a trial's A row costs
     64 ceil(order / 64) bytes; a chunk holds at most _MC_BITS of them, and at
-    least one trial.
+    least one trial.  Joint-deviation keeps its rows packed, 8 ceil(order / 64)
+    bytes a trial, in chunks of the same size.
     """
     step = max(1, _MC_BITS // (64 * -(-order // 64)))
     for lo in range(0, trials, step):
@@ -200,12 +203,12 @@ def run_joint_deviation_mc(
     indep_hits = 0
     pair_x, pair_shifts = np.arange(2), _independence_shifts(g)
     for _, _, seeds in _trial_chunks(trials, g.order, seed):
-        bits = rng.bit_matrix(seeds, g.order)
-        counts = subsets._row_counts(g, bits, x.indices, row_targets)
+        words = rng._bit_words(seeds, g.order)
+        counts = subsets._packed_row_counts(g, words, x.indices, row_targets)
         events = deviation._row_deviates(counts, n, row_eps)
         for k in ks:
             successes[k] += int(events[:, :k].all(axis=1).sum())
-        pair = subsets._row_counts(g, bits, pair_x, pair_shifts)
+        pair = subsets._packed_row_counts(g, words, pair_x, pair_shifts)
         pair_events = deviation._row_deviates(pair, 2, row_eps)
         indep_hits += int(pair_events.all(axis=1).sum())
 

@@ -11,7 +11,9 @@ contract, stated once here and relied on everywhere:
   with GAMMA = 0x9E3779B97F4A7C15.  Trial ``t`` of an experiment uses
   ``derive_seed(master, t)``; nested streams derive again with small tags.
 * ``bernoulli_bits(seed, n)``: bit ``e`` (0-based) is bit ``e mod 64`` of
-  ``splitmix64((seed + (e // 64 + 1) * GAMMA) mod 2^64)``.
+  ``splitmix64((seed + (e // 64 + 1) * GAMMA) mod 2^64)``.  ``bit_matrix``
+  stacks these rows, one per seed, unpacked from ``_bit_words``, which keeps
+  the words themselves for callers that count bits by popcount.
 * ``sample_rows(pool, k, seeds)``: row i is the entries of pool at positions
   ``Random(seeds[i]).sample(range(len(pool)), k)``, sorted ascending, with
   every seed read as an exact Python int.  It is the one sampler;
@@ -79,14 +81,18 @@ def _splitmix64_np(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _bit_words(seeds: np.ndarray, n_bits: int) -> np.ndarray:
+    """The words of bit_matrix's rows, packed; shape (len(seeds), ceil(n_bits / 64)), uint64."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    counters = np.arange(1, (n_bits + 63) // 64 + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _splitmix64_np(seeds[:, None] + counters[None, :] * np.uint64(GAMMA))
+
+
 def bit_matrix(seeds: np.ndarray, n_bits: int) -> np.ndarray:
     """Fair-coin bit rows, one per seed; shape (len(seeds), n_bits), dtype bool."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    n_words = (n_bits + 63) // 64
-    counters = np.arange(1, n_words + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = _splitmix64_np(seeds[:, None] + counters[None, :] * np.uint64(GAMMA))
-    raw = words.astype("<u8").view(np.uint8).reshape(len(seeds), n_words * 8)
+    words = _bit_words(seeds, n_bits)
+    raw = words.astype("<u8").view(np.uint8).reshape(len(words), words.shape[1] * 8)
     bits = np.unpackbits(raw, axis=1, bitorder="little")
     return bits[:, :n_bits].astype(bool)
 

@@ -20,10 +20,12 @@ is a functional of one group convolution, computed by one of two backends:
 Representation counts come from one function, _rep_rows, which counts a
 whole stack of pairs (X_i, Y_i) at once, one row per pair: rep_function is
 its one-row case, and the Monte Carlo runners take one stack per chunk of
-trials.  Row counts |S ∩ (X + y)| come from one function, _row_counts, for
-one indicator row S or a stack: the scan and joint-deviation counts, the
-decomposition's overlap matrix |A ∩ (A + b' - b)| (S = X = A, Y = B - B),
-and the packing's refreshes of its overlap bounds (S = the union so far).
+trials.  Row counts |S ∩ (X + y)| of one indicator row S come from one
+function, _row_counts: the scan counts, the decomposition's overlap matrix
+|A ∩ (A + b' - b)| (S = X = A, Y = B - B), and the packing's refreshes of
+its overlap bounds (S = the union so far).  The joint-deviation Monte Carlo
+counts a chunk of random S at once with _packed_row_counts, by popcount on
+their packed 64-bit words; it takes no backend.
 
 _transform_cheaper, a cost model measured on the kernels themselves, picks
 the backend for each call from |X||Y|, N and the moduli; no option selects
@@ -440,7 +442,7 @@ def _rep_rows(group: GroupSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _row_counts(group: GroupSpec, s_bits: np.ndarray, xi: np.ndarray, yi: np.ndarray):
-    """|S ∩ (X + y)| for each y in yi and each row S of the indicator row or stack s_bits.
+    """|S ∩ (X + y)| for each y in yi, S the indicator row s_bits.
 
     The transform reads them off 1_S * 1_{-X}; pairwise blocks x + y by _PAIR_BLOCK sums.
     """
@@ -448,12 +450,27 @@ def _row_counts(group: GroupSpec, s_bits: np.ndarray, xi: np.ndarray, yi: np.nda
         neg_x = np.bincount(group.neg_array(xi), minlength=group.order)
         conv = _exact_convolution(group, s_bits, neg_x)
         if conv is not None:
-            return conv[..., yi]
+            return conv[yi]
     step = max(1, _PAIR_BLOCK // max(1, len(yi)))
     sums = (group.pairsum_matrix(xi[lo : lo + step], yi) for lo in range(0, max(1, len(xi)), step))
-    # s_bits[i] gathers one row 2-3x faster than s_bits[..., i], which stacks need
-    hits = (s_bits[i] if s_bits.ndim == 1 else s_bits[..., i] for i in sums)
-    return functools.reduce(np.add, (h.sum(axis=-2, dtype=np.int64) for h in hits))
+    return functools.reduce(np.add, (s_bits[i].sum(axis=0, dtype=np.int64) for i in sums))
+
+
+def _packed_row_counts(group: GroupSpec, words: np.ndarray, xi: np.ndarray, yi: np.ndarray):
+    """|S_t ∩ (X + y)| for each row t of words and each y in yi; shape (len(words), len(yi)).
+
+    Bit e of S_t is bit e mod 64 of words[t, e // 64], as rng._bit_words packs it, so
+    with M_j the packed indicator of X + yi[j], the count is the sum of
+    popcount(words[t, w] & M_j[w]) over the nonzero words of M_j.
+    """
+    sums = group.pairsum_matrix(xi, yi)
+    indicators = np.zeros((len(yi), 64 * words.shape[1]), dtype=bool)
+    indicators[np.arange(len(yi)), sums] = True
+    masks = np.packbits(indicators, axis=1, bitorder="little").view("<u8")
+    counts = np.zeros((len(words), len(yi)), dtype=np.int64)
+    for j, w in zip(*np.nonzero(masks)):
+        counts[:, j] += np.bitwise_count(words[:, w] & masks[j, w])
+    return counts
 
 
 def _squared_norms(r: np.ndarray) -> list[int]:

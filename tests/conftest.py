@@ -146,6 +146,13 @@ def oracle_sigma_parts(moduli, a_idx, x_idx, y_idx) -> tuple:
     return edges, len(x_idx) * len(y_idx)
 
 
+def oracle_packed_words(order: int, index_sets) -> list:
+    """One row of ceil(order / 64) words per set: element e is bit e mod 64 of word e // 64."""
+    mask = (1 << 64) - 1
+    rows = [sum(1 << e for e in set(s)) for s in index_sets]
+    return [[row >> (64 * w) & mask for w in range(-(-order // 64))] for row in rows]
+
+
 def oracle_worst_case(moduli, a_idx, floor: int) -> tuple:
     """(max |sigma|, x_witness, y_witness) over |X|, |Y| >= floor, by a Gray loop.
 

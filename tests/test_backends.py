@@ -29,6 +29,7 @@ from cayleysum.subsets import GroupSubset, additive_energy, rep_function, sumset
 
 from conftest import (
     oracle_energy,
+    oracle_packed_words,
     oracle_packing,
     oracle_rep_counts,
     oracle_sigma_parts,
@@ -85,9 +86,13 @@ def test_backend_counts_match_oracles(backend, case, eps):
                 kept.append(yi)
         assert high_deviation_elements(a, x, y, eps).to_index_list() == kept
 
-        # the stacked kernel, one indicator row per set, against the oracle row by row
+        # the packed kernel, one row of words per set, against the oracle row by row;
+        # it takes no backend, so both settings must give the same counts
         stack = [a, x, y, empty]
-        stacked = subsets._row_counts(g, np.stack([s.bits for s in stack]), x.indices, y.indices)
+        words = np.array(
+            oracle_packed_words(g.order, [s.to_index_list() for s in stack]), dtype=np.uint64
+        )
+        stacked = subsets._packed_row_counts(g, words, x.indices, y.indices)
         assert stacked.shape == (len(stack), len(y_idx)) and stacked.dtype == np.int64
         for s, counts in zip(stack, stacked):
             s_idx = s.to_index_list()
@@ -146,7 +151,8 @@ def _under_each_backend(run):
     "group, n, ks", [("f2^4", 4, (1, 2)), ("z12", 3, (1, 2)), ("3,5", 5, (1,)), ("2,4,8", 8, (1, 2))]
 )
 def test_joint_deviation_bytes_equal_under_both_backends(group, n, ks):
-    # every chunk's row counts and independence arm are one stacked count
+    # the packing that picks the rows takes either backend; the row counts
+    # and the independence arm are popcounts, which take none
     pairwise, transform = _under_each_backend(
         lambda: run_joint_deviation_mc(group, n=n, ks=ks, trials=300, seed=5).canonical_bytes()
     )

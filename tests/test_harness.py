@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleysum import deviation, harness, subsets
@@ -32,6 +32,7 @@ from conftest import (
     oracle_fair_coins,
     oracle_joint_deviation,
     oracle_mixing_lemma,
+    oracle_packing,
     oracle_restriction,
     oracle_sigma_tail,
     oracle_worst_case,
@@ -309,7 +310,7 @@ def test_deviation_scan_extracts_rows_once(monkeypatch):
 
 @st.composite
 def _mc_inputs(draw):
-    group = draw(st.sampled_from(["z5", "z12", "f2^4", "2,4", "3,5", "4,4,4"]))
+    group = draw(st.sampled_from(["z5", "z12", "f2^4", "2,4", "3,5", "4,4,4", "z100"]))
     g = parse_group(group)
     size = st.integers(1, min(g.order, 9))
     return (
@@ -325,15 +326,19 @@ def _mc_inputs(draw):
 
 # chunks of 1, 3 and 7 trials cross chunk boundaries at every trial count,
 # each count backend is forced in turn, and pair blocks of 5 sums split rows
-# of the stacked pairwise count.  At these sizes both restriction
-# checks almost always hold, so its draws are compared one by one.
+# of the stacked pairwise count.  At these sizes both restriction checks
+# almost always hold, so its draws are compared one by one, and so are the
+# joint-deviation row counts: on z100 they read both words of A, and the
+# example puts X + 56 = {56, ..., 64} across the two.
 @settings(max_examples=25, deadline=None, database=None)
 @given(case=_mc_inputs())
+@example(case=(parse_group("z100"), "z100", [(3, 4)], (9, 5), Fraction(1, 8), 7, 12345))
 def test_batched_mc_matches_per_trial_oracles(case):
     g, group, tiers, (x_size, y_size), eps, trials, seed = case
     sigma_tail = oracle_sigma_tail(g.moduli, tiers, trials, seed)
     (s, t, ratio), draws = oracle_restriction(g.moduli, x_size, y_size, eps, trials, seed)
-    ks = (1,)
+    # every packing row, so that on z100 the last translates reach A's second word
+    ks = tuple(sorted({1, len(oracle_packing(g.moduli, range(x_size), range(g.order), eps)[0])}))
     joint_rows, successes, indep_hits, joint_trials = oracle_joint_deviation(
         g.moduli, x_size, eps, ks, trials, seed
     )
@@ -351,16 +356,26 @@ def test_batched_mc_matches_per_trial_oracles(case):
             seen.append((np.flatnonzero(bits).tolist(), *(v.tolist() for v in row[:2]), *row[2:]))
         return out
 
+    packed_row_counts = subsets._packed_row_counts
+    counted = []  # per chunk: the packing rows' counts, then the independence arm's
+
+    def count_spy(group, words, xi, yi):
+        out = packed_row_counts(group, words, xi, yi)
+        counted.append(out.tolist())
+        return out
+
     digests = Counter()
     for rows, backend, block in itertools.product(
         (1, 3, 7), ("pairwise", "transform"), (5, subsets._PAIR_BLOCK)
     ):
         seen.clear()
+        counted.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_MC_BITS", rows * 64 * -(-g.order // 64))
             mp.setattr(subsets, "_PAIR_BLOCK", block)
             mp.setattr(subsets, "_transform_cheaper", lambda group, pairs: backend == "transform")
             mp.setattr(deviation, "_restriction_draws", spy)
+            mp.setattr(subsets, "_packed_row_counts", count_spy)
             tail = run_sigma_tail_mc(group, tiers=tiers, trials=trials, seed=seed)
             restriction = run_restriction_mc(group, x_size, y_size, eps, trials=trials, seed=seed)
             joint = run_joint_deviation_mc(
@@ -380,6 +395,7 @@ def test_batched_mc_matches_per_trial_oracles(case):
         assert res["joint_freq"] == sum(d[3] and d[4] for d in draws) / trials
         res = joint.results
         assert res["rows_used"] == joint_rows
+        assert [row for chunk in counted[::2] for row in chunk] == [c for _, c in joint_trials]
         assert {row["k"]: row["successes"] for row in res["per_k"]} == successes
         assert res["independence_arm"]["empirical"] == indep_hits / trials
         digests.update(rep.canonical_bytes() for rep in (tail, restriction, joint))

@@ -140,10 +140,17 @@ def test_sample_rows_rows_out_of_words_take_random_sample(monkeypatch):
 
 def test_bit_matrix_rows_match_bernoulli_bits():
     seeds = rng.derive_seed_array(3, np.arange(5))
-    mat = rng.bit_matrix(seeds, 130)
-    assert mat.shape == (5, 130)
-    for i, s in enumerate(seeds):
-        assert np.array_equal(mat[i], rng.bernoulli_bits(int(s), 130))
+    for n_bits in (1, 64, 65, 130):
+        mat = rng.bit_matrix(seeds, n_bits)
+        assert mat.shape == (5, n_bits)
+        for i, s in enumerate(seeds):
+            assert np.array_equal(mat[i], rng.bernoulli_bits(int(s), n_bits))
+        # bit e of a row is bit e mod 64 of its word e // 64
+        words = rng._bit_words(seeds, n_bits)
+        assert words.shape == (5, -(-n_bits // 64)) and words.dtype == np.uint64
+        e = np.arange(n_bits)
+        bits = words[:, e // 64] >> (e % 64).astype(np.uint64) & np.uint64(1)
+        assert np.array_equal(bits, mat)
 
 
 def test_bits_are_roughly_balanced():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cayleysum import subsets
 from cayleysum.errors import GuardError, StructuralError
 from cayleysum.groups import parse_group
 from cayleysum.subsets import (
@@ -18,7 +21,9 @@ from cayleysum.subsets import (
 
 from conftest import (
     oracle_energy,
+    oracle_packed_words,
     oracle_rep_counts,
+    oracle_sigma_parts,
     oracle_sumset,
     random_nonempty,
 )
@@ -263,3 +268,28 @@ def test_oracle_guard():
     with pytest.raises(GuardError):
         additive_energy_oracle(big2, big2)
     assert additive_energy_oracle(big, big) == additive_energy(big, big)
+
+
+@st.composite
+def _packed_case(draw):
+    # orders above 64, so translates straddle words and the last word is partial
+    g = parse_group(draw(st.sampled_from(["z100", "z130", "3,5,7", "f2^7", "4,4,5"])))
+    element = st.integers(0, g.order - 1)
+    rows = draw(st.lists(st.sets(element), min_size=1, max_size=9))
+    x_idx = sorted(draw(st.sets(element, max_size=40)))
+    y_idx = draw(st.lists(element, min_size=1, max_size=8))
+    return g, rows, x_idx, y_idx
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_packed_case())
+def test_packed_row_counts_match_oracle(case):
+    g, rows, x_idx, y_idx = case
+    words = np.array(oracle_packed_words(g.order, rows), dtype=np.uint64)
+    counts = subsets._packed_row_counts(
+        g, words, np.array(x_idx, dtype=np.int64), np.array(y_idx, dtype=np.int64)
+    )
+    assert counts.shape == (len(rows), len(y_idx)) and counts.dtype == np.int64
+    assert counts.tolist() == [
+        [oracle_sigma_parts(g.moduli, s, x_idx, [y])[0] for y in y_idx] for s in rows
+    ]
