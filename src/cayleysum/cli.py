@@ -2,20 +2,20 @@
 
 Exit codes: 0 success, 1 violated property assertion, 2 usage or structural
 error, 3 internal error (an unexpected exception, reported on one line).
-JSON goes to stdout or --out; mc and worst-case, whose reports declare a
-CSV schema, also take --format csv.  Each subcommand takes only the shared
-options it reads.
+JSON goes to stdout or --out, as _record.to_text writes it: the text of
+json.dumps(doc, indent=2, sort_keys=True).  mc and worst-case, whose
+reports declare a CSV schema, also take --format csv.  Each subcommand
+takes only the shared options it reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
-from . import bounds, cascade, harness
+from . import _record, bounds, cascade, harness
 from .decomposition import (
     DEFAULT_DIMENSION_CONSTANT, FINDER_MODES, energy_partition, find_structured_subset,
 )
@@ -332,7 +332,7 @@ def _emit(args, doc, report) -> None:
     if getattr(args, "format", "json") == "csv":  # only mc and worst-case take --format
         text = report.csv_text()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _record.to_text(doc) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(text)

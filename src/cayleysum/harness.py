@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, deviation, rng, subsets
+from . import _record, bounds, deviation, rng, subsets
 from ._record import Record
 from .deviation import edge_density_deviation, greedy_low_overlap_packing, random_subset
 from .errors import StructuralError, check, epsilon_in
@@ -92,7 +91,7 @@ class ExperimentReport(Record):
         """Deterministic serialization without the timing block."""
         doc = self.to_json()
         del doc["timing"]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        return _record.canonical_bytes(doc)
 
     def csv_text(self) -> str:
         spec = _CSV_COLUMNS.get(self.kind)

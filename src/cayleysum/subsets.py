@@ -4,8 +4,10 @@ A GroupSubset is an immutable bitset over the index space [0, N), a frozen
 dataclass of its group and a read-only copy of its bit vector.  The additive
 energy of (X, Y) counts quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2.
 The production path computes the representation counts
-r(z) = #{(x, y) : x + y = z} and sums r(z)^2; the quartic literal count is
-kept as an independent oracle and never shares that code path.
+r(z) = #{(x, y) : x + y = z} and sums r(z)^2, or, on a group of exponent 2,
+uses Parseval: E(X, Y) = N^-1 sum_s W(1_X)(s)^2 W(1_Y)(s)^2 for the
+Walsh–Hadamard transform W.  The quartic literal count is kept as an
+independent oracle and never shares either code path.
 
 Every set-level count (representation counts, sumsets, edge and row counts)
 is a functional of one group convolution, computed by one of two backends:
@@ -37,6 +39,11 @@ result is kept only when it is certified exact: every value must lie within
 the call recomputes pairwise, so both backends return the same integers.
 The a priori float64 error bound, _transform_error_bound, is not checked
 per call: for full sets at the dense cap, N = 2^20, it is 6.2e-8 < 1/4.
+
+additive_energy takes the Parseval route, _parseval_energy (one float32
+transform, exact a priori, and a chunked int64 dot), when _parseval_cheaper,
+from the same measurements, prices it below the route through r_{X+Y}, and
+only while N |X||Y| min(|X|, |Y|) < 2^63 bounds every sum of that dot.
 """
 
 from __future__ import annotations
@@ -100,6 +107,15 @@ _FFT_NS_PER_LINE = 220
 _FFT_ROUGH_FACTOR = 8
 _WHT_NS_PER_CALL = 40_000
 _WHT_NS_PER_ELEMENT = 40
+# - energy by Parseval (exponent 2; one float32 transform of a 2-row stack,
+#   then its int64 squares and dot): about 10 us per call and 5-6 ns per
+#   element up to order 2^16, 10-15 ns at 2^18 and 2^20.  Priced at the
+#   Walsh–Hadamard call cost plus a per-element constant against the cheaper
+#   route to r_{X+Y}, on 86 cells (f2^8 to f2^20, |X| from 16 to 4096, |Y|
+#   from |X| to 64|X|, best of 5 or 9) any constant from 6 to 10 ns picks the
+#   slower route on the same 6 cells: 5 of order 2^10 or less, each within
+#   10 us, and one first-call outlier.
+_PARSEVAL_NS_PER_ELEMENT = 8
 # - a row check (one translate, gather and count in Python): about 4 us
 #   beyond its pairs (3-5 us measured at |X| = 4, rank 1);
 # - a _row_counts call: its pairs or transform, as above, plus a 200 us
@@ -114,6 +130,9 @@ _ROW_COUNTS_CALL_NS = 200_000
 # (2, 32, 1024) blocks in one matmul took 24-40 ms instead of about 0.2 ms.
 _HADAMARD_BITS = 5
 _GEMM_MNK = 1 << 18
+
+# entries of the Parseval spectrum per int64 square-and-dot: no N-sized int64 vector
+_PARSEVAL_CHUNK = 1 << 16
 
 # float64 unit roundoff
 _UNIT_ROUNDOFF = 2.0**-53
@@ -242,7 +261,11 @@ def parse_subset(group: GroupSpec, text: str) -> GroupSubset:
             indices = [int(part) for part in body.split(",")]
         except ValueError as exc:
             raise StructuralError(f"bad index list {text!r}") from exc
-        return GroupSubset.from_indices(group, indices)
+        # checked on Python ints, so a bignum never reaches int64; then one
+        # array for from_indices, which scatters it at once
+        if min(indices) < 0 or max(indices) >= group.order:
+            raise _out_of_range(group, next(i for i in indices if not 0 <= i < group.order))
+        return GroupSubset.from_indices(group, np.array(indices, dtype=np.int64))
     if cleaned.lower().startswith("0x"):
         try:
             mask = int(cleaned, 16)
@@ -361,10 +384,10 @@ def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.nda
     return counts
 
 
-@functools.lru_cache(maxsize=_HADAMARD_BITS + 1)
-def _hadamard(bits: int) -> np.ndarray:
+@functools.lru_cache(maxsize=2 * (_HADAMARD_BITS + 1))
+def _hadamard(bits: int, dtype: np.dtype) -> np.ndarray:
     """The 2^bits x 2^bits Sylvester matrix, entry (s, x) = (-1)^popcount(s & x)."""
-    h = np.ones((1, 1))
+    h = np.ones((1, 1), dtype=dtype)
     for _ in range(bits):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
@@ -378,8 +401,10 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     axis is multiplied by its Hadamard block: from the left in column blocks
     of at most _GEMM_MNK // m^2, or, on the last axis, from the right in row
     blocks as narrow, so no one GEMM exceeds _GEMM_MNK.  The passes alternate
-    between v and one buffer of its shape, so v (float64, C-contiguous) is
-    overwritten, and the result is whichever of the two the last pass wrote.
+    between v and one buffer of its shape, so v (float32 or float64,
+    C-contiguous) is overwritten, and the result is whichever of the two the
+    last pass wrote.  The Hadamard blocks take v's dtype: a float64 block
+    would run every GEMM on a float32 stack in float64.
     """
     n = v.shape[-1]
     bits = n.bit_length() - 1
@@ -393,12 +418,12 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
         cols = _GEMM_MNK // (m * m)
         if after == 1:
             rows = (-1, min(cols, n // m), m)
-            np.matmul(v.reshape(rows), _hadamard(b), out=spare.reshape(rows))
+            np.matmul(v.reshape(rows), _hadamard(b, v.dtype), out=spare.reshape(rows))
         else:
             c = min(cols, after)
             blocks = (-1, m, after // c, c)
             v_blocks, out = v.reshape(blocks).swapaxes(1, 2), spare.reshape(blocks).swapaxes(1, 2)
-            np.matmul(_hadamard(b), v_blocks, out=out)
+            np.matmul(_hadamard(b, v.dtype), v_blocks, out=out)
         v, spare = spare, v
     return v
 
@@ -478,8 +503,49 @@ def _squared_norms(r: np.ndarray) -> list[int]:
     return np.einsum("ij,ij->i", r, r).tolist()
 
 
+def _parseval_cheaper(group: GroupSpec, pairs: int) -> bool:
+    """Whether E(X, Y) by Parseval is cheaper than through r_{X+Y}, for |X||Y| = pairs."""
+    rep_ns = min(pairs * _pair_ns(group), _transform_ns(group.moduli))
+    return _WHT_NS_PER_CALL + _PARSEVAL_NS_PER_ELEMENT * group.order < rep_ns
+
+
+def _parseval_energy(group: GroupSpec, xi: np.ndarray, yi: np.ndarray) -> int:
+    """E(X, Y) = N^-1 sum_s W(1_X)(s)^2 W(1_Y)(s)^2 on a group of exponent 2.
+
+    One forward transform of the float32 stack (1_X, 1_Y) is exact: each of
+    its partial sums is an integer of size at most |X| or |Y| <= N <= 2^20 <
+    2^24.  The squares and their products are summed in int64, _PARSEVAL_CHUNK
+    entries at a time; every term is nonnegative, so no partial sum exceeds
+    N E(X, Y) <= N |X||Y| min(|X|, |Y|), which the caller keeps below 2^63.
+    """
+    n = group.order
+    stack = np.zeros((2, n), dtype=np.float32)
+    stack[0, xi] = 1
+    stack[1, yi] = 1
+    spectrum = _walsh_hadamard(stack)
+    total = 0
+    for lo in range(0, n, _PARSEVAL_CHUNK):
+        wx, wy = spectrum[:, lo : lo + _PARSEVAL_CHUNK].astype(np.int64)
+        wx *= wx
+        wy *= wy
+        total += int(wx @ wy)
+    return total // n
+
+
 def additive_energy(x: GroupSubset, y: GroupSubset) -> int:
-    """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly."""
+    """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly.
+
+    On a group of exponent 2, by Parseval when the cost model prices it below
+    counting r_{X+Y} and its int64 sum cannot overflow; otherwise <r, r>.
+    """
+    x._require_same_group(y)
+    g, nx, ny = x.group, x.size, y.size
+    if (
+        g.is_exponent_two
+        and g.order * nx * ny * min(nx, ny) < 2**63
+        and _parseval_cheaper(g, nx * ny)
+    ):
+        return _parseval_energy(g, x.indices, y.indices)
     return _squared_norms(rep_function(x, y).values[None])[0]
 
 

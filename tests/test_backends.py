@@ -334,3 +334,137 @@ def test_index_list_holds_python_ints():
     listed = s.to_index_list()
     assert listed == sorted(int(i) for i in s.indices)
     assert all(type(v) is int for v in listed)
+
+
+# ---- energy by Parseval on groups of exponent 2 ----
+
+
+def force_parseval(mp, cheaper):
+    mp.setattr(subsets, "_parseval_cheaper", lambda group, pairs: cheaper)
+
+
+def _parseval_calls(mp):
+    """Record (|X|, |Y|) of each energy that takes the Parseval route."""
+    calls = []
+    route = subsets._parseval_energy
+
+    def recorded(group, xi, yi):
+        calls.append((len(xi), len(yi)))
+        return route(group, xi, yi)
+
+    mp.setattr(subsets, "_parseval_energy", recorded)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(bits=st.integers(3, 6), data=st.data())
+def test_parseval_energy_matches_the_oracle(bits, data):
+    g = parse_group(f"f2^{bits}")
+    x, y = (
+        GroupSubset.from_indices(g, data.draw(st.sets(st.integers(0, g.order - 1), max_size=14)))
+        for _ in range(2)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        force_parseval(mp, True)
+        calls = _parseval_calls(mp)
+        energy = additive_energy(x, y)
+    assert calls == [(x.size, y.size)]
+    assert energy == subsets.additive_energy_oracle(x, y)
+
+
+@pytest.mark.parametrize("nx, ny", [(160, 32768), (2304, 2304)])
+def test_parseval_energy_matches_pairwise_at_order_2_20(nx, ny):
+    g, (x, y) = _sets("f2^20", (nx, ny), seed=4)
+    with pytest.MonkeyPatch.context() as mp:
+        force_parseval(mp, True)
+        calls = _parseval_calls(mp)
+        by_parseval = additive_energy(x, y)
+    assert calls == [(nx, ny)]
+    with pytest.MonkeyPatch.context() as mp:
+        force_parseval(mp, False)
+        force(mp, "pairwise")
+        assert additive_energy(x, y) == by_parseval
+
+
+def _subgroup_and_coset(g, half):
+    h = GroupSubset.from_indices(g, np.arange(half))
+    return h, GroupSubset.from_indices(g, np.arange(half, 2 * half))
+
+
+@pytest.mark.parametrize(
+    "x_size, y_size, parseval",
+    [
+        (20642, 20642, True),  # 2^20 * 20642^3 < 2^63
+        (20643, 20643, False),  # 2^20 * 20643^3 >= 2^63
+        (20643, 20642, True),  # min(|X|, |Y|) |X||Y| = 20642 * 20643 * 20642
+        (1 << 19, 1 << 19, False),  # the two halves of f2^20: N |X|^3 = 2^77
+    ],
+)
+def test_parseval_route_stays_below_the_int64_guard(x_size, y_size, parseval):
+    # forced by the cost model, the route is still taken only while every
+    # int64 partial sum, at most N |X||Y| min(|X|, |Y|), is below 2^63
+    g = parse_group("f2^20")
+    gen = np.random.default_rng(x_size + y_size)
+    if x_size == 1 << 19:
+        x, y = _subgroup_and_coset(g, x_size)  # E(H, H + c) = |H|^3
+        expected = x_size**3
+    else:
+        x, y = (GroupSubset.from_indices(g, gen.choice(g.order, s, replace=False))
+                for s in (x_size, y_size))
+        expected = subsets._squared_norms(rep_function(x, y).values[None])[0]
+    with pytest.MonkeyPatch.context() as mp:
+        force_parseval(mp, True)
+        calls = _parseval_calls(mp)
+        assert additive_energy(x, y) == expected
+    assert calls == ([(x_size, y_size)] if parseval else [])
+
+
+def test_float32_walsh_hadamard_is_exact_at_order_2_20():
+    # W(1_G) = N delta_0: the largest partial sums, N = 2^20 < 2^24, are exact in float32
+    n = 1 << 20
+    stack = np.ones((2, n), dtype=np.float32)
+    stack[1] = np.random.default_rng(6).integers(0, 2, n)
+    in_float64 = subsets._walsh_hadamard(stack[1:].astype(np.float64))
+    w = subsets._walsh_hadamard(stack)
+    assert w.dtype == np.float32
+    assert w[0, 0] == n and not w[0, 1:].any()
+    assert np.array_equal(w[1:], in_float64)
+    small = np.random.default_rng(7).integers(0, 2, size=(2, 1 << 7)).astype(np.float32)
+    assert np.array_equal(subsets._walsh_hadamard(small.copy()), _oracle_walsh_hadamard(small))
+
+
+def test_parseval_route_allocates_no_n_sized_int64_vector():
+    # the float32 stack and its spare are 16 MB at N = 2^20; an int64 or
+    # float64 vector of length N would add 8 MB more
+    import tracemalloc
+
+    g, (x, y) = _sets("f2^20", (160, 32768), seed=8)
+    tracemalloc.start()
+    try:
+        subsets._parseval_energy(g, x.indices, y.indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 * 4 * g.order + (4 << 20)
+
+
+# every energy cell of the benchmark's dense workload: (group, |X|, |Y|) -> by Parseval
+DENSE_ENERGY_CELLS = [
+    ("f2^16", 256, 256, False),
+    ("f2^16", 2304, 2304, True),
+    ("f2^20", 256, 256, False),
+    ("f2^20", 160, 32768, True),
+    ("z65536", 256, 256, False),
+    ("z65536", 2304, 2304, False),
+    ("16,16,16,16", 256, 256, False),
+    ("16,16,16,16", 2304, 2304, False),
+]
+
+
+@pytest.mark.parametrize("group, nx, ny, parseval", DENSE_ENERGY_CELLS)
+def test_cost_model_picks_parseval_on_the_large_exponent_two_cells(group, nx, ny, parseval):
+    g, (x, y) = _sets(group, (nx, ny), seed=9)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _parseval_calls(mp)
+        additive_energy(x, y)
+    assert calls == ([(nx, ny)] if parseval else [])

@@ -140,6 +140,30 @@ def test_parse_subset_forms():
         parse_subset(g, "[0,99]")
 
 
+@pytest.mark.parametrize(
+    "inserts, bad",
+    [
+        (((5000, -3), (20000, 2**70), (32770, 1 << 16)), -3),
+        (((7, 2**70), (30000, -3), (32770, 1 << 16)), 2**70),
+        (((32768, 1 << 16),), 1 << 16),
+    ],
+)
+def test_parse_subset_names_first_bad_index_of_a_long_literal(inserts, bad):
+    # the literal's indices reach from_indices as one int64 array, after a
+    # range check on the Python ints that names the first bad one in input
+    # order; a bignum raises StructuralError, never OverflowError
+    g = parse_group("f2^16")
+    indices = np.random.default_rng(5).permutation(g.order)[:32768].tolist()
+    for position, value in inserts:
+        indices.insert(position, value)
+    literal = "[" + ",".join(map(str, indices)) + "]"
+    with pytest.raises(StructuralError, match=rf"^index {bad} out of range for group order 65536$"):
+        parse_subset(g, literal)
+    kept = [i for i in indices if 0 <= i < g.order]
+    parsed = parse_subset(g, "[" + ",".join(map(str, kept)) + "]")
+    assert parsed.to_index_list() == sorted(kept)
+
+
 def test_sumset_frozen():
     g = parse_group("z8")
     x = GroupSubset.from_indices(g, [1, 2])
