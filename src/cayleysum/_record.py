@@ -48,7 +48,7 @@ class Record:
         return doc
 
 
-# written unchanged; a set, since every entry of a scan's index lists is tested
+# written unchanged; a set, since the types of a scan's index lists are tested against it
 _PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
@@ -62,6 +62,8 @@ def _jsonable(value):
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _PLAIN:  # one C-level pass over a scan's index lists
+            return list(value)
         return [v if type(v) in _PLAIN else _jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}

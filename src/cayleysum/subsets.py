@@ -3,11 +3,12 @@
 A GroupSubset is an immutable bitset over the index space [0, N), a frozen
 dataclass of its group and a read-only copy of its bit vector.  The additive
 energy of (X, Y) counts quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2.
-The production path computes the representation counts
-r(z) = #{(x, y) : x + y = z} and sums r(z)^2, or, on a group of exponent 2,
-uses Parseval: E(X, Y) = N^-1 sum_s W(1_X)(s)^2 W(1_Y)(s)^2 for the
-Walsh–Hadamard transform W.  The quartic literal count is kept as an
-independent oracle and never shares either code path.
+It has three exact routes: the representation counts
+r(z) = #{(x, y) : x + y = z} and the sum of r(z)^2; the same sum read off
+the sorted |X||Y| pair sums, whose runs have lengths r(z); and, on a group
+of exponent 2, Parseval: E(X, Y) = N^-1 sum_s W(1_X)(s)^2 W(1_Y)(s)^2 for
+the Walsh–Hadamard transform W.  The quartic literal count is kept as an
+independent oracle and never shares any of them.
 
 Every set-level count (representation counts, sumsets, edge and row counts)
 is a functional of one group convolution, computed by one of two backends:
@@ -40,10 +41,11 @@ the call recomputes pairwise, so both backends return the same integers.
 The a priori float64 error bound, _transform_error_bound, is not checked
 per call: for full sets at the dense cap, N = 2^20, it is 6.2e-8 < 1/4.
 
-additive_energy takes the Parseval route, _parseval_energy (one float32
-transform, exact a priori, and a chunked int64 dot), when _parseval_cheaper,
-from the same measurements, prices it below the route through r_{X+Y}, and
-only while N |X||Y| min(|X|, |Y|) < 2^63 bounds every sum of that dot.
+_energy_route, from the same measurements, picks the energy route for each
+call.  Sorting holds at most _SORT_PAIRS_CAP = 2^20 sums and nothing
+N-sized, so sum_z r(z)^2 <= (|X||Y|)^2 <= 2^40.  Parseval (one float32
+transform, exact a priori, and a chunked int64 dot) is taken only while
+N |X||Y| min(|X|, |Y|) < 2^63 bounds every sum of that dot.
 """
 
 from __future__ import annotations
@@ -116,6 +118,17 @@ _WHT_NS_PER_ELEMENT = 40
 #   slower route on the same 6 cells: 5 of order 2^10 or less, each within
 #   10 us, and one first-call outlier.
 _PARSEVAL_NS_PER_ELEMENT = 8
+# - energy through r_{X+Y}: beyond its pairs or convolution, the N-sized
+#   vector, bincount and norm, 1 ns an element at 2^16 and 3 ns at 2^20;
+# - energy by sorting: the combine, then 15 us a call and 5-9 ns a pair.  On
+#   290 cells (13 groups of order 2^10 to 2^20, |X||Y| from 1 to 2^22, best
+#   of 7 in two passes) these prices miss the fastest route on 13, 12 by at
+#   most 42 us and f2^20 768 x 768 by 1.6 ms (its sort took 5.9-11.4 ms); a
+#   flat 16 ns a pair with 5 ns an element missed 47, by 12.8 ms in all.
+_REP_NS_PER_ELEMENT = 3
+_SORT_NS_PER_CALL = 20_000
+_SORT_NS_PER_PAIR = 6
+_SORT_PAIRS_CAP = 1 << 20  # sums the sort route holds at once: 8 MB of int64
 # - a row check (one translate, gather and count in Python): about 4 us
 #   beyond its pairs (3-5 us measured at |X| = 4, rank 1);
 # - a _row_counts call: its pairs or transform, as above, plus a 200 us
@@ -503,10 +516,24 @@ def _squared_norms(r: np.ndarray) -> list[int]:
     return np.einsum("ij,ij->i", r, r).tolist()
 
 
-def _parseval_cheaper(group: GroupSpec, pairs: int) -> bool:
-    """Whether E(X, Y) by Parseval is cheaper than through r_{X+Y}, for |X||Y| = pairs."""
-    rep_ns = min(pairs * _pair_ns(group), _transform_ns(group.moduli))
-    return _WHT_NS_PER_CALL + _PARSEVAL_NS_PER_ELEMENT * group.order < rep_ns
+def _energy_route(group: GroupSpec, nx: int, ny: int) -> str:
+    """The cheapest of "rep", "sort" and "parseval" for E(X, Y) with |X| = nx, |Y| = ny."""
+    pairs, n = nx * ny, group.order
+    pair_ns = pairs * _pair_ns(group)
+    prices = {"rep": min(pair_ns, _transform_ns(group.moduli)) + _REP_NS_PER_ELEMENT * n}
+    if pairs <= _SORT_PAIRS_CAP:
+        prices["sort"] = _SORT_NS_PER_CALL + pair_ns + _SORT_NS_PER_PAIR * pairs
+    if group.is_exponent_two:
+        prices["parseval"] = _WHT_NS_PER_CALL + _PARSEVAL_NS_PER_ELEMENT * n
+    return min(prices, key=prices.get)
+
+
+def _sorted_energy(group: GroupSpec, xi: np.ndarray, yi: np.ndarray) -> int:
+    """E(X, Y) = sum_z r(z)^2, with r(z) the run lengths of the sorted pair sums."""
+    sums = group._combine(xi[:, None], yi[None, :]).ravel()
+    sums.sort()  # in place: the one array of |X||Y| sums
+    runs = np.diff(np.flatnonzero(sums[1:] != sums[:-1]) + 1, prepend=0, append=sums.size)
+    return int(runs @ runs)
 
 
 def _parseval_energy(group: GroupSpec, xi: np.ndarray, yi: np.ndarray) -> int:
@@ -535,16 +562,15 @@ def _parseval_energy(group: GroupSpec, xi: np.ndarray, yi: np.ndarray) -> int:
 def additive_energy(x: GroupSubset, y: GroupSubset) -> int:
     """Number of quadruples (x1, y1, x2, y2) with x1 + y1 = x2 + y2, exactly.
 
-    On a group of exponent 2, by Parseval when the cost model prices it below
-    counting r_{X+Y} and its int64 sum cannot overflow; otherwise <r, r>.
+    By _energy_route's pick: sorting the pair sums; Parseval, while its
+    int64 sum cannot overflow; or <r, r>.
     """
     x._require_same_group(y)
     g, nx, ny = x.group, x.size, y.size
-    if (
-        g.is_exponent_two
-        and g.order * nx * ny * min(nx, ny) < 2**63
-        and _parseval_cheaper(g, nx * ny)
-    ):
+    route = _energy_route(g, nx, ny)
+    if route == "sort":
+        return _sorted_energy(g, x.indices, y.indices)
+    if route == "parseval" and g.order * nx * ny * min(nx, ny) < 2**63:
         return _parseval_energy(g, x.indices, y.indices)
     return _squared_norms(rep_function(x, y).values[None])[0]
 

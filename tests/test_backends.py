@@ -336,24 +336,37 @@ def test_index_list_holds_python_ints():
     assert all(type(v) is int for v in listed)
 
 
-# ---- energy by Parseval on groups of exponent 2 ----
+# ---- the three energy routes and their chooser ----
+
+ENERGY_ROUTES = ("rep", "sort", "parseval")
 
 
-def force_parseval(mp, cheaper):
-    mp.setattr(subsets, "_parseval_cheaper", lambda group, pairs: cheaper)
+def force_route(mp, route):
+    """Make subsets._energy_route name `route` for every energy."""
+    assert route in ENERGY_ROUTES
+    mp.setattr(subsets, "_energy_route", lambda group, nx, ny: route)
 
 
-def _parseval_calls(mp):
-    """Record (|X|, |Y|) of each energy that takes the Parseval route."""
+def _route_calls(mp):
+    """Record (route, |X|, |Y|) of each energy that sorts or takes Parseval; r_{X+Y} records none."""
     calls = []
-    route = subsets._parseval_energy
+    for route, name in (("sort", "_sorted_energy"), ("parseval", "_parseval_energy")):
 
-    def recorded(group, xi, yi):
-        calls.append((len(xi), len(yi)))
-        return route(group, xi, yi)
+        def recorded(group, xi, yi, route=route, run=getattr(subsets, name)):
+            calls.append((route, len(xi), len(yi)))
+            return run(group, xi, yi)
 
-    mp.setattr(subsets, "_parseval_energy", recorded)
+        mp.setattr(subsets, name, recorded)
     return calls
+
+
+def _forced_energy(route, x, y):
+    with pytest.MonkeyPatch.context() as mp:
+        force_route(mp, route)
+        calls = _route_calls(mp)
+        energy = additive_energy(x, y)
+    assert calls == ([] if route == "rep" else [(route, x.size, y.size)])
+    return energy
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -364,26 +377,16 @@ def test_parseval_energy_matches_the_oracle(bits, data):
         GroupSubset.from_indices(g, data.draw(st.sets(st.integers(0, g.order - 1), max_size=14)))
         for _ in range(2)
     )
-    with pytest.MonkeyPatch.context() as mp:
-        force_parseval(mp, True)
-        calls = _parseval_calls(mp)
-        energy = additive_energy(x, y)
-    assert calls == [(x.size, y.size)]
-    assert energy == subsets.additive_energy_oracle(x, y)
+    assert _forced_energy("parseval", x, y) == subsets.additive_energy_oracle(x, y)
 
 
 @pytest.mark.parametrize("nx, ny", [(160, 32768), (2304, 2304)])
 def test_parseval_energy_matches_pairwise_at_order_2_20(nx, ny):
     g, (x, y) = _sets("f2^20", (nx, ny), seed=4)
+    by_parseval = _forced_energy("parseval", x, y)
     with pytest.MonkeyPatch.context() as mp:
-        force_parseval(mp, True)
-        calls = _parseval_calls(mp)
-        by_parseval = additive_energy(x, y)
-    assert calls == [(nx, ny)]
-    with pytest.MonkeyPatch.context() as mp:
-        force_parseval(mp, False)
         force(mp, "pairwise")
-        assert additive_energy(x, y) == by_parseval
+        assert _forced_energy("rep", x, y) == by_parseval
 
 
 def _subgroup_and_coset(g, half):
@@ -401,8 +404,8 @@ def _subgroup_and_coset(g, half):
     ],
 )
 def test_parseval_route_stays_below_the_int64_guard(x_size, y_size, parseval):
-    # forced by the cost model, the route is still taken only while every
-    # int64 partial sum, at most N |X||Y| min(|X|, |Y|), is below 2^63
+    # named by the chooser, the route is still taken only while every int64
+    # partial sum, at most N |X||Y| min(|X|, |Y|), is below 2^63
     g = parse_group("f2^20")
     gen = np.random.default_rng(x_size + y_size)
     if x_size == 1 << 19:
@@ -413,10 +416,10 @@ def test_parseval_route_stays_below_the_int64_guard(x_size, y_size, parseval):
                 for s in (x_size, y_size))
         expected = subsets._squared_norms(rep_function(x, y).values[None])[0]
     with pytest.MonkeyPatch.context() as mp:
-        force_parseval(mp, True)
-        calls = _parseval_calls(mp)
+        force_route(mp, "parseval")
+        calls = _route_calls(mp)
         assert additive_energy(x, y) == expected
-    assert calls == ([(x_size, y_size)] if parseval else [])
+    assert calls == ([("parseval", x_size, y_size)] if parseval else [])
 
 
 def test_float32_walsh_hadamard_is_exact_at_order_2_20():
@@ -433,19 +436,98 @@ def test_float32_walsh_hadamard_is_exact_at_order_2_20():
     assert np.array_equal(subsets._walsh_hadamard(small.copy()), _oracle_walsh_hadamard(small))
 
 
+def _traced_peak(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_parseval_route_allocates_no_n_sized_int64_vector():
     # the float32 stack and its spare are 16 MB at N = 2^20; an int64 or
     # float64 vector of length N would add 8 MB more
-    import tracemalloc
-
     g, (x, y) = _sets("f2^20", (160, 32768), seed=8)
-    tracemalloc.start()
-    try:
-        subsets._parseval_energy(g, x.indices, y.indices)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: subsets._parseval_energy(g, x.indices, y.indices))
     assert peak < 2 * 2 * 4 * g.order + (4 << 20)
+
+
+SORT_GROUPS = ("f2^1", "f2^3", "f2^6", "z2", "z7", "z30", "3,9", "2,4,8", "2,3,4,5")
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(name=st.sampled_from(SORT_GROUPS), data=st.data())
+def test_sorted_energy_matches_both_oracles(name, data):
+    g = parse_group(name)
+    members = st.sets(st.integers(0, g.order - 1), max_size=min(g.order, 20))
+    x_idx = sorted(data.draw(members))
+    y_idx = x_idx if data.draw(st.booleans()) else sorted(data.draw(members))
+    x, y = GroupSubset.from_indices(g, x_idx), GroupSubset.from_indices(g, y_idx)
+    energy = _forced_energy("sort", x, y)
+    assert energy == oracle_energy(g.moduli, x_idx, y_idx)
+    assert energy == subsets.additive_energy_oracle(x, y)
+
+
+@pytest.mark.parametrize("name", SORT_GROUPS)
+def test_sorted_energy_of_empty_singleton_and_equal_sets(name):
+    g = parse_group(name)
+    some = GroupSubset.from_indices(g, range(0, g.order, 2))
+    for x, y in [
+        (GroupSubset.empty(g), some),
+        (some, GroupSubset.empty(g)),
+        (GroupSubset.empty(g), GroupSubset.empty(g)),
+        (GroupSubset.from_indices(g, [g.order - 1]), some),  # r is 0 or 1: E = |Y|
+        (GroupSubset.from_indices(g, [0]), GroupSubset.from_indices(g, [g.order - 1])),
+        (some, some),
+        (GroupSubset.full(g), GroupSubset.full(g)),  # E(G, G) = N^3
+    ]:
+        energy = _forced_energy("sort", x, y)
+        assert energy == oracle_energy(g.moduli, x.to_index_list(), y.to_index_list())
+    assert energy == g.order**3
+
+
+@pytest.mark.parametrize("name", ["f2^20", "z1048576", "16,16,16,16"])
+def test_sorted_energy_matches_pairwise_at_the_pair_cap(name):
+    # 1024 x 1024 = _SORT_PAIRS_CAP sums, the most the route holds; the
+    # pairwise r_{X+Y} shares only the combine with it
+    g, (x, y) = _sets(name, (1024, 1024), seed=5)
+    assert x.size * y.size == subsets._SORT_PAIRS_CAP
+    with pytest.MonkeyPatch.context() as mp:
+        force(mp, "pairwise")
+        assert _forced_energy("sort", x, y) == _forced_energy("rep", x, y)
+
+
+def test_sort_route_allocates_no_n_sized_vector():
+    # 256 x 256 sums are 0.5 MB of int64; a vector of length N = 2^20 is 8 MB
+    g, (x, y) = _sets("f2^20", (256, 256), seed=8)
+    peak = _traced_peak(lambda: subsets._sorted_energy(g, x.indices, y.indices))
+    assert peak < 4 * 8 * x.size * y.size < 8 * g.order // 2
+
+
+def test_sort_route_is_capped_in_pairs(monkeypatch):
+    # priced at the combine alone, sorting beats r_{X+Y} and its N-sized
+    # floor at any size, so only the cap keeps it off larger cells
+    monkeypatch.setattr(subsets, "_SORT_NS_PER_CALL", 0)
+    monkeypatch.setattr(subsets, "_SORT_NS_PER_PAIR", 0)
+    for name in ("z1048576", "f2^20"):
+        g = parse_group(name)
+        assert subsets._energy_route(g, 1024, 1024) == "sort"
+        assert subsets._energy_route(g, 1024, 1025) != "sort"
+
+
+@pytest.mark.parametrize("name", ["z4096", "f2^12", "16,16,16", "z1024", "4,4,4,4,4", "f2^4"])
+def test_small_groups_never_sort(name):
+    # below about 6700 elements the N-sized floor costs less than a sort call,
+    # so the structure workload's energies keep r_{X+Y} or Parseval
+    g = parse_group(name)
+    assert all(
+        subsets._energy_route(g, nx, ny) != "sort"
+        for nx in range(0, 65, 4)
+        for ny in (0, 1, 3, 9, 32, 300, g.order)
+    )
 
 
 # every energy cell of the benchmark's dense workload: (group, |X|, |Y|) -> by Parseval
@@ -459,12 +541,27 @@ DENSE_ENERGY_CELLS = [
     ("16,16,16,16", 256, 256, False),
     ("16,16,16,16", 2304, 2304, False),
 ]
+# and the route the chooser picks on each: sorting only for f2^20 at 256 x 256
+DENSE_ENERGY_ROUTES = ["rep", "parseval", "sort", "parseval", "rep", "rep", "rep", "rep"]
 
 
 @pytest.mark.parametrize("group, nx, ny, parseval", DENSE_ENERGY_CELLS)
 def test_cost_model_picks_parseval_on_the_large_exponent_two_cells(group, nx, ny, parseval):
     g, (x, y) = _sets(group, (nx, ny), seed=9)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _parseval_calls(mp)
+        calls = _route_calls(mp)
         additive_energy(x, y)
-    assert calls == ([(nx, ny)] if parseval else [])
+    assert [c for c in calls if c[0] == "parseval"] == ([("parseval", nx, ny)] if parseval else [])
+
+
+@pytest.mark.parametrize(
+    "group, nx, ny, route",
+    [(*cell[:3], route) for cell, route in zip(DENSE_ENERGY_CELLS, DENSE_ENERGY_ROUTES)],
+)
+def test_energy_route_on_the_dense_cells(group, nx, ny, route):
+    g, (x, y) = _sets(group, (nx, ny), seed=9)
+    assert subsets._energy_route(g, nx, ny) == route
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _route_calls(mp)
+        additive_energy(x, y)
+    assert calls == ([] if route == "rep" else [(route, nx, ny)])

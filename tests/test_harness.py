@@ -235,6 +235,28 @@ def test_restriction_mc_small():
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("joint, smoke_ok", [(20, True), (19, False)])
+def test_restriction_smoke_threshold_is_one_half_inclusive(monkeypatch, joint, smoke_ok):
+    # no real draw lands on a joint frequency of exactly 1/2, so the checks
+    # are replaced: every energy check holds, and the deviation check of
+    # trial t holds for t < joint, in trial order across chunks
+    draws = deviation._restriction_draws
+    done = 0
+
+    def counted(x, y, plan, seeds, a_bits=None):
+        nonlocal done
+        s_rows, t_rows, _, _ = draws(x, y, plan, seeds, a_bits)
+        ts = range(done, done + len(seeds))
+        done += len(seeds)
+        return s_rows, t_rows, [True] * len(ts), [t < joint for t in ts]
+
+    monkeypatch.setattr(deviation, "_restriction_draws", counted)
+    res = run_restriction_mc(trials=40, seed=0).results
+    assert done == 40
+    assert (res["energy_check_freq"], res["joint_freq"]) == (1.0, joint / 40)
+    assert res["smoke_ok"] is smoke_ok
+
+
 def test_deviation_scan_shape():
     rep = run_deviation_scan("f2^5", seed=2, epsilon="1/4")
     res = rep.results

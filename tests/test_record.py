@@ -1,18 +1,24 @@
-"""The report writers of _record against the json module they stand in for.
+"""The report mapping and writers of _record against the json module they stand in for.
 
 to_text must give the text of json.dumps(doc, indent=2, sort_keys=True) on
 every document a report can hold, and canonical_bytes the compact sorted
 encoding; a key that is not a str must raise rather than be written.
+_jsonable must map every list or tuple to a list, with its records,
+Fractions and subsets mapped in turn.
 """
 
 import json
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleysum._record import canonical_bytes, to_text
+from cayleysum._record import Record, _jsonable, canonical_bytes, to_text
+from cayleysum.groups import parse_group
+from cayleysum.subsets import GroupSubset
 
 # control characters, quotes, backslashes, non-ASCII, astral and line-separator text
 _AWKWARD = st.text(st.sampled_from('a"\\/\x00\x01\x1f\x7f\n\t\r é€ \U0001f600'), max_size=6)
@@ -86,3 +92,45 @@ def test_non_str_key_raises(key, value, depth):
             bad = {"outer": [0, bad]}
         with pytest.raises(TypeError):
             to_text(bad)
+
+
+@dataclass
+class _Pair(Record):
+    ratio: Fraction
+    rows: tuple
+
+
+@pytest.mark.parametrize("plain", [list(range(0, 16000, 2)), [0, "a", 1.5, True, None], []])
+def test_plain_sequences_map_to_new_lists(plain):
+    # a list or tuple of plain entries takes the one-pass path: out comes a
+    # list, never the record's own object
+    for value in (plain, tuple(plain)):
+        mapped = _jsonable(value)
+        assert type(mapped) is list and mapped == plain and mapped is not value
+
+
+def test_sequences_with_records_map_each_entry():
+    g = parse_group("z12")
+    value = (
+        3,
+        Fraction(1, 2),
+        GroupSubset.from_indices(g, [5, 1]),
+        _Pair(Fraction(2, 7), (1, (2, 3))),
+        [_Pair(Fraction(-1, 3), ())],
+        (4, 5),
+        {"k": (Fraction(3, 4),)},
+    )
+    mapped = _jsonable([value, 0])
+    assert mapped == [
+        [
+            3,
+            "1/2",
+            [1, 5],
+            {"ratio": "2/7", "rows": [1, [2, 3]]},
+            [{"ratio": "-1/3", "rows": []}],
+            [4, 5],
+            {"k": ["3/4"]},
+        ],
+        0,
+    ]
+    assert type(mapped[0]) is list and type(mapped[0][5]) is list
