@@ -132,6 +132,14 @@ def _find(
             key=lambda q: (q[0].bit_count(), q[0]),
         )
         check(bool(qualifying), "the full set B always qualifies; none found")
+        # For m <= 11 some singleton or pair qualifies.  Else 32 (2|A| + 2 O[j, k])
+        # < E(A, B) for all j != k; summed over the m(m - 1) ordered pairs, with
+        # sum O[j, k] = E(A, B) - m|A|, that is 2m(m - 2)|A| < E(A, B) (m(m - 1)/32 - 2),
+        # false for m <= 8 (the right side is negative) and, as E(A, B) <= m^2 |A|,
+        # for m <= 11.  So best_dim <= 2 after the pairs, the break below comes
+        # before |S| = 4, and on at most 3 elements the greedy witness is maximum:
+        # the walk in _exact_search cannot change the report.  At m = 12 the
+        # argument fails: no pair qualifies only if E(A, B) > 240|A| / 2.125.
         best_dim = m + 1  # above every dimension: the first candidate wins
         for local_mask, sub_energy in qualifying:
             # S lies in the span of its greedy witness: |S| <= 3^greedy <= 3^dim(S),

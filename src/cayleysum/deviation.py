@@ -171,15 +171,13 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
 
     The test is overlap <= cap = floor(eps.numerator |X| / eps.denominator),
     in Python integers, so a bignum denominator never reaches int64.  The
-    union only grows, so an overlap counted earlier is a lower bound on the
-    current one: each remaining row keeps such a bound, and a row whose bound
-    is above cap is rejected without a translate.  Right after the bounds are
-    counted they are exact, so the first row within cap is admitted
-    unchecked; every later row within cap gets one translate and one gather.
-    Once the checks that rejected their row have cost about one refresh, as
-    priced by subsets._recount_ns, one subsets._row_counts call against the
-    union recounts the bounds of all remaining rows.  A check that admits
-    its row is not counted: the admission needs its translate anyway.
+    scan walks the live rows in order, and each gets one translate and one
+    gather.  Once the checks that rejected their row have cost about one
+    refresh, as priced by subsets._recount_ns, one subsets._row_counts call
+    against the union recounts the live rows after it, and drops those whose
+    overlap is already above cap: the union only grows, so the scan would
+    reject them anyway.  A check that admits its row is not counted: the
+    admission needs its translate anyway.
     """
     eps = epsilon_in(epsilon)
     x._require_same_group(y)
@@ -187,7 +185,7 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
         raise StructuralError("X must be nonempty")
     g = x.group
     n = x.size
-    # the scan's bounds and refresh buffers are freed before the energy count
+    # the scan's refresh buffers are freed before the energy count
     ys, z_bits = _greedy_scan(g, x.indices, y.indices, eps.numerator * n // eps.denominator)
     z = GroupSubset(g, z_bits)
     if y.size == 0:
@@ -214,31 +212,24 @@ def greedy_low_overlap_packing(x: GroupSubset, y: GroupSubset, epsilon) -> Packi
 
 def _greedy_scan(g: GroupSpec, xi: np.ndarray, cand: np.ndarray, cap: int):
     """(admitted rows, union bits) of the scan greedy_low_overlap_packing describes."""
-    n = len(xi)
-    bound = np.zeros(len(cand), dtype=np.int64)  # exact for the empty union
     z_bits = np.zeros(g.order, dtype=bool)
     ys: list[int] = []
-    start = 0  # bound[start:] is exact for the union as it stands
-    while start < len(cand):
-        check_ns, refresh_ns = subsets._recount_ns(g, n, len(cand) - start)
-        spent = 0.0
-        exact = True
-        stop = len(cand)
-        for i in (start + np.flatnonzero(bound[start:] <= cap)).tolist():
-            e = int(cand[i])
+    live = cand
+    while len(live):
+        check_ns, refresh_ns = subsets._recount_ns(g, len(xi), len(live))
+        rejected = 0
+        for i, e in enumerate(live.tolist(), 1):
             tr = g.translate_array(xi, e)
-            if exact or np.count_nonzero(z_bits[tr]) <= cap:
+            if np.count_nonzero(z_bits[tr]) <= cap:
                 ys.append(e)
                 z_bits[tr] = True
-                exact = False
-            else:
-                spent += check_ns  # the work a refresh would have saved
-            if spent >= refresh_ns:
-                stop = i + 1
+                continue
+            rejected += 1
+            if rejected * check_ns >= refresh_ns:  # the checks cost what a refresh saves
                 break
-        start = stop
-        if start < len(cand):
-            bound[start:] = subsets._row_counts(g, z_bits, xi, cand[start:])
+        live = live[i:]  # the rows after the break, or none
+        if len(live):
+            live = live[subsets._row_counts(g, z_bits, xi, live) <= cap]
     return ys, z_bits
 
 

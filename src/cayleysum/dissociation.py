@@ -12,8 +12,10 @@ Three facts drive the implementation:
   dense span closure grown one element at a time, with no sign-vector
   enumeration.  One ascending greedy scan does this: S is dissociated
   exactly when the scan admits every element, so `is_dissociated` and the
-  greedy dimension share `_greedy_scan`.  An exact witness is dissociated and
-  no smaller than the scan's, so S is dissociated iff dim(S) = |S| in either mode.
+  greedy dimension share `_greedy_scan`, which skips the elements already in
+  its span; `span` folds the same closure step over every element.  An exact
+  witness is dissociated and no smaller than the scan's, so S is dissociated
+  iff dim(S) = |S| in either mode.
 * One closure step, Span + {e, -e} = span | (span + e) | (span - e), acts on
   the span held as a Python int bit mask over the indices.  Translating by e
   takes two masked shifts per coordinate: with m the modulus, s the stride
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 
 import numpy as np
@@ -123,22 +125,6 @@ def _closure_insert(g: GroupSpec, mask: int, e: int) -> int:
     return mask | plus | minus
 
 
-def _scan(g: GroupSpec, indices: list[int], skip_members: bool) -> tuple[list[int], int]:
-    """Grow a span mask from {0} by the indices in order, with skip_members passing
-    over those already in the span; returns the inserted indices and the mask."""
-    mask, nbytes = 1, (g.order + 7) // 8
-    view = mask.to_bytes(nbytes, "little")  # O(1) membership; `mask >> e & 1` copies the int
-    chosen: list[int] = []
-    for e in indices:
-        if skip_members and view[e >> 3] >> (e & 7) & 1:
-            continue
-        chosen.append(e)
-        mask = _closure_insert(g, mask, e)
-        if skip_members:
-            view = mask.to_bytes(nbytes, "little")
-    return chosen, mask
-
-
 def is_dissociated(s: GroupSubset) -> bool:
     """Whether no nontrivial {-1,0,1} combination of s sums to zero."""
     return len(_greedy_scan(s.group, s.indices.tolist())) == s.size
@@ -157,7 +143,7 @@ def span(s: GroupSubset) -> GroupSubset:
             f"span over {s.size} elements exceeds the guard {SPAN_ENUMERATION_GUARD} "
             "outside exponent-2 groups"
         )
-    return GroupSubset.from_mask(g, _scan(g, s.indices.tolist(), skip_members=False)[1])
+    return GroupSubset.from_mask(g, reduce(partial(_closure_insert, g), s.indices.tolist(), 1))
 
 
 @dataclass
@@ -173,7 +159,15 @@ def _greedy_scan(g: GroupSpec, elems: list[int]) -> list[int]:
     """Maximal-by-inclusion dissociated subset of the ascending index list elems."""
     if g.is_exponent_two:
         return _gf2_basis_scan(elems)
-    return _scan(g, elems, skip_members=True)[0]
+    mask, nbytes = 1, (g.order + 7) // 8
+    view = mask.to_bytes(nbytes, "little")  # O(1) membership; `mask >> e & 1` copies the int
+    chosen: list[int] = []
+    for e in elems:
+        if not view[e >> 3] >> (e & 7) & 1:
+            chosen.append(e)
+            mask = _closure_insert(g, mask, e)
+            view = mask.to_bytes(nbytes, "little")
+    return chosen
 
 
 def _walk(g: GroupSpec, elems, i, chosen, mask, best, stop) -> list[int]:

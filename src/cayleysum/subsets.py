@@ -38,8 +38,9 @@ is exact a priori: every intermediate is an integer below 2^53.  The rfftn
 result is kept only when it is certified exact: every value must lie within
 1/4 of an integer, and the rounded counts must add up to |X||Y|.  Otherwise
 the call recomputes pairwise, so both backends return the same integers.
-The a priori float64 error bound, _transform_error_bound, is not checked
-per call: for full sets at the dense cap, N = 2^20, it is 6.2e-8 < 1/4.
+The a priori float64 error bound (Percival's) is not checked per call:
+for full sets at the dense cap, N = 2^20, it is 6.2e-8 < 1/4, and a test
+pins it there.
 
 _energy_route, from the same measurements, picks the energy route for each
 call.  Sorting holds at most _SORT_PAIRS_CAP = 2^20 sums and nothing
@@ -146,9 +147,6 @@ _GEMM_MNK = 1 << 18
 
 # entries of the Parseval spectrum per int64 square-and-dot: no N-sized int64 vector
 _PARSEVAL_CHUNK = 1 << 16
-
-# float64 unit roundoff
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,28 +342,11 @@ def _recount_ns(group: GroupSpec, width: int, rows: int) -> tuple[float, float]:
     )
 
 
-def _transform_error_bound(order: int, norm_product: float) -> float:
-    """A priori bound on max |computed - exact| of a float64 FFT convolution.
-
-    Percival's bound (Math. Comp. 72, 2003), built on the per-transform
-    analysis in Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., ch. 24: norm_product ((1+u)^(3L) (1+u sqrt 5)^(3L+1) (1+u)^(3L) - 1)
-    for L radix-2 stages and twiddle factors accurate to u.  L is taken as
-    twice ceil(log2 N) plus 2, to cover mixed-radix passes and Bluestein's
-    padded transforms of length below 4m.
-    """
-    stages = 2 * math.ceil(math.log2(order)) + 2
-    log_growth = 6 * stages * math.log1p(_UNIT_ROUNDOFF) + (3 * stages + 1) * math.log1p(
-        math.sqrt(5) * _UNIT_ROUNDOFF
-    )
-    return norm_product * math.expm1(log_growth)
-
-
 def _exact_convolution(group: GroupSpec, f: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """(1_F * 1_H)(z) for every index z, from indicator vectors f and h.
 
-    f may also be a stack of indicator rows, one convolution per row, and h
-    a stack of the same shape or one row shared by every row of f.
+    f may also be a stack of indicator rows, and h a stack of the same
+    shape: one convolution per row.
 
     A group of exponent 2 convolves by Walsh–Hadamard transforms,
     W(W(f) W(h)) / N, which is exact a priori: every forward partial sum is

@@ -16,12 +16,12 @@ from cayleysum.decomposition import (
     energy_partition,
     find_structured_subset,
 )
-from cayleysum.dissociation import additive_dimension
+from cayleysum.dissociation import _greedy_scan, additive_dimension
 from cayleysum.errors import GuardError, StructuralError
 from cayleysum.groups import parse_group
 from cayleysum.subsets import GroupSubset, additive_energy
 
-from conftest import oracle_energy, oracle_greedy_finder, random_nonempty
+from conftest import oracle_dimension, oracle_energy, oracle_greedy_finder, random_nonempty
 
 
 def _actual_ratio(a: GroupSubset, b: GroupSubset) -> Fraction:
@@ -199,10 +199,10 @@ FINDER_GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "4,4,4")}
 
 
 @st.composite
-def finder_inputs(draw):
-    g = FINDER_GROUPS[draw(st.sampled_from(sorted(FINDER_GROUPS)))]
-    b_idx = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=8)))
-    size_a = draw(st.integers(len(b_idx), min(g.order, 20)))
+def finder_inputs(draw, groups=FINDER_GROUPS, max_b=8, max_a=20):
+    g = groups[draw(st.sampled_from(sorted(groups)))]
+    b_idx = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=max_b)))
+    size_a = draw(st.integers(len(b_idx), min(g.order, max_a)))
     a_idx = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=size_a, max_size=size_a)))
     return g, a_idx, b_idx
 
@@ -251,3 +251,28 @@ def test_greedy_finder_matches_oracle(case):
     report = find_structured_subset(a, b, mode="greedy")
     assert report.subset.to_index_list() == sorted(picks)
     assert report.energy == oracle_energy(g.moduli, a_idx, picks)
+
+
+SMALL_B_GROUPS = {name: parse_group(name) for name in ("z12", "3,5", "4,4,4", "z101", "6,6,6")}
+
+
+# with |B| <= 11 some singleton or pair keeps 1/32 of E(A, B), so the search
+# stops before a 4-element candidate, and on at most 3 elements the greedy
+# witness is maximum: the exact walk cannot change the report (see _find)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=finder_inputs(SMALL_B_GROUPS, max_b=11, max_a=40))
+@example(case=(SMALL_B_GROUPS["4,4,4"], list(range(0, 64, 4)),
+               [0, 1, 2, 3, 6, 10, 18, 22, 26, 34, 42]))
+def test_exhaustive_finder_needs_no_walk_below_twelve(case):
+    g, a_idx, b_idx = case
+    a, b = GroupSubset.from_indices(g, a_idx), GroupSubset.from_indices(g, b_idx)
+    report = find_structured_subset(a, b, mode="exhaustive")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            decomposition,
+            "_exact_search",
+            lambda g, elems, stop_at=None: _greedy_scan(g, elems)[:stop_at],
+        )
+        assert find_structured_subset(a, b, mode="exhaustive").to_json() == report.to_json()
+    assert report.subset.size <= 3
+    assert report.dim_value == oracle_dimension(g.moduli, report.subset.to_index_list())

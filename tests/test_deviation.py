@@ -209,8 +209,8 @@ def test_packing_conditions_recomputed(rnd):
 
 
 def test_packing_skips_rows_by_stale_bounds(monkeypatch):
-    # one translate per row of Y would be 512 here; stale overlap counts are
-    # lower bounds, so rows whose count is already over the cap need none
+    # one translate per row of Y would be 512 here; the union only grows, so a
+    # refresh drops the rows whose overlap is already over the cap, and they need none
     g = parse_group("z4096")
     gen = np.random.default_rng(7)
     x, y = (GroupSubset.from_indices(g, gen.choice(g.order, 512, replace=False)) for _ in "xy")

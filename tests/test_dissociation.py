@@ -4,6 +4,7 @@ import gc
 import itertools
 import time
 import tracemalloc
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cayleysum.dissociation import (
     _exact_search,
     _gf2_basis_scan,
     _greedy_scan,
-    _scan,
     additive_dimension,
     count_low_dimension_sets,
     is_dissociated,
@@ -253,7 +253,7 @@ def test_exponent_two_span_equals_the_closure(text):
         base = rng.choice(g.order, min(size, g.order), replace=False).tolist()
         idx = sorted({*base, *(base[0] ^ x for x in rng.choice(base, 2).tolist())})
         s = GroupSubset.from_indices(g, idx)
-        assert span(s).mask == _scan(g, s.indices.tolist(), skip_members=True)[1]
+        assert span(s).mask == reduce(partial(_closure_insert, g), s.indices.tolist(), 1)
         assert set(span(s).to_index_list()) == oracle_span(g.moduli, idx)
 
 

@@ -180,6 +180,13 @@ def test_worst_case_order_cap():
         run_worst_case_scan("z32")
 
 
+def test_worst_case_keys_fit_int64():
+    # the scan's scale 2 lcm(1..N)^2 and every key |sigma| * scale <= lcm(1..N)^2
+    # are int64 for every order the cap admits
+    cap = harness._WORST_CASE_ORDER_CAP
+    assert 2 * math.lcm(*range(1, cap + 1)) ** 2 < 2**63
+
+
 def test_joint_mc_small():
     rep = run_joint_deviation_mc(trials=2000, seed=0)
     res = rep.results
