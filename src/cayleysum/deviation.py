@@ -349,8 +349,11 @@ def restriction_sample(
     """Draw uniform S in X and T in Y at deviation-preserving sizes.
 
     s = ceil(2000 log N / eps^4) and t = ceil(K |Y| eps^2 / (10 log N)),
-    clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).  This is
-    the one-draw case of the batched draws run_restriction_mc makes.
+    clipped to the available sizes, with K = |X|^2 |Y| / E(X, Y).  S and T
+    are rng.sample_rows rows, trial-set stream 2 (rng.TRIAL_STREAM), keyed
+    by derive_seed(seed, 1) and derive_seed(seed, 2), with the seed taken
+    mod 2^64.  This is the one-draw case of the batched draws
+    run_restriction_mc makes.
     """
     eps = epsilon_in(epsilon, _RESTRICTION_EPSILON_MAX)
     if a is not None and a.group != x.group:

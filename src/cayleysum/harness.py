@@ -14,7 +14,10 @@ cuts the trials into chunks of about _MC_BITS bits of A, as bit_matrix
 unpacks them (64 ceil(N / 64) bytes per trial), and hands each chunk its
 trial seeds derive_seed(master, first + t) from one array pass.  A chunk
 draws all its A rows with one rng call and all its X, Y, S and T sets with
-one rng.sample_rows call per set.  The sampled-set runners unpack their A
+one rng.sample_rows call per set, by the trial-set stream whose version,
+rng.TRIAL_STREAM, sigma-tail and restriction write into their configs as
+"stream"; restriction's fixed X and Y, like scan's, are single sets drawn
+by rng.sample_without_replacement.  The sampled-set runners unpack their A
 rows with bit_matrix, take one stacked count r_t = r_{X_t + Y_t} per trial
 and read every quantity off it as an inner product: edges_A(X, Y) = <1_A, r>
 and E(X, Y) = <r, r>.  The joint-deviation rows c(y) = |A ∩ (X + y)| are
@@ -270,7 +273,8 @@ def run_sigma_tail_mc(
     """Distribution of |sigma| across random (A, X, Y) draws per size tier.
 
     Trial t of tier i keys A, X and Y by derive_seed(base, 0), (base, 1) and
-    (base, 2) with base = derive_seed(derive_seed(seed, 1000 + i), t).  A
+    (base, 2) with base = derive_seed(derive_seed(seed, 1000 + i), t); X and
+    Y are rng.sample_rows rows, trial-set stream 2.  A
     chunk of trials takes its A rows from one bit_matrix call and its
     representation counts r_t = r_{X_t + Y_t} from one stacked count, so
     edges_t = <A_t, r_t> and |sigma_t| = |2 edges_t - |X||Y|| / (2 |X||Y|),
@@ -326,6 +330,7 @@ def run_sigma_tail_mc(
         "tiers": [list(t) for t in tiers],
         "trials": trials,
         "seed": seed,
+        "stream": rng.TRIAL_STREAM,
     }
     return _finish("sigma-tail", config, results, started)
 
@@ -340,9 +345,10 @@ def run_restriction_mc(
 ) -> ExperimentReport:
     """Frequency with which the seeded restriction draw keeps energy and sigma.
 
-    X and Y are drawn once, with derive_seed(seed, 1) and (seed, 2), and
-    r_{X+Y} and E(X, Y) = <r, r> are computed once.  Trial t keys A by
-    derive_seed(base, 0) and the draw of S and T by derive_seed(base, 1),
+    X and Y are drawn once, by rng.sample_without_replacement with
+    derive_seed(seed, 1) and (seed, 2), and r_{X+Y} and E(X, Y) = <r, r> are
+    computed once.  Trial t keys A by derive_seed(base, 0) and the draw of S
+    and T (rng.sample_rows rows, trial-set stream 2) by derive_seed(base, 1),
     with base = derive_seed(seed, 100 + t).  Chunks of trials run as
     batched restriction draws: sigma_A(X, Y) for every A row of a chunk is
     one product with r_{X+Y}.  The two per-draw checks hold with positive
@@ -386,6 +392,7 @@ def run_restriction_mc(
         "epsilon": str(eps),
         "trials": trials,
         "seed": seed,
+        "stream": rng.TRIAL_STREAM,
     }
     return _finish("restriction", config, results, started)
 

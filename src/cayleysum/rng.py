@@ -14,23 +14,41 @@ contract, stated once here and relied on everywhere:
   ``splitmix64((seed + (e // 64 + 1) * GAMMA) mod 2^64)``.  ``bit_matrix``
   stacks these rows, one per seed, unpacked from ``_bit_words``, which keeps
   the words themselves for callers that count bits by popcount.
-* ``sample_rows(pool, k, seeds)``: row i is the entries of pool at positions
-  ``Random(seeds[i]).sample(range(len(pool)), k)``, sorted ascending, with
-  every seed read as an exact Python int.  It is the one sampler;
-  ``sample_without_replacement`` is its one-row case.
 
-``sample_rows`` keeps that contract but reads the stream in bulk.  CPython's
-``sample(range(n), k)`` keeps a pool list when n <= setsize, where
+Sets are drawn by one of two contracts.  Each returns, per seed, the entries
+of pool at the chosen positions, sorted ascending, and when k == 0 or
+k == n = len(pool) it draws nothing: no position or every position is chosen.
+
+* ``sample_rows(pool, k, seeds)``, stream version ``TRIAL_STREAM`` = 2, draws
+  the sets of Monte Carlo trials.  Row i reads the words
+  w_j = splitmix64((seed_i + (j + 1) * GAMMA) mod 2^64), j = 0, 1, ..., the
+  ``_bit_words`` of seed_i taken mod 2^64.  Each word is one draw by
+  Lemire's multiply-and-reject on its high half h = w_j >> 32: with the
+  64-bit product h * n, the draw is rejected when its low 32 bits fall below
+  2^32 mod n, and otherwise gives the position (h * n) >> 32.  So every
+  accepted position is exactly uniform on [0, n), for n < 2^32.  The row
+  keeps the first k' = min(k, n - k) distinct accepted positions in draw
+  order; when k > n / 2 it is the complement of those k' positions.  A row
+  depends on its own seed alone, so batching cannot change it.  Each row
+  first reads 2k' + 8 words; a row with fewer than k' distinct accepted
+  positions among them is drawn again from twice as many words, which extend
+  the same stream, so the budget never changes a row.
+* ``sample_without_replacement(pool, k, seed)``, the Mersenne Twister
+  contract, draws one set: the positions
+  ``Random(seed).sample(range(len(pool)), k)``, with the seed read as an
+  exact Python int.  It keeps the bytes of the sets it has always drawn:
+  scan's X and Y and restriction's X and Y.
+
+``sample_without_replacement`` reads the Mersenne Twister stream in bulk.
+CPython's ``sample(range(n), k)`` keeps a pool list when n <= setsize, where
 setsize = 21, plus ``4 ** ceil(log(3k, 4))`` when k > 5; otherwise it is in
 set mode.  Each set-mode draw is ``getrandbits(b)`` with b = n.bit_length(),
 which is the next Mersenne Twister word shifted right by 32 - b; a draw >= n
-is rejected and a repeated position is drawn again, so the row is the first k
+is rejected and a repeated position is drawn again, so the set is the first k
 distinct accepted draws.  ``Random(seed).getrandbits(32 m)`` returns the
-seed's first m words, low word first, and numpy picks each row's first k
-distinct accepted draws out of them.  A row whose m words hold fewer than k
-distinct accepted draws, every pool-mode row, and every row when n >= 2^32
-take ``Random(seed).sample`` itself.  When k == 0 or k == n nothing is drawn:
-no position or every position is chosen.
+seed's first m words, low word first, and numpy picks the first k distinct
+accepted draws out of them.  If the m words hold fewer, and in pool mode or
+when n >= 2^32, the set is ``Random(seed).sample`` itself.
 """
 
 from __future__ import annotations
@@ -50,6 +68,7 @@ __all__ = [
     "derive_seed_array",
     "bernoulli_bits",
     "bit_matrix",
+    "TRIAL_STREAM",
     "sample_without_replacement",
     "sample_rows",
 ]
@@ -117,7 +136,76 @@ def derive_seed_array(master, indices) -> np.ndarray:
         return _splitmix64_np(master + inner)
 
 
-_WORD_BLOCK = 1 << 14  # Mersenne Twister words read per block of set-mode rows
+TRIAL_STREAM = 2  # the version of sample_rows' contract, written into MC configs
+
+
+def _first_distinct(draws: np.ndarray, n: int, k: int):
+    """(full, chosen) for k >= 1: full[i] says whether row i of draws holds k
+    distinct values below n, and chosen stacks the first k of each full row,
+    ascending.  A draw >= n is rejected."""
+    m = draws.shape[1]
+    # sorting draw * m + column puts each value's first draw first
+    keys = draws * m
+    keys += np.arange(m)
+    keys.sort(axis=1)
+    values, at = np.divmod(keys, m)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+    first &= values < n
+    # a row ends at the column of its k-th new value; m if it has fewer
+    cut = np.partition(np.where(first, at, m), k - 1, axis=1)[:, k - 1]
+    full = cut < m
+    first &= (at <= cut[:, None]) & full[:, None]
+    return full, values[first].reshape(-1, k)
+
+
+def _first_budget(k: int) -> int:
+    """Words a trial row reads before its first redraw."""
+    return 2 * k + 8
+
+
+def sample_rows(pool: np.ndarray | range, k: int, seeds) -> np.ndarray:
+    """k distinct entries of pool per seed, each row ascending; shape (len(seeds), k).
+
+    Trial-set stream 2 (see the module docstring).  seeds is a list of ints
+    or an integer array, each taken mod 2^64.  pool is an integer array or a
+    range; a range is never materialized, its chosen positions map straight
+    to values.
+    """
+    n = len(pool)
+    if not 0 <= k <= n:
+        raise StructuralError(f"cannot sample {k} items from a pool of {n}")
+    if n >= 1 << 32:
+        raise StructuralError(f"trial sets are drawn from pools of fewer than 2^32 entries, got {n}")
+    if isinstance(seeds, np.ndarray):
+        seeds = seeds.astype(np.uint64, copy=False)
+    else:
+        seeds = np.array([operator.index(seed) & _MASK for seed in seeds], dtype=np.uint64)
+    k_drawn = min(k, n - k)
+    drawn = np.empty((len(seeds), k_drawn), dtype=np.int64)
+    rows = np.arange(len(seeds) if k_drawn else 0)  # k in {0, n} draws nothing
+    m = _first_budget(k_drawn)
+    while len(rows):  # a short row is drawn again from twice the words
+        products = (_bit_words(seeds[rows], 64 * m) >> np.uint64(32)) * np.uint64(n)
+        draws = (products >> np.uint64(32)).astype(np.int64)
+        draws[(products & np.uint64(0xFFFFFFFF)) < np.uint64((1 << 32) % n)] = n
+        full, chosen = _first_distinct(draws, n, k_drawn)
+        drawn[rows[full]] = chosen
+        rows = rows[~full]
+        m *= 2
+    if k_drawn == k:
+        return _entries(pool, drawn)
+    chosen = np.ones((len(seeds), n), dtype=bool)  # the complement of the drawn positions
+    np.put_along_axis(chosen, drawn, False, axis=1)
+    return _entries(pool, np.nonzero(chosen)[1].reshape(len(seeds), k))
+
+
+def _entries(pool: np.ndarray | range, positions: np.ndarray) -> np.ndarray:
+    """pool's entries at positions, each row sorted ascending."""
+    if isinstance(pool, range):
+        return np.sort(pool.start + pool.step * positions, axis=-1)
+    return np.sort(np.asarray(pool, dtype=np.int64)[positions], axis=-1)
 
 
 def _setsize(k: int) -> int:
@@ -126,79 +214,28 @@ def _setsize(k: int) -> int:
 
 
 def _word_budget(n: int, k: int, b: int) -> int:
-    """Words read per set-mode row: the mean plus six standard deviations of
-    k trials that each succeed with probability at least q, the chance that a
-    word gives a new accepted position while fewer than k are chosen."""
+    """Words read by a set-mode sample: the mean plus six standard deviations
+    of k trials that each succeed with probability at least q, the chance that
+    a word gives a new accepted position while fewer than k are chosen."""
     q = (n - k + 1) / (1 << b)
     return math.ceil((k + 6 * math.sqrt(k * (1 - q))) / q) + 8
 
 
-def _set_mode_rows(n: int, k: int, seeds: list, positions: np.ndarray) -> list:
-    """Fill positions[i] with row i's set-mode sample; 0 < k < n < 2^32.
-
-    Returns the rows whose words ran out.  Each block sorts the keys
-    draw * m + word index, so a draw's first occurrence leads its run; the
-    row keeps the distinct accepted draws up to the k-th first occurrence.
-    """
-    b = n.bit_length()
-    m = _word_budget(n, k, b)
-    at = np.arange(m)
-    step = max(1, _WORD_BLOCK // m)
-    short = []
-    for lo in range(0, len(seeds), step):
-        block = seeds[lo : lo + step]
-        raw = b"".join(
-            [random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little") for seed in block]
-        )
-        keys = np.frombuffer(raw, dtype="<u4").reshape(len(block), m).astype(np.int64)
-        keys >>= 32 - b
-        # a rejected draw becomes n, past every accepted one
-        np.minimum(keys, n, out=keys)
-        keys *= m
-        keys += at
-        keys.sort(axis=1)
-        draws, first_at = np.divmod(keys, m)
-        first = np.empty(draws.shape, dtype=bool)
-        first[:, 0] = True
-        np.not_equal(draws[:, 1:], draws[:, :-1], out=first[:, 1:])
-        first &= draws < n
-        # the row ends at its k-th first occurrence in word order; m if none
-        cut = np.sort(np.where(first, first_at, m), axis=1)[:, k - 1]
-        full = cut < m
-        first &= (first_at <= cut[:, None]) & full[:, None]
-        positions[lo + np.flatnonzero(full)] = draws[first].reshape(-1, k)
-        short.extend((lo + np.flatnonzero(~full)).tolist())
-    return short
-
-
-def sample_rows(pool: np.ndarray | range, k: int, seeds) -> np.ndarray:
-    """k distinct entries of pool per seed, each row ascending; shape (len(seeds), k).
-
-    pool is an integer array or a range; a range is never materialized, its
-    chosen positions map straight to values.
-    """
+def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
+    """k distinct entries of pool, sorted ascending, by the Mersenne Twister
+    contract (see the module docstring); seed is read as an exact int."""
     n = len(pool)
     if not 0 <= k <= n:
         raise StructuralError(f"cannot sample {k} items from a pool of {n}")
-    # exact Python ints: a list mixing seeds below and above 2^63 must not
-    # pass through float64
-    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
-    seeds = [operator.index(seed) for seed in seeds]
-    positions = np.empty((len(seeds), k), dtype=np.int64)
-    if k in (0, n):  # no draw: no position or every position is chosen
-        positions[:] = np.arange(k)
-        short = ()
-    elif n > _setsize(k) and n < 1 << 32:
-        short = _set_mode_rows(n, k, seeds, positions)
-    else:
-        short = range(len(seeds))
-    for i in short:
-        positions[i] = random.Random(seeds[i]).sample(range(n), k)
-    if isinstance(pool, range):
-        return np.sort(pool.start + pool.step * positions, axis=1)
-    return np.sort(np.asarray(pool, dtype=np.int64)[positions], axis=1)
-
-
-def sample_without_replacement(pool: np.ndarray | range, k: int, seed: int) -> np.ndarray:
-    """k distinct entries of pool, sorted ascending: the one-row case of sample_rows."""
-    return sample_rows(pool, k, [seed])[0]
+    seed = operator.index(seed)
+    if k in (0, n):
+        return _entries(pool, np.arange(k))
+    if n > _setsize(k) and n < 1 << 32:
+        m = _word_budget(n, k, n.bit_length())
+        raw = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
+        draws = np.frombuffer(raw, dtype="<u4").astype(np.int64)[None]
+        draws >>= 32 - n.bit_length()
+        full, chosen = _first_distinct(draws, n, k)
+        if full[0]:
+            return _entries(pool, chosen[0])
+    return _entries(pool, np.array(random.Random(seed).sample(range(n), k)))

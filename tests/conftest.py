@@ -242,9 +242,10 @@ def oracle_greedy_finder(moduli, a_idx, b_idx) -> list:
 
 
 # -------------------------------------------------------- Monte Carlo oracles
-# The seeded streams are redrawn from the documented contract in cayleysum.rng
-# (scalar derive_seed, splitmix64 words, random.Random(seed).sample), one
-# trial at a time, as the runners did before they batched their trials.
+# The seeded streams are redrawn from the documented contracts in cayleysum.rng
+# (scalar derive_seed, splitmix64 words, random.Random(seed).sample for the
+# one-set sampler and stream 2 for trial sets), one trial at a time, as the
+# runners did before they batched their trials.
 
 def oracle_fair_coins(seed: int, order: int) -> list:
     """Indices e with bit e mod 64 of splitmix64(seed + (e // 64 + 1) GAMMA) set."""
@@ -258,6 +259,26 @@ def oracle_fair_coins(seed: int, order: int) -> list:
 def oracle_sample(pool, k: int, seed: int) -> list:
     pool = list(pool)
     return sorted(pool[i] for i in random.Random(seed).sample(range(len(pool)), k))
+
+
+def oracle_trial_sample(pool, k: int, seed: int) -> list:
+    """Stream version 2, one word at a time: the first min(k, n - k) distinct
+    positions (h n) >> 32, h the high half of splitmix64(seed + j GAMMA),
+    j = 1, 2, ..., skipping every draw whose product's low half is below
+    2^32 mod n; the complement of those when k > n / 2.  A range pool is
+    indexed, never listed."""
+    n = len(pool)
+    mask = (1 << 64) - 1
+    drawn = []
+    j = 0
+    while len(drawn) < min(k, n - k):
+        j += 1
+        product = (splitmix64((seed + j * GAMMA) & mask) >> 32) * n
+        position = product >> 32
+        if product % 2**32 >= 2**32 % n and position not in drawn:
+            drawn.append(position)
+    chosen = drawn if len(drawn) == k else [i for i in range(n) if i not in drawn]
+    return sorted(int(pool[i]) for i in chosen)
 
 
 def _oracle_sigma(moduli, a_idx, x_idx, y_idx) -> Fraction:
@@ -275,8 +296,8 @@ def oracle_sigma_tail(moduli, tiers, trials: int, seed: int) -> list:
         for t in range(trials):
             base = derive_seed(tier_seed, t)
             a = oracle_fair_coins(derive_seed(base, 0), order)
-            x = oracle_sample(range(order), sx, derive_seed(base, 1))
-            y = oracle_sample(range(order), sy, derive_seed(base, 2))
+            x = oracle_trial_sample(range(order), sx, derive_seed(base, 1))
+            y = oracle_trial_sample(range(order), sy, derive_seed(base, 2))
             values.append(abs(_oracle_sigma(moduli, a, x, y)))
         out.append((statistics.median(values), max(values)))
     return out
@@ -298,8 +319,8 @@ def oracle_restriction(moduli, x_size: int, y_size: int, eps: Fraction, trials: 
         base = derive_seed(seed, 100 + trial)
         a = oracle_fair_coins(derive_seed(base, 0), order)
         draw = derive_seed(base, 1)
-        s_idx = oracle_sample(x, s, derive_seed(draw, 1))
-        t_idx = oracle_sample(y, t, derive_seed(draw, 2))
+        s_idx = oracle_trial_sample(x, s, derive_seed(draw, 1))
+        t_idx = oracle_trial_sample(y, t, derive_seed(draw, 2))
         energy_ok = oracle_energy(moduli, s_idx, t_idx) * scale <= (
             2 * s * t * scale + 2 * s**2 * t**2 * energy
         )

@@ -547,7 +547,7 @@ FROZEN_CANONICAL = [
     (("scan", "--group", "f2^4", "--seed", "1"),
      "a6ca907cff21f78d35d9995bf601faad43ed84a0dfaa78865d2ca2dbe4b77c94"),
     (("mc", "--kind", "restriction", "--trials", "3"),
-     "12302cca185530386bfb1a6d4fcfb65f2833f308e8d8ff9b800baf7e168b96d2"),
+     "b13971842f4955aa5ce070ab529d00dd2eebac76f81a1c462711ed36d0f29425"),
     (("scan", "--group", "4,4", "--seed", "3"),
      "232c3a2bc87ebf727f203cdac61cb5eeb1ad3f6b91a0647b5cf88c1b4f46d521"),
     (("scan", "--group", "16,16,16", "--seed", "3", "--x-size", "160", "--y-size", "160"),
@@ -663,7 +663,7 @@ FROZEN_STDOUT_HUGE = [
 FROZEN_CANONICAL_SAMPLED = [
     (("mc", "--kind", "sigma-tail", "--group", "4,4,4", "--tiers", "4x4,8x8",
       "--trials", "3"),
-     "fe1b6f34232bcb97ef76709081388660f8962636480f35642a6acd7677e70e91"),
+     "5f90154734c5d48ae4765e2de23e7c03ad78c3a7806f845b96b2eb4b68d9624a"),
 ]
 
 
@@ -677,7 +677,7 @@ FROZEN_STDOUT_TABLES = [
      "71a8a4db4ab43418cedaf16d88f55218d58be261a254e4dbe7490e7e5f6eb4ce"),
     (("mc", "--kind", "sigma-tail", "--group", "z64", "--tiers", "4x4,8x8", "--trials", "20",
       "--format", "csv"),
-     "2e686cd67c50eef1e36037abd2cff8c1ff8054102633e9b844859df562504a67"),
+     "8ff71bc3a8ca167d90dc836542338b3332d6e64b203e207569cd13dad1d8ef98"),
     (("mc", "--kind", "restriction", "--trials", "5", "--format", "csv"),
      "904ddeb59daeac145e98f3cedd1b369fd77a507b97cdb52241e4248d244dbff4"),
     (("worst-case", "--group", "2,4", "--seed", "1", "--format", "csv"),
@@ -742,7 +742,7 @@ def test_library_report_bytes_frozen():
     ]
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "999348c7d93de0d48a269d5d50a863d48ca0048cac422f403714eac96cf1939f"
+        "0d5604ac34132dbd1cd67a0f6b0b61cf4144f42a681847414d39c93513eb9b77"
     )
 
 

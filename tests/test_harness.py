@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayleysum import deviation, harness, subsets
+from cayleysum import deviation, harness, rng, subsets
 from cayleysum.errors import PropertyError, StructuralError
 from cayleysum.deviation import edge_density_deviation, random_subset
 from cayleysum.groups import parse_group
@@ -34,6 +34,7 @@ from conftest import (
     oracle_mixing_lemma,
     oracle_packing,
     oracle_restriction,
+    oracle_sample,
     oracle_sigma_tail,
     oracle_worst_case,
 )
@@ -456,15 +457,42 @@ def test_mc_runners_skip_per_trial_set_work(monkeypatch):
 
 
 def test_mc_set_mode_rows_never_reach_random_sample(sample_calls):
-    # only pool-mode rows with 0 < k < n may take Random.sample: set-mode rows
-    # are read off the Mersenne Twister words, and k == n draws nothing
+    # trial sets (sigma-tail's X and Y, restriction's S and T) come from the
+    # splitmix stream and never call Random.sample; only the one-set draws of
+    # restriction's X and Y keep the Mersenne Twister contract, whose
+    # pool-mode sets call it once each
     run_sigma_tail_mc("f2^10", trials=60)
     assert sample_calls == []
     for group in ("f2^8", "4,4,4,4"):
         run_restriction_mc(group, trials=150, seed=1)
-        # X and Y (64 of 256) are pool-mode rows; S = X and T take no call
+        # X and Y (64 of 256) are pool-mode sets; S = X and T take no call
         assert sample_calls == [(256, 64), (256, 64)]
         sample_calls.clear()
+
+
+@pytest.mark.parametrize("group,size", [("f2^20", 32768), ("f2^20", 160), ("z65536", 2304)])
+def test_sampled_sets_keep_the_mersenne_twister_contract(group, size):
+    # scan's --x-size/--y-size sets at the sizes whose outputs the benchmark's
+    # references pin: the one-set sampler, not the trial-set stream
+    g = parse_group(group)
+    for seed in (0, 7):
+        for name, tag in (("x_size", 1), ("y_size", 2)):
+            key = rng.derive_seed(seed, tag)
+            got = harness._sampled_set(g, name, size, key).to_index_list()
+            assert got == oracle_sample(range(g.order), size, key)
+
+
+def test_sigma_tail_bytes_do_not_depend_on_chunking():
+    # chunks of 1, 3 and 7 trials, with tiers that draw, draw the complement
+    # (40 > 64 / 2) and draw nothing (64 of 64)
+    g = parse_group("4,4,4")
+    args = ("4,4,4", ((4, 4), (40, 9), (64, 64)), 17, 5)
+    whole = run_sigma_tail_mc(*args)
+    assert whole.config["stream"] == rng.TRIAL_STREAM == 2
+    for rows in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_MC_BITS", rows * 64 * -(-g.order // 64))
+            assert run_sigma_tail_mc(*args).canonical_bytes() == whole.canonical_bytes()
 
 
 # a spectral certificate for reported edge counts: each obeys the expander

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cayleysum import rng
 from cayleysum.errors import StructuralError
 
-from conftest import oracle_sample
+from conftest import oracle_sample, oracle_trial_sample
 
 
 def test_splitmix_reference_values():
@@ -57,32 +57,43 @@ def test_sample_rows_matches_scalar_draws():
         rows = rng.sample_rows(pool, 5, seeds)
         assert rows.shape == (4, 5) and rows.dtype == np.int64
         for row, seed in zip(rows, seeds):
-            assert row.tolist() == oracle_sample(pool, 5, int(seed))
-            assert np.array_equal(row, rng.sample_without_replacement(pool, 5, int(seed)))
+            assert row.tolist() == oracle_trial_sample(pool, 5, int(seed))
+            assert rng.sample_without_replacement(pool, 5, int(seed)).tolist() == oracle_sample(
+                pool, 5, int(seed)
+            )
     assert rng.sample_rows(range(5), 2, seeds[:0]).shape == (0, 2)
 
 
 def test_sample_rows_reads_each_seed_as_an_exact_int():
-    # a list mixing small seeds with seeds >= 2^63 must not pass through float64
-    rows = rng.sample_rows(range(100), 3, [5, 2**64 - 1])
-    assert rows[1].tolist() == [2, 31, 43] == oracle_sample(range(100), 3, 2**64 - 1)
-    assert rows[0].tolist() == oracle_sample(range(100), 3, 5)
-    assert rng.sample_rows(range(100), 3, [3**50])[0].tolist() == oracle_sample(range(100), 3, 3**50)
+    # a list mixing small seeds with seeds >= 2^63 must not pass through
+    # float64; sample_rows takes each seed mod 2^64, the one-set sampler does not
+    rows = rng.sample_rows(range(100), 3, [5, 2**64 - 1, 2**64 + 5, 2**63])
+    assert rows.tolist() == [[23, 38, 75], [21, 89, 91], [23, 38, 75], [28, 38, 76]]
+    assert rows[1].tolist() == oracle_trial_sample(range(100), 3, 2**64 - 1)
+    assert rows[3].tolist() == oracle_trial_sample(range(100), 3, 2**63)
+    assert rng.sample_rows(range(100), 3, [3**50])[0].tolist() == oracle_trial_sample(
+        range(100), 3, 3**50 % 2**64
+    )
+    one = rng.sample_without_replacement(range(100), 3, 2**64 - 1)
+    assert one.tolist() == [2, 31, 43] == oracle_sample(range(100), 3, 2**64 - 1)
+    assert rng.sample_without_replacement(range(100), 3, 3**50).tolist() == oracle_sample(
+        range(100), 3, 3**50
+    )
 
 
-_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 3**50)
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, 3**50)
 
 
 @st.composite
 def _sample_cases(draw):
-    # n on both sides of CPython's pool/set switch: setsize is 21 for k <= 5
-    # and 277 for 22 <= k <= 85
-    n = draw(st.sampled_from([21, 22, 277, 278, 1024]))
+    # k on both sides of n / 2, where a row becomes the complement of its
+    # n - k drawn positions, and at 0 and n, where nothing is drawn; n = 3 and
+    # 100 reject draws below 2^32 mod n, powers of two reject none
+    n = draw(st.sampled_from([1, 2, 3, 22, 100, 277, 1024]))
     k = draw(
         st.one_of(
-            st.sampled_from([0, n]),
-            st.integers(0, 8),
-            st.integers(60, 90).map(lambda k: min(k, n)),
+            st.sampled_from([0, n, n // 2, (n + 1) // 2, n - 1]),
+            st.integers(0, 8).map(lambda k: min(k, n)),
             st.integers(0, n),
         )
     )
@@ -103,10 +114,9 @@ def _sample_cases(draw):
 @given(case=_sample_cases(), as_array=st.booleans())
 def test_sample_rows_matches_oracle_in_both_modes(case, as_array):
     pool, k, seeds = case
-    want = [oracle_sample(pool, k, seed) for seed in seeds]
-    given_seeds = seeds
-    if as_array and all(seed < 2**64 for seed in seeds):
-        given_seeds = np.array(seeds, dtype=np.uint64)
+    want = [oracle_trial_sample(pool, k, seed % 2**64) for seed in seeds]
+    # a uint64 array holds each seed mod 2^64 and must give the list's rows
+    given_seeds = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64) if as_array else seeds
     rows = rng.sample_rows(pool, k, given_seeds)
     assert rows.shape == (len(seeds), k) and rows.tolist() == want
     # chunks of 1 check each row against its seed alone
@@ -117,25 +127,87 @@ def test_sample_rows_matches_oracle_in_both_modes(case, as_array):
         assert np.concatenate(chunks or [rows]).tolist() == want
 
 
+def test_sample_rows_rejects_draws_below_two_to_the_32_mod_n():
+    # 2^32 mod n is 2^31 - 1 for n = 2^31 + 1 and 2^30 for n = 3 * 2^30, so
+    # about half and a quarter of the draws are rejected
+    seeds = rng.derive_seed_array(9, np.arange(20))
+    for n in (2**31 + 1, 3 * 2**30):
+        rows = rng.sample_rows(range(-7, n - 7), 5, seeds)
+        assert rows.tolist() == [oracle_trial_sample(range(-7, n - 7), 5, int(s)) for s in seeds]
+
+
+def test_sample_rows_redraws_short_rows_from_a_doubled_budget(monkeypatch):
+    # with a first budget of k' = min(k, n - k) words, a row is short unless
+    # all of them are new positions; it is drawn again from 2k', 4k', ...
+    # words of the same stream, which changes no row
+    seeds = rng.derive_seed_array(4, np.arange(40))
+    cases = ((22, 5), (100, 64), (1024, 3), (3, 1))
+    want = [rng.sample_rows(range(n), k, seeds) for n, k in cases]
+    budgets = []
+    bit_words = rng._bit_words
+
+    def spy(seeds, n_bits):
+        budgets.append((len(seeds), n_bits // 64))
+        return bit_words(seeds, n_bits)
+
+    monkeypatch.setattr(rng, "_bit_words", spy)
+    rng.sample_rows(range(100), 64, seeds)
+    assert budgets == [(40, 2 * 36 + 8)]  # the first budget is 2k' + 8 words
+    monkeypatch.setattr(rng, "_first_budget", lambda k: k)
+    for (n, k), rows in zip(cases, want):
+        budgets.clear()
+        got = rng.sample_rows(range(n), k, seeds)
+        assert np.array_equal(got, rows)
+        assert got.tolist() == [oracle_trial_sample(range(n), k, int(seed)) for seed in seeds]
+        # each pass doubles the words and reads only the rows still short
+        assert [m for _, m in budgets] == [min(k, n - k) * 2**i for i in range(len(budgets))]
+        assert budgets[0][0] == 40
+        assert all(a >= b for (a, _), (b, _) in zip(budgets, budgets[1:]))
+        assert (len(budgets) > 1) == ((n, k) in ((22, 5), (100, 64)))
+
+
+def test_sample_rows_frequencies_are_uniform():
+    # 12000 rows over z10: each element lies in a k-row with chance k / 10, and
+    # each of the 120 sets of size 3 (or 7, drawn as complements) is a row's
+    # set with chance 1/120; each tolerance is six standard deviations
+    seeds = rng.derive_seed_array(77, np.arange(12_000))
+    for k in (3, 7):
+        rows = rng.sample_rows(range(10), k, seeds)
+        hits = np.bincount(rows.ravel(), minlength=10)
+        assert np.abs(hits - 1200 * k).max() < 6 * np.sqrt(12_000 * k / 10 * (1 - k / 10))
+        _, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(counts) == 120
+        chi2 = float(((counts - 100.0) ** 2 / 100.0).sum())
+        assert chi2 < 119 + 6 * np.sqrt(2 * 119)
+
+
 def test_sample_rows_calls_random_sample_only_in_pool_mode(sample_calls):
-    seeds = rng.derive_seed_array(5, np.arange(30))
+    # only the one-set sampler keeps the Mersenne Twister contract, and only its
+    # pool-mode sets call Random.sample; trial rows (stream 2) never do
+    seeds = [int(seed) for seed in rng.derive_seed_array(5, np.arange(30))]
+    for n, k in ((21, 5), (277, 64), (64, 64), (10, 7)):
+        rng.sample_rows(range(n), k, seeds)
     # set mode just past the switch, and k == n, make no call
     for n, k in ((22, 5), (278, 64), (1046, 86), (64, 64), (277, 0)):
-        rng.sample_rows(range(n), k, seeds)
+        for seed in seeds:
+            rng.sample_without_replacement(range(n), k, seed)
     assert sample_calls == []
-    # pool mode just inside the switch calls once per row
+    # pool mode just inside the switch calls once per set
     for n, k in ((21, 5), (277, 64), (1045, 86)):
-        rng.sample_rows(range(n), k, seeds[:2])
+        for seed in seeds[:2]:
+            rng.sample_without_replacement(range(n), k, seed)
     assert sample_calls == [(21, 5)] * 2 + [(277, 64)] * 2 + [(1045, 86)] * 2
 
 
 def test_sample_rows_rows_out_of_words_take_random_sample(monkeypatch):
-    # with one spare word most rows run short and must fall back row by row
+    # a one-set draw whose Mersenne Twister words run out falls back to
+    # Random.sample; with one spare word most sets run short.  Trial rows that
+    # run short redraw instead (test_sample_rows_redraws_short_rows_...)
     monkeypatch.setattr(rng, "_word_budget", lambda n, k, b: k + 1)
-    seeds = rng.derive_seed_array(4, np.arange(40))
+    seeds = [int(seed) for seed in rng.derive_seed_array(4, np.arange(40))]
     for n, k in ((22, 5), (278, 64), (1024, 3)):
-        rows = rng.sample_rows(range(n), k, seeds)
-        assert rows.tolist() == [oracle_sample(range(n), k, int(seed)) for seed in seeds]
+        got = [rng.sample_without_replacement(range(n), k, seed).tolist() for seed in seeds]
+        assert got == [oracle_sample(range(n), k, seed) for seed in seeds]
 
 
 def test_bit_matrix_rows_match_bernoulli_bits():
@@ -187,3 +259,5 @@ def test_rng_refusals_are_structural_errors():
         rng.sample_without_replacement(np.arange(3), 4, seed=0)
     with pytest.raises(StructuralError, match="cannot sample 6 items from a pool of 5"):
         rng.sample_rows(range(5), 6, [1, 2])
+    with pytest.raises(StructuralError, match="fewer than 2\\^32 entries"):
+        rng.sample_rows(range(2**32), 1, [1])
