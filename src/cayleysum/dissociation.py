@@ -31,8 +31,11 @@ Three facts drive the implementation:
   selection is exact (independence is a matroid).
 
 The exact dimension is one include-first recursive walk from the greedy
-witness.  Its one early exit, `stop_at`, ends it once the best set reaches the
-size a caller asks about: d + 1 for dim <= d, or the finder's best so far.
+witness.  It ends once the best set reaches `stop_at`, the size a caller asks
+about (d + 1 for dim <= d, or the finder's best so far), capped at
+`_dimension_ceiling`, the length no dissociated set of the group exceeds; when
+the greedy witness already has that size, the walk never starts.  Each node
+lists once the later elements left outside its span and prunes on that list.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 # span refuses above this set size outside exponent-2 groups, as it inserts every
-# element; a greedy scan inserts at most log2 N (2^|D| <= N for a dissociated D)
+# element; a greedy scan inserts at most `_dimension_ceiling` of them
 SPAN_ENUMERATION_GUARD = 24
 # exact dimension search refuses above this set size (non-exponent-2)
 EXACT_DIMENSION_GUARD = 20
@@ -170,28 +173,44 @@ def _greedy_scan(g: GroupSpec, elems: list[int]) -> list[int]:
     return chosen
 
 
+@lru_cache(maxsize=4)
+def _dimension_ceiling(moduli: tuple[int, ...]) -> int:
+    """No dissociated set is longer: its 2^d subset sums are distinct, so 2^d <= N,
+    and in exponent 3 so are its 3^d signed sums (2e = -e), so 3^d <= N."""
+    n, base = math.prod(moduli), 3 if set(moduli) == {3} else 2
+    d = 0
+    while base ** (d + 1) <= n:
+        d += 1
+    return d
+
+
 def _walk(g: GroupSpec, elems, i, chosen, mask, best, stop) -> list[int]:
     """best, or a longer dissociated extension of chosen (span mask `mask`) by elems[i:]:
     each later element outside the span, in index order, is walked before the next
-    is tried, until best reaches stop or the elements left cannot beat it."""
+    is tried, until best reaches stop or the elements left outside the span cannot
+    beat it.  The span only grows along a branch, so the child is handed this
+    node's free list and filters it again."""
     if len(chosen) > len(best):
         best = chosen
-    for j in range(i, len(elems)):
-        if len(best) >= stop or len(chosen) + len(elems) - j <= len(best):
+    free = [e for e in elems[i:] if not mask >> e & 1]  # e itself is a one-term signed sum
+    for j, e in enumerate(free):
+        if len(best) >= stop or len(chosen) + len(free) - j <= len(best):
             break
-        e = elems[j]
-        if not mask >> e & 1:  # e itself is a one-term signed sum
-            best = _walk(
-                g, elems, j + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e), best, stop
-            )
+        best = _walk(
+            g, free, j + 1, chosen + [e], _closure_insert(g, mask | 1 << e, e), best, stop
+        )
     return best
 
 
 def _exact_search(g: GroupSpec, elems: list[int], stop_at: int | None = None) -> list[int]:
     """Largest dissociated subset of the ascending index list elems, or the first one
     of size stop_at: the greedy witness, cut, when it is long enough, and always in
-    exponent-2 groups (independence is a matroid, greedy is maximum)."""
-    stop_at = len(elems) if stop_at is None else stop_at
+    exponent-2 groups (independence is a matroid, greedy is maximum).  stop_at is
+    capped at `_dimension_ceiling`, so the greedy start or the walk ends once best
+    reaches it; only a strictly longer set replaces best, so the witness is the one
+    the uncapped search returns."""
+    ceiling = _dimension_ceiling(g.moduli)
+    stop_at = ceiling if stop_at is None else min(stop_at, ceiling)
     best = _greedy_scan(g, elems)
     if len(best) >= stop_at or g.is_exponent_two:
         return best[:stop_at]

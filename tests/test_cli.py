@@ -64,7 +64,7 @@ def test_dim_and_pack(capsys):
 
 
 def test_dim_greedy_takes_any_size(capsys):
-    # the greedy scan inserts at most log2 N elements, so no size guard applies
+    # the greedy scan inserts at most `_dimension_ceiling` elements, so no size guard applies
     code, out, err = run_cli(
         capsys, "dim", "--group", "z1009", "--set", str(list(range(1, 31))), "--mode", "greedy"
     )
@@ -728,6 +728,38 @@ def test_report_bytes_frozen(capsys, argv, digest):
         assert code == 0
         data = out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# stdout digests of the exact dimension outside exponent 2, at 16 elements:
+# on 3,3,3,3 (ceiling 4) a set whose greedy start reaches the ceiling and a
+# rank-3 set that stays below it; on 5,5,5 (ceiling 6) a walk from 5 to the
+# ceiling; on z1024 (ceiling 10) a walk from 7 to 8.  Each value equals the
+# brute-force dimension, and dropping `| 1 << e` from `_walk` (ROADMAP item 1)
+# leaves each witness as it is
+FROZEN_STDOUT_EXACT_DIM = [
+    (("dim", "--group", "3,3,3,3", "--set", "[4,6,7,8,9,11,12,19,27,41,46,50,53,55,64,68]",
+      "--mode", "exact"),
+     "11d136c310136decbb31a75c8f1748b27fb401b8d4fcd8790ea5d67e4fe8ebde"),
+    (("dim", "--group", "3,3,3,3", "--set", "[0,3,6,9,21,24,36,39,51,54,60,63,66,72,75,78]",
+      "--mode", "exact"),
+     "3fb5f2d0575b05fb83b9519b3987d593025b67f1208b06740a57511fc9cc8b97"),
+    (("dim", "--group", "5,5,5", "--set", "[3,4,11,16,34,50,56,57,67,85,90,94,97,112,114,115]",
+      "--mode", "exact"),
+     "a0079d5dce12331d67456245184a94858c27b774e1a8bfff2a3fbc31467b3055"),
+    (("dim", "--group", "z1024", "--set",
+      "[119,242,276,306,360,371,436,494,645,667,675,693,923,963,983,1011]", "--mode", "exact"),
+     "5c8b8b524f43027d407d191804d9197583f3724ccb377fcc2e89df51d618deca"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FROZEN_STDOUT_EXACT_DIM,
+    ids=[f"{argv[2]}:{argv[4]}" for argv, _ in FROZEN_STDOUT_EXACT_DIM],
+)
+def test_exact_dimension_bytes_frozen(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_library_report_bytes_frozen():

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleysum import dissociation
 from cayleysum.dissociation import (
     EXACT_DIMENSION_GUARD,
     SPAN_ENUMERATION_GUARD,
     _closure_insert,
     _coordinates,
     _dimension_at_most,
+    _dimension_ceiling,
     _exact_search,
     _gf2_basis_scan,
     _greedy_scan,
@@ -322,14 +324,72 @@ _GREEDY_PLUS_TWO = {
 }
 
 
-@pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("f2^6",))
+@pytest.mark.parametrize("text", _CLOSURE_GROUPS + ("f2^6", "3,3,3,3,3"))
 def test_push_time_pruning_keeps_the_witness(text, rnd):
-    # the recursive walk, its stop_at exit and the exponent-2 shortcut against the stack
+    # the recursive walk, its ceiling and stop_at exits, its free-list prune and
+    # the exponent-2 shortcut against the stack, which has none of them
     g = parse_group(text)
     frozen = [_GREEDY_PLUS_TWO[text]] if text in _GREEDY_PLUS_TWO else []
-    for elems in frozen + [random_nonempty(rnd, g, 16).to_index_list() for _ in range(30)]:
+    largest = EXACT_DIMENSION_GUARD if text in ("3,3,3,3", "z101") else 16
+    for elems in frozen + [random_nonempty(rnd, g, largest).to_index_list() for _ in range(30)]:
         for stop_at in (None, *range(1, 8)):
             assert _exact_search(g, elems, stop_at) == _search_pruned_on_pop(g, elems, stop_at)
+
+
+@pytest.mark.parametrize(
+    "text,ceiling",
+    [("f2^6", 6), ("z12", 3), ("3,9", 4), ("3,3,3,3", 4), ("z101", 6), ("z1024", 10)],
+)
+def test_dimension_ceiling_pinned(text, ceiling):
+    assert _dimension_ceiling(parse_group(text).moduli) == ceiling
+
+
+@pytest.mark.parametrize("text", ["z12", "3,3", "3,3,3", "4,4", "2,2,3"])
+def test_no_dimension_exceeds_the_ceiling(text):
+    # no dissociated set holds 0 or both of e and -e, and negating an element
+    # keeps a set dissociated: sets of one of each pair {e, -e} stand for all
+    g = parse_group(text)
+    ceiling = _dimension_ceiling(g.moduli)
+    reps = [e for e in range(1, g.order) if e <= oracle_neg(g.moduli, e)]
+    assert max(
+        oracle_dimension(g.moduli, combo) for combo in itertools.combinations(reps, ceiling + 1)
+    ) <= ceiling
+
+
+def test_greedy_at_the_ceiling_skips_the_walk(monkeypatch, rnd):
+    # 3,3,3,3: dissociated is independent over the 3-element field, so 16 random
+    # elements almost surely have rank 4, the ceiling; a rank-3 set still walks
+    g = parse_group("3,3,3,3")
+    walks = []
+    monkeypatch.setattr(dissociation, "_walk", lambda *args: walks.append(args) or args[5])
+    for _ in range(20):
+        s = GroupSubset.from_indices(g, rnd.sample(range(g.order), 16))
+        assert additive_dimension(s, "exact").value == 4
+    assert walks == []
+    rank_three = GroupSubset.from_indices(g, range(0, 48, 3))
+    assert additive_dimension(rank_three, "exact").value == 3 and len(walks) == 1
+
+
+@pytest.mark.parametrize(
+    "text,elems,inserts",
+    [
+        ("5,5,5", _GREEDY_PLUS_TWO["5,5,5"], 14),
+        ("6,6,6", _GREEDY_PLUS_TWO["6,6,6"], 58),
+        ("z1024", _GREEDY_PLUS_TWO["z1024"], 26),
+        ("3,3,3,3", [4, 6, 7, 8, 9, 11, 12, 19, 27, 41, 46, 50, 53, 55, 64, 68], 4),
+    ],
+)
+def test_exact_search_insert_counts(monkeypatch, text, elems, inserts):
+    # no timing: the closure steps of the greedy start and the walk, which were
+    # 22, 68, 28 and 1257 before the ceiling and the free-list prune; a dropped
+    # bound keeps every witness but not these counts.  The 3,3,3,3 greedy start
+    # reaches the ceiling with its own 4 inserts, so the walk makes none
+    calls = []
+    monkeypatch.setattr(
+        dissociation, "_closure_insert", lambda *a: calls.append(a) or _closure_insert(*a)
+    )
+    _exact_search(parse_group(text), elems)
+    assert len(calls) == inserts
 
 
 def _gf2_scan_unskipped(indices):
