@@ -92,6 +92,10 @@ _EXP_ARG_LIMIT = mpf("1e15")
 
 
 def safe_exp(x: mpf) -> mpf:
+    """exp(x), saturated: exactly mp.zero when x < -_EXP_ARG_LIMIT and mp.inf when
+    x > _EXP_ARG_LIMIT.  Between the limits it is mp.exp(x), which never
+    underflows to zero (mpf exponents are unbounded), so a zero result means x
+    lies below -_EXP_ARG_LIMIT."""
     if x < -_EXP_ARG_LIMIT:
         return mp.zero
     if x > _EXP_ARG_LIMIT:
@@ -392,9 +396,17 @@ def _general_rows(logn: mpf, wv: mpf, consts: dict):
     ))
 
     level_cap = int(j0) if j0 < 64 else 64
+    # The sum stops at its first zero term and so drops only zeros.  budget > 0, so
+    # the argument -(10^j - 1) budget / 2 strictly decreases in j: each rounding is
+    # monotone and cannot undo a factor of 10.  safe_exp is zero exactly below
+    # -_EXP_ARG_LIMIT, so once one term is zero every later one is too, and the
+    # sum is the full one bit for bit.
     correction = mp.zero
     for j in range(1, level_cap):
-        correction += safe_exp(-(mp.power(10, j) - 1) * budget / 2)
+        term = safe_exp(-(mp.power(10, j) - 1) * budget / 2)
+        if not term:
+            break
+        correction += term
     total_log = -budget / 2 + mp.log1p(correction)
     rows.append(_row(
         "level_total",

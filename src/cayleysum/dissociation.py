@@ -28,7 +28,9 @@ Three facts drive the implementation:
 * In exponent-2 groups, dissociated means linearly independent over the
   2-element field, and the index codec makes every element its own bit
   vector, so rank is Gaussian elimination over int bitmasks and greedy
-  selection is exact (independence is a matroid).
+  selection is exact (independence is a matroid).  In exponent 3 the
+  coefficients {-1, 0, 1} are the whole 3-element field, so dissociated again
+  means independent and the greedy witness is again maximum.
 
 The exact dimension is one include-first recursive walk from the greedy
 witness.  It ends once the best set reaches `stop_at`, the size a caller asks
@@ -205,14 +207,14 @@ def _walk(g: GroupSpec, elems, i, chosen, mask, best, stop) -> list[int]:
 def _exact_search(g: GroupSpec, elems: list[int], stop_at: int | None = None) -> list[int]:
     """Largest dissociated subset of the ascending index list elems, or the first one
     of size stop_at: the greedy witness, cut, when it is long enough, and always in
-    exponent-2 groups (independence is a matroid, greedy is maximum).  stop_at is
+    exponent 2 and 3 (independence is a matroid, greedy is maximum).  stop_at is
     capped at `_dimension_ceiling`, so the greedy start or the walk ends once best
     reaches it; only a strictly longer set replaces best, so the witness is the one
     the uncapped search returns."""
     ceiling = _dimension_ceiling(g.moduli)
     stop_at = ceiling if stop_at is None else min(stop_at, ceiling)
     best = _greedy_scan(g, elems)
-    if len(best) >= stop_at or g.is_exponent_two:
+    if len(best) >= stop_at or g.is_exponent_two or set(g.moduli) == {3}:
         return best[:stop_at]
     return _walk(g, elems, 0, [], 1, best, stop_at)
 

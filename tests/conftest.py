@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from mpmath import iv, libmp
+from mpmath import iv, libmp, mp
 
 from cayleysum.groups import parse_group
 from cayleysum.rng import GAMMA, derive_seed, splitmix64
@@ -454,6 +454,18 @@ def oracle_certified_rows(mode: str, log_order: str, w: str, constants: dict, dp
     finally:
         iv.dps = saved
     return flags
+
+
+def oracle_level_total(budget, j0) -> tuple:
+    """(lhs, passed) of the general cascade's level_total row at the working
+    precision, from every one of its min(j0, 64) - 1 level terms, zeros included;
+    a term whose exponent lies below -1e15 counts as zero."""
+    correction = mp.zero
+    for j in range(1, int(min(j0, 64))):
+        x = -(mp.power(10, j) - 1) * budget / 2
+        correction += mp.zero if x < -mp.mpf("1e15") else mp.exp(x)
+    lhs = -budget / 2 + mp.log1p(correction)
+    return lhs, lhs <= -budget / 3
 
 
 # ------------------------------------------------------------------ sampling

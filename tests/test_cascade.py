@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cayleysum import cascade
 from cayleysum.errors import GuardError, StructuralError
-from conftest import oracle_certified_rows
+from conftest import oracle_certified_rows, oracle_level_total
 
 GENERAL_ROWS = (
     "growth_cap",
@@ -487,6 +487,71 @@ def test_safe_exp_extremes():
     assert cascade.safe_exp(mp.mpf("1e16")) == mp.inf
     assert cascade.safe_exp(mp.mpf("-1e16")) == 0
     assert abs(cascade.safe_exp(mp.mpf(1)) - mp.e) < mp.mpf("1e-20")
+
+
+def test_safe_exp_is_zero_exactly_below_the_limit():
+    # the level sum stops at its first zero term on this contract
+    assert cascade.safe_exp(mp.mpf("-1e15")) != 0
+    assert cascade.safe_exp(mp.mpf("-1e15") - 1) == 0
+
+
+def _level_total_inputs():
+    """(logN, w, dps) for the ledger grid and every probe of both default searches."""
+    grid = [
+        (logn, w, dps)
+        for logn in ("1e2", "1e5", "4.85e8", "1e12", "1e38")
+        for w in ("1.5", "3", "40")
+        for dps in (15, 30, 1000)
+    ]
+    probes = [
+        (p["logN"], p["w"], search.dps)
+        for mode in cascade.MODES
+        for search in [cascade.find_threshold(mode)]
+        for p in search.probes
+    ]
+    return grid + probes
+
+
+def test_level_total_equals_the_full_sum():
+    # the stop at the first zero term keeps the raw lhs and its flag; a dropped
+    # nonzero term would be exp(-4.5 budget) or less, below every working
+    # precision here, so the count pin below is what sees the stop itself
+    consts = {"count_rate": 1.0}
+    for logn, w, dps in _level_total_inputs():
+        with mp.workdps(dps):
+            derived, rows = cascade._evaluate(cascade._general_rows, logn, w, consts)
+            lhs, passed = oracle_level_total(derived["level_budget"], derived["ladder_levels"])
+        (row,) = [r for r in rows if r["name"] == "level_total"]
+        assert (row["lhs"]._mpf_, row["passed"]) == (lhs._mpf_, passed), (logn, w, dps)
+
+
+def _count_safe_exp(monkeypatch) -> list:
+    calls = []
+    safe_exp = cascade.safe_exp
+    monkeypatch.setattr(cascade, "safe_exp", lambda x: calls.append(x) or safe_exp(x))
+    return calls
+
+
+@pytest.mark.parametrize("dps", [15, 30, 1000])
+def test_threshold_search_level_terms(monkeypatch, dps):
+    # no timing: each general probe has j0 >= 64 and only its first level term
+    # is nonzero; the full sum evaluated 63 per probe, 1261 in all
+    calls = _count_safe_exp(monkeypatch)
+    search = cascade.find_threshold("general", dps=dps)
+    assert len(calls) == len(search.probes) == 21
+    calls.clear()
+    cascade.find_threshold("exponent2", dps=dps)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "logn,terms", [("1e2", 2), ("1e5", 5), ("4.85e8", 2), ("1e12", 1), ("1e38", 1)]
+)
+def test_ledger_level_terms(monkeypatch, logn, terms):
+    # the full sum evaluated 2, 5, 9, 13 and 43 terms; below 4.85e8 every term is nonzero
+    calls = _count_safe_exp(monkeypatch)
+    cascade.cascade_audit("general", logn, "3")
+    assert len(calls) == terms
 
 
 def test_ledger_json_shape():

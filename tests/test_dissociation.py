@@ -357,8 +357,9 @@ def test_no_dimension_exceeds_the_ceiling(text):
 
 
 def test_greedy_at_the_ceiling_skips_the_walk(monkeypatch, rnd):
-    # 3,3,3,3: dissociated is independent over the 3-element field, so 16 random
-    # elements almost surely have rank 4, the ceiling; a rank-3 set still walks
+    # 3,3,3,3: dissociated is independent over the 3-element field, so greedy is
+    # maximum and no set walks, neither 16 random elements (almost surely rank 4,
+    # the ceiling) nor a rank-3 set below it
     g = parse_group("3,3,3,3")
     walks = []
     monkeypatch.setattr(dissociation, "_walk", lambda *args: walks.append(args) or args[5])
@@ -367,7 +368,7 @@ def test_greedy_at_the_ceiling_skips_the_walk(monkeypatch, rnd):
         assert additive_dimension(s, "exact").value == 4
     assert walks == []
     rank_three = GroupSubset.from_indices(g, range(0, 48, 3))
-    assert additive_dimension(rank_three, "exact").value == 3 and len(walks) == 1
+    assert additive_dimension(rank_three, "exact").value == 3 and walks == []
 
 
 @pytest.mark.parametrize(
